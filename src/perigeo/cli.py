@@ -29,7 +29,7 @@ from .isoset import (
 )
 from .metric import (
     DEFAULT_DELTA,
-    EXACT_SMALL_MAX,
+    _resolve_engine,
     approx_factor_bound,
     d_C,
     emd,
@@ -232,12 +232,11 @@ def _cmd_emd(args):
     iso_a = isoset(A, alpha, tol)
     iso_b = isoset(B, alpha, tol)
     cost, plan = emd(iso_a, iso_b, engine=args.dr, delta=args.delta)
-    size = max(
-        c.representative.size for c in iso_a.classes + iso_b.classes
+    engine_used = _resolve_engine(
+        args.dr,
+        max(c.representative.size for c in iso_a.classes),
+        max(c.representative.size for c in iso_b.classes),
     )
-    engine_used = args.dr
-    if engine_used == "auto":
-        engine_used = "exact" if size <= EXACT_SMALL_MAX else "approx"
     _emit({
         "schema": SCHEMA,
         "command": "emd",
@@ -416,10 +415,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, DataError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,38 +1,47 @@
 """Distances between clusters, isometry classes, isosets and periodic sets.
 
-Two d_R engines are provided.  The exact-small engine minimizes the
-directed Hausdorff distance over orthogonal maps by a dense candidate
-search (uniform rotation grid plus every direction-alignment candidate)
-followed by local bracket refinement; in 2D the search is certified-grade
-because the alignment candidates contain the balanced optima of structured
-clusters and refinement shrinks brackets to ~1e-10 rad.  The approximation
-engine implements the anchor construction whose value is guaranteed within
-a factor 2(n-1) of the optimum (reported with a (1+delta) cushion).
+Two d_R engines are provided.  The exact-small engine is exact in 1D.  In
+2D it is an interval branch-and-bound over the rotation angle, for
+rotations and reflections alike: nearest-point distances are evaluated
+only at interval ends, and each point's least distance over an interval is
+known exactly, because |R(t)p - q| is smallest at an end unless the angle
+that aligns p with q lies inside, where it is ||p| - |q||.  The running max
+of those per-point values bounds every prefix from below, so a 2D value
+is certified to within 1e-9 max(1, |p|max), or, near zero, to within the
+float floor of the inner-product distances (about 1e-8 |p|max).  In 3D it
+is a search over a random rotation sample and the approximation engine's
+maps with local refinement, which carries no certificate.  The
+approximation engine implements the anchor construction whose value is
+guaranteed within a factor 2(n-1) of the optimum (reported with a
+(1+delta) cushion).
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
-isosets is solved exactly by successive shortest augmenting paths on
+isosets is solved exactly as a transportation linear program (HiGHS) on
 integer-scaled weights.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .isoset import Cluster, IsometryClass, Isoset
 
 EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
 DEFAULT_DELTA = 0.1
-GRID_2D = 512          # base rotation grid for the 2D exact engine
 GRID_3D = 4096         # base rotation sample for the 3D exact engine
-REFINE_ROUNDS = 14
+BNB_INTERVALS_2D = 64  # initial angle intervals of the 2D branch-and-bound
+# narrowest 2D interval (about 2.6e-9 rad): |P|max times it lies below the
+# float floor of the inner-product distances, about 1e-8 |P|max, so
+# narrower intervals would resolve nothing
+BNB_MIN_WIDTH_2D = 2 * math.pi / 512 / 3 ** 14
 
 
 def _points(obj) -> np.ndarray:
@@ -67,159 +76,150 @@ def _ref2(phi: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def _alignment_angles_2d(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Angles rotating some P direction onto some +-Q direction.
-
-    Pairs of grossly different lengths cannot witness a small d_H and are
-    skipped, except pairs involving the longest P point: those make the
-    candidate set a superset of the approximation engine's maps.
-    """
-    lp, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
-    pm, qm = lp > 0, lq > 0
-    P, lp = P[pm], lp[pm]
-    Q, lq = Q[qm], lq[qm]
-    if len(P) == 0 or len(Q) == 0:
-        return np.array([0.0])
-    ap = np.arctan2(P[:, 1], P[:, 0])
-    aq = np.arctan2(Q[:, 1], Q[:, 0])
-    scale = float(max(lp.max(), lq.max()))
-    keep = np.abs(lp[:, None] - lq[None, :]) <= 0.35 * scale
-    keep[lp >= lp.max() - 1e-12, :] = True
-    diff = (aq[None, :] - ap[:, None])[keep].ravel()
-    return np.concatenate([diff, diff + math.pi])
-
-
 class _RotationProfile2D:
-    """Prefix Hausdorff profiles of one oriented pair (P, Q) over rotations.
+    """Nearest-point distances of one pair (P, Q) over the maps R(t) F,
+    F the identity or the reflection diag(1, -1).
 
-    Uses |R(t)p - q|^2 = |p|^2 + |q|^2 - 2(cos t (p.q) + sin t (p x q)), so
-    the pairwise products are computed once and every angle costs one fused
-    pass over the k x q table.
+    Uses |R(t)Fp - q|^2 = |p|^2 + |q|^2 - 2(cos t (Fp.q) + sin t (Fp x q));
+    both products are sums of the four tables x qx, y qy, x qy, y qx, so
+    every batch of maps costs one matrix product.  Over an angle interval
+    each pair distance is smallest at an endpoint, unless the pair's
+    alignment angle (the t that points R(t)Fp along q) lies inside, where
+    it is ||p| - |q||; those angles are kept sorted per point and map
+    family for `aligned_gaps`.
     """
 
     def __init__(self, P: np.ndarray, Q: np.ndarray):
-        self.k = len(P)
-        self.base = (P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :]
-        self.dot = P @ Q.T
-        self.cross = np.outer(P[:, 0], Q[:, 1]) - np.outer(P[:, 1], Q[:, 0])
-        self.chunk = max(1, int(2e6 / max(self.base.size, 1)))
+        self.k, self.m = len(P), len(Q)
+        x, y = P[:, 0, None], P[:, 1, None]
+        self.terms = np.stack([
+            (P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :],
+            x * Q[:, 0], y * Q[:, 1], x * Q[:, 1], y * Q[:, 0],
+        ]).reshape(5, -1)
+        self.chunk = max(1, int(2e6 / max(self.k * self.m, 1)))
+        ap = np.arctan2(P[:, 1], P[:, 0])
+        aq = np.arctan2(Q[:, 1], Q[:, 0])
+        phi = np.mod(aq - np.stack([ap, -ap])[:, :, None], 2 * math.pi)
+        phi = phi.reshape(2 * self.k, self.m)
+        gap = np.abs(np.linalg.norm(P, axis=1)[:, None]
+                     - np.linalg.norm(Q, axis=1)[None, :])
+        order = np.argsort(phi, axis=1)
+        # row r = (family, point) is shifted by 4 pi r, so one sorted array
+        # serves every row and no query in [0, 2 pi] reaches the next row
+        self.shift = 4 * math.pi * np.arange(2 * self.k).reshape(2, self.k)
+        self.phi = (np.take_along_axis(phi, order, 1)
+                    + self.shift.reshape(-1, 1)).ravel()
+        gap = np.take_along_axis(np.tile(gap, (2, 1)), order, 1)
+        self.gap = np.append(gap, np.inf)
 
-    def profiles(self, thetas: np.ndarray) -> np.ndarray:
-        """(T, k): entry [t, i] = d_H(R(theta_t) P[:i+1], Q)."""
+    def profiles(self, thetas: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+        """(T, k): entry [t, j] = distance from R(theta_t) F_t P[j] to Q, F_t
+        the reflection where reflect[t] is true."""
         T = len(thetas)
         out = np.empty((T, self.k))
         cos, sin = np.cos(thetas), np.sin(thetas)
+        sign = np.where(reflect, 2.0, -2.0)
+        coef = np.stack([np.ones(T), -2.0 * cos, sign * cos, -2.0 * sin,
+                         -sign * sin], axis=1)
         for a in range(0, T, self.chunk):
             b = min(a + self.chunk, T)
-            d2 = (
-                self.base[None, :, :]
-                - 2.0 * cos[a:b, None, None] * self.dot[None, :, :]
-                - 2.0 * sin[a:b, None, None] * self.cross[None, :, :]
-            )
-            nearest = np.sqrt(np.maximum(d2.min(axis=2), 0.0))
-            out[a:b] = np.maximum.accumulate(nearest, axis=1)
+            d2 = coef[a:b] @ self.terms
+            out[a:b] = np.sqrt(np.maximum(
+                d2.reshape(b - a, self.k, self.m).min(axis=2), 0.0))
         return out
 
-    def values(self, thetas: np.ndarray) -> np.ndarray:
-        """(T,): d_H(R(theta_t) P, Q) for the full set."""
-        T = len(thetas)
-        out = np.empty(T)
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        for a in range(0, T, self.chunk):
-            b = min(a + self.chunk, T)
-            d2 = (
-                self.base[None, :, :]
-                - 2.0 * cos[a:b, None, None] * self.dot[None, :, :]
-                - 2.0 * sin[a:b, None, None] * self.cross[None, :, :]
-            )
-            out[a:b] = np.sqrt(np.maximum(d2.min(axis=2).max(axis=1), 0.0))
+    def aligned_gaps(self, lo: np.ndarray, hi: np.ndarray,
+                     reflect: np.ndarray) -> np.ndarray:
+        """(N, k): entry [s, j] = min of ||P[j]| - |q|| over the q whose
+        alignment angle with F_s P[j] lies in [lo_s, hi_s] (inf when none)."""
+        shift = self.shift[reflect.astype(int)]
+        start = np.searchsorted(self.phi, lo[:, None] + shift)
+        stop = np.searchsorted(self.phi, hi[:, None] + shift, side="right")
+        out = np.full(start.shape, np.inf)
+        hit = stop > start
+        if hit.any():
+            bounds = np.stack([start[hit], stop[hit]], -1).ravel()
+            out[hit] = np.minimum.reduceat(self.gap, bounds)[::2]
         return out
 
 
-def _dr_prefixes_2d(P: np.ndarray, Q: np.ndarray,
-                    rounds: int = REFINE_ROUNDS,
-                    gains: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-prefix min over all of O(R^2) of d_H(f(P[:i+1]), Q).
+def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
+               gains: Optional[np.ndarray] = None):
+    """Per-prefix 2D d_R by interval branch-and-bound over the angle.
 
-    P must be sorted by length.  When `gains` is given, refinement rounds
-    only split brackets of the prefixes that can still decide the max-min
-    of d_M (every evaluated angle still improves all prefixes for free).
+    Rotations R(t) and reflections R(t) diag(1, -1) start from a uniform
+    grid of BNB_INTERVALS_2D angle intervals each.  Per-point distances are
+    evaluated only at interval ends; the incumbent upper[i] of prefix
+    P[:i+1] is its least d_H over the maps evaluated.  An interval's bound
+    for a point is the point's exact least distance there (see
+    _RotationProfile2D), a prefix's bound the running max over its points,
+    and lower[i] the least bound of prefix i over all intervals, so d_R_i
+    lies in [lower[i], upper[i]].
+
+    With `gains`, the search resolves max_i min(gains[i], d_R_i) to within
+    tol = 1e-9 max(1, |P|max) and drops an interval once no prefix that can
+    still set that max gains more than tol in it; without, it resolves
+    every prefix.  Intervals halve until that holds or they are
+    BNB_MIN_WIDTH_2D wide.  Returns (upper, lower, evaluated), evaluated
+    being (reflect, angle, full-set d_H) of every map evaluated.
     """
-    lengths = np.linalg.norm(P, axis=1)
     k = len(P)
-    states = []
-    for orient in range(2):
-        Po = P if orient == 0 else P @ np.diag([1.0, -1.0])
-        engine = _RotationProfile2D(Po, Q)
-        base = np.linspace(0.0, 2 * math.pi, GRID_2D, endpoint=False)
-        thetas = np.concatenate([base, _alignment_angles_2d(Po, Q)])
-        prof = engine.profiles(thetas)
-        states.append({
-            "engine": engine,
-            "best": prof.min(axis=0),
-            "theta": thetas[prof.argmin(axis=0)],
-        })
-    width = 2 * math.pi / GRID_2D
-    offsets = np.array([-1.0, -0.5, 0.5, 1.0])
-    for _ in range(rounds):
-        best = np.minimum(states[0]["best"], states[1]["best"])
-        if gains is None:
-            active = np.ones(k, dtype=bool)
-        else:
-            lower = np.maximum(best - lengths * width, 0.0)
-            dm_floor = float(np.max(np.minimum(gains, lower)))
-            active = np.minimum(gains, best) >= dm_floor - 1e-15
-        for st in states:
-            local = np.unique(
-                st["theta"][active][:, None] + width * offsets[None, :]
-            )
-            prof = st["engine"].profiles(local)
-            vals = prof.min(axis=0)
-            improve = vals < st["best"]
-            st["best"] = np.where(improve, vals, st["best"])
-            st["theta"] = np.where(
-                improve, local[prof.argmin(axis=0)], st["theta"]
-            )
-        width /= 3.0
-    return np.minimum(states[0]["best"], states[1]["best"])
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
+    engine = _RotationProfile2D(P, Q)
+    upper = np.full(k, np.inf)
+    evaluated = []
 
+    def evaluate(thetas, reflect):
+        near = engine.profiles(thetas, reflect)
+        prof = np.maximum.accumulate(near, axis=1)
+        np.minimum(upper, prof.min(axis=0, initial=np.inf), out=upper)
+        evaluated.append((reflect, thetas, prof[:, -1]))
+        return near
 
-def _dr_full_2d(P: np.ndarray, Q: np.ndarray, rounds: int = REFINE_ROUNDS):
-    """(value, map) of the 2D exact d_R for the full set P."""
-    best, best_map = math.inf, np.eye(2)
-    tree = cKDTree(Q)
-    for orient in range(2):
-        flip = np.eye(2) if orient == 0 else np.diag([1.0, -1.0])
-        Po = P @ flip
-        engine = _RotationProfile2D(Po, Q)
-        base = np.linspace(0.0, 2 * math.pi, GRID_2D, endpoint=False)
-        thetas = np.concatenate([base, _alignment_angles_2d(Po, Q)])
-        vals = engine.values(thetas)
-        b = int(vals.argmin())
-        val, theta = float(vals[b]), float(thetas[b])
-        width = 2 * math.pi / GRID_2D
-        offsets = np.array([-1.0, -0.5, 0.5, 1.0])
-        for _ in range(rounds):
-            local = theta + width * offsets
-            vals = engine.values(local)
-            b = int(vals.argmin())
-            if vals[b] < val:
-                val, theta = float(vals[b]), float(local[b])
-            width /= 3.0
-        # re-evaluate directly: the inner-product form loses half the
-        # mantissa near zero, the coordinate-difference form does not
-        m = _rot2(theta) @ flip
-        exact = float(tree.query(P @ m.T)[0].max())
-        if exact < best:
-            best, best_map = exact, m
-    return best, best_map
+    width = 2 * math.pi / BNB_INTERVALS_2D
+    lo = np.tile(width * np.arange(BNB_INTERVALS_2D), 2)
+    hi = lo + width
+    reflect = np.repeat([False, True], BNB_INTERVALS_2D)
+    near_lo = evaluate(lo, reflect)
+    near_hi = np.roll(near_lo.reshape(2, BNB_INTERVALS_2D, k), -1, axis=1)
+    near_hi = near_hi.reshape(-1, k)
+    floor = np.full(k, np.inf)  # least prefix bounds of dropped intervals
+    irrelevant = np.zeros(k, dtype=bool)
+    while True:
+        bound = np.minimum(np.minimum(near_lo, near_hi),
+                           engine.aligned_gaps(lo, hi, reflect))
+        bound = np.maximum.accumulate(bound, axis=1)
+        lower = np.minimum(floor, bound.min(axis=0, initial=np.inf))
+        if gains is not None:
+            # prefix i cannot set the max-min when even its upper bound is
+            # within tol of the certified d_lo, or when the next gain
+            # exceeds d_up: then d_R_i <= d_R_{i+1} <= d_up < gains[i+1]
+            d_lo = np.max(np.minimum(gains, lower))
+            irrelevant = np.minimum(gains, upper) <= d_lo + tol
+            irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
+        if (np.all(irrelevant | (upper - lower <= tol))
+                or len(lo) == 0 or width <= BNB_MIN_WIDTH_2D):
+            break
+        drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
+        floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
+        reflect, lo, hi, near_lo, near_hi = (
+            x[~drop] for x in (reflect, lo, hi, near_lo, near_hi))
+        mid = 0.5 * (lo + hi)
+        near_mid = evaluate(mid, reflect)
+        reflect = np.concatenate([reflect, reflect])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        near_lo = np.concatenate([near_lo, near_mid])
+        near_hi = np.concatenate([near_mid, near_hi])
+        width /= 2
+    return upper, lower, tuple(np.concatenate(x) for x in zip(*evaluated))
 
 
 def d_R_prefixes(C, D) -> np.ndarray:
     """d_R of every length-sorted prefix of C against D (exact engine).
 
     Only 1D and 2D; the i-th entry is min over O(R^n) of
-    d_H(f({p_1..p_{i+1}}), D).
+    d_H(f({p_1..p_{i+1}}), D), in 2D to within the branch-and-bound's
+    tolerance above.
     """
     P, Q = _points(C), _points(D)
     n = P.shape[1]
@@ -231,7 +231,7 @@ def d_R_prefixes(C, D) -> np.ndarray:
         minus = np.maximum.accumulate(tree.query(-P)[0])
         return np.minimum(plus, minus)
     if n == 2:
-        return _dr_prefixes_2d(P, Q)
+        return _dr_bnb_2d(P, Q)[0]
     raise ValueError("prefix profiles implemented for n <= 2 only")
 
 
@@ -430,8 +430,9 @@ def _dr_exact_3d(P: np.ndarray, Q: np.ndarray):
 
 
 def d_R_exact_small(C, D):
-    """(value, map): min over all orthogonal maps of d_H(f(C), D) by dense
-    candidate search with local refinement (n <= 3)."""
+    """(value, map): min over all orthogonal maps of d_H(f(C), D) (n <= 3):
+    exact in 1D, the certified branch-and-bound in 2D, and a dense
+    candidate search with local refinement in 3D."""
     P, Q = _points(C), _points(D)
     if P.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("empty point set")
@@ -444,7 +445,18 @@ def d_R_exact_small(C, D):
             return plus, np.array([[1.0]])
         return minus, np.array([[-1.0]])
     if n == 2:
-        return _dr_full_2d(P, Q)
+        gains = np.full(len(P), -np.inf)
+        gains[-1] = np.inf
+        upper, _, (reflect, theta, full) = _dr_bnb_2d(P, Q, gains)
+        # re-evaluate directly every map within the inner-product form's
+        # float floor of the best (the coordinate-difference form keeps its
+        # precision near zero), and the approximation engine's maps, so
+        # that the value never exceeds d_R_approx
+        scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+        near = full <= upper[-1] + 1e-7 * scale
+        maps = [_rot2(t) @ np.diag([1.0, -1.0 if r else 1.0])
+                for r, t in zip(reflect[near], theta[near])]
+        return _best_over_maps(P, Q, _approx_maps(P, Q) + maps)
     return _dr_exact_3d(P, Q)
 
 
@@ -503,7 +515,7 @@ def d_M(C, D, alpha: float, engine: str = "auto",
         if n == 1:
             dr = d_R_prefixes(P[:keep], Q)
         else:
-            dr = _dr_prefixes_2d(P[:keep], Q, gains=gains[:keep])
+            dr = _dr_bnb_2d(P[:keep], Q, gains[:keep])[0]
         return float(np.max(np.minimum(gains[:keep], dr)))
     best = 0.0
     tree = cKDTree(Q)
@@ -553,80 +565,31 @@ class TransportPlan:
 
 
 def _min_cost_transport(costs: np.ndarray, supply, demand):
-    """Exact transportation optimum by successive shortest augmenting paths
-    with node potentials (integer supplies/demands)."""
+    """Exact transportation optimum for integer supplies and demands of
+    equal total, as a linear program solved by HiGHS.  The optimum is a
+    vertex of the transportation polytope, whose flows are integers."""
+    # imported here: scipy.optimize adds about 0.1 s to every start-up,
+    # and only EMD needs it
+    from scipy.optimize import linprog
+
+    costs = np.asarray(costs, dtype=float)
     na, nb = costs.shape
-    supply = [int(s) for s in supply]
-    demand = [int(d) for d in demand]
-    flow = np.zeros((na, nb), dtype=np.int64)
-    pot_a = [0.0] * na
-    pot_b = [0.0] * nb
-    remaining = sum(supply)
-    while remaining > 0:
-        # Dijkstra over bipartite residual graph from all sources with supply
-        dist_a = [math.inf] * na
-        dist_b = [math.inf] * nb
-        prev_b = [-1] * nb   # source row used to reach column j
-        prev_a = [-1] * na   # column used to reach row i (via residual arc)
-        heap = []
-        for i in range(na):
-            if supply[i] > 0:
-                dist_a[i] = 0.0
-                heapq.heappush(heap, (0.0, 0, i))
-        while heap:
-            d, side, u = heapq.heappop(heap)
-            if side == 0:
-                if d > dist_a[u] + 1e-15:
-                    continue
-                for j in range(nb):
-                    w = costs[u, j] - pot_a[u] - pot_b[j]
-                    if dist_a[u] + w < dist_b[j] - 1e-15:
-                        dist_b[j] = dist_a[u] + w
-                        prev_b[j] = u
-                        heapq.heappush(heap, (dist_b[j], 1, j))
-            else:
-                if d > dist_b[u] + 1e-15:
-                    continue
-                for i in range(na):
-                    if flow[i, u] > 0:
-                        w = -(costs[i, u] - pot_a[i] - pot_b[u])
-                        if dist_b[u] + w < dist_a[i] - 1e-15:
-                            dist_a[i] = dist_b[u] + w
-                            prev_a[i] = u
-                            heapq.heappush(heap, (dist_a[i], 0, i))
-        target = min(
-            (j for j in range(nb) if demand[j] > 0),
-            key=lambda j: dist_b[j],
-            default=-1,
-        )
-        if target < 0 or math.isinf(dist_b[target]):
-            raise RuntimeError("transportation problem is infeasible")
-        # trace augmenting path and find bottleneck
-        path = []  # (i, j, direction): +1 pushes on (i, j), -1 reduces
-        j = target
-        bottleneck = demand[j]
-        while True:
-            i = prev_b[j]
-            path.append((i, j, +1))
-            if supply[i] > 0 and dist_a[i] == 0.0 and prev_a[i] == -1:
-                bottleneck = min(bottleneck, supply[i])
-                break
-            j2 = prev_a[i]
-            path.append((i, j2, -1))
-            bottleneck = min(bottleneck, int(flow[i, j2]))
-            j = j2
-        for i, jj, sign in path:
-            flow[i, jj] += sign * bottleneck
-        src = path[-1][0]
-        supply[src] -= bottleneck
-        demand[target] -= bottleneck
-        remaining -= bottleneck
-        for i in range(na):
-            if not math.isinf(dist_a[i]):
-                pot_a[i] += dist_a[i]
-        for j in range(nb):
-            if not math.isinf(dist_b[j]):
-                pot_b[j] += dist_b[j]
+    supply = np.asarray(supply, dtype=np.int64)
+    demand = np.asarray(demand, dtype=np.int64)
+    cells = np.arange(na * nb)
+    # row i sums the flows out of source i, row na + j those into sink j
+    rows = np.concatenate([cells // nb, na + cells % nb])
+    A_eq = coo_matrix((np.ones(2 * na * nb), (rows, np.tile(cells, 2))),
+                      shape=(na + nb, na * nb))
+    res = linprog(costs.ravel(), A_eq=A_eq,
+                  b_eq=np.concatenate([supply, demand]), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transportation problem not solved: {res.message}")
+    flow = np.rint(res.x).astype(np.int64).reshape(na, nb)
+    if (np.any(flow < 0) or not np.array_equal(flow.sum(axis=1), supply)
+            or not np.array_equal(flow.sum(axis=0), demand)):
+        raise RuntimeError(
+            "transportation flows do not round to the marginals")
     return flow
 
 

@@ -1,22 +1,42 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import perigeo as pg
 from perigeo.metric import (
     TransportPlan,
+    _dr_bnb_2d,
     _min_cost_transport,
     approx_factor_bound,
     d_R_prefixes,
 )
 
 from helpers import (
+    _prefix_scan_2d,
     dm_scan_2d,
     dr_scan_2d,
     jitter_set,
     random_orthogonal,
     random_periodic_set,
+    rot2,
     transport_bruteforce,
 )
+
+
+def certified_dm_2d(C, D, alpha):
+    """(value, lower, tol) of the exact 2D d_M from its branch-and-bound:
+    the max over positive-gain prefixes of min(gain, upper) and of
+    min(gain, lower), and the search tolerance."""
+    C = np.asarray(C, float)
+    lengths = np.linalg.norm(C, axis=1)
+    order = np.argsort(lengths, kind="stable")
+    gains = alpha - lengths[order]
+    keep = gains > 0
+    upper, lower, _ = _dr_bnb_2d(C[order][keep], np.asarray(D, float),
+                                 gains[keep])
+    tol = 1e-9 * max(1.0, lengths[order][keep].max())
+    return (float(np.max(np.minimum(gains[keep], upper))),
+            float(np.max(np.minimum(gains[keep], lower))), tol)
 
 
 class TestDirectedHausdorff:
@@ -70,6 +90,38 @@ class TestDrExact:
         # grid angle, which moves no point of C by more than |C|max times that
         resolution = np.linalg.norm(C, axis=1).max() * np.pi / n_angles
         assert val >= oracle - resolution
+
+    def test_criterion_10_draws_not_above_dense_scan(self):
+        # draws 9 and 34 of criterion 10's 2D stream, where a search over a
+        # grid plus alignment angles stopped at 0.648124 and 0.651259,
+        # above the dense scans' 0.646235 and 0.645688
+        rng = np.random.default_rng(5151)
+        n_angles = 200000
+        for draw in range(35):
+            C = rng.normal(size=(int(rng.integers(4, 13)), 2))
+            D = rng.normal(size=(int(rng.integers(4, 13)), 2))
+            if draw not in (9, 34):
+                continue
+            val, _ = pg.d_R_exact_small(C, D)
+            oracle = dr_scan_2d(C, D, n_angles)
+            assert val <= oracle + 1e-9, (draw, val, oracle)
+            resolution = np.linalg.norm(C, axis=1).max() * np.pi / n_angles
+            assert val >= oracle - resolution, (draw, val, oracle)
+
+    def test_prefixes_certified(self, square, hexagonal):
+        # without gains the search resolves every prefix to its tolerance
+        C = pg.alpha_cluster(square, 0, 2.0).points
+        D = pg.alpha_cluster(hexagonal, 0, 2.0).points
+        C = C[np.argsort(np.linalg.norm(C, axis=1), kind="stable")]
+        upper, lower, _ = _dr_bnb_2d(C, D)
+        tol = 1e-9 * np.linalg.norm(C, axis=1).max()
+        assert np.all(upper - lower <= tol)
+        n_angles = 3000
+        scan = _prefix_scan_2d(C, D, n_angles)
+        resolution = np.linalg.norm(C, axis=1).max() * np.pi / n_angles
+        assert np.all(lower <= scan + 1e-9)
+        assert np.all(upper >= scan - resolution)
+        assert np.array_equal(d_R_prefixes(C, D), upper)
 
     def test_matches_dense_scan_on_random_clusters(self):
         rng = np.random.default_rng(73)
@@ -156,6 +208,51 @@ class TestDm:
                     break
             assert direct is not None
             assert abs(value - direct) <= 0.01 + 1e-6
+
+    def test_certificate_on_random_clusters(self):
+        # criterion-11-style pairs; pair 104 is one where a grid plus
+        # alignment-angle search returned 0.194033, above the dense scan's
+        # 0.193543
+        rng = np.random.default_rng(6161)
+        alpha = 1.5
+        for pair in range(105):
+            C, D = (self._random_cluster(rng, alpha) for _ in range(2))
+            value, lower, tol = certified_dm_2d(C, D, alpha)
+            assert value == pg.d_M(C, D, alpha, engine="exact")
+            assert value - lower <= tol, (pair, value, lower)
+            # the scan bounds d_M from above, and from below up to its grid
+            # resolution 1.35 pi / 10000 = 4.2e-4 (pair 104 missed by 4.9e-4)
+            oracle = dm_scan_2d(C, D, alpha, 10000)
+            assert lower <= oracle + 1e-9, (pair, lower, oracle)
+            assert value <= oracle + tol, (pair, value, oracle)
+
+    @staticmethod
+    def _random_cluster(rng, alpha):
+        P = rng.normal(size=(int(rng.integers(4, 8)), 2))
+        P *= 0.9 * alpha / np.linalg.norm(P, axis=1).max()
+        P[0] = 0.0
+        return P
+
+    def test_certificate_on_rotated_jittered_lattice(self):
+        # criterion 9's square supercell against a jittered copy turned by
+        # 0.7 rad: eight symmetric optima, each resolved to the tolerance
+        rng = np.random.default_rng(2024)
+        cell = pg.UnitCell(2 * np.eye(2))
+        motif = np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]])
+        S = pg.PeriodicSet(cell, motif)
+        Q, _ = jitter_set(rng, S, 0.03)
+        alpha = 4.0
+        C = pg.alpha_cluster(S, 0, alpha).points
+        D = pg.alpha_cluster(Q, 0, alpha).points @ rot2(0.7).T
+        for P, R in ((C, D), (D, C)):
+            value, lower, tol = certified_dm_2d(P, R, alpha)
+            assert value == pg.d_M(P, R, alpha, engine="exact")
+            assert value - lower <= tol
+            n_angles = 7200
+            oracle = dm_scan_2d(P, R, alpha, n_angles)
+            assert lower <= oracle + 1e-9
+            resolution = np.linalg.norm(P, axis=1).max() * np.pi / n_angles
+            assert value >= oracle - resolution
 
 
 class TestDc:
@@ -245,6 +342,38 @@ class TestEmd:
                 costs, supply / total, demand / total
             )
             assert got == pytest.approx(brute, abs=1e-9)
+
+    def test_transport_cycling_instance(self):
+        # draw 305 of a default_rng(6161) stream of small instances, on
+        # which a successive-shortest-path solver cycled without end
+        rng = np.random.default_rng(6161)
+        for _ in range(306):
+            na, nb = rng.integers(1, 6, 2)
+            costs = rng.random((na, nb))
+            total = rng.integers(2, 80)
+            supply = rng.multinomial(total, np.ones(na) / na)
+            demand = rng.multinomial(total, np.ones(nb) / nb)
+        assert supply.tolist() == [1, 3, 2, 5, 12]
+        assert demand.tolist() == [3, 9, 7, 4]
+        flow = _min_cost_transport(costs, supply, demand)
+        assert np.array_equal(flow.sum(axis=1), supply)
+        assert np.array_equal(flow.sum(axis=0), demand)
+        got = float((flow * costs).sum()) / total
+        brute = transport_bruteforce(costs, supply / total, demand / total)
+        assert got == pytest.approx(brute, abs=1e-9)
+
+    def test_transport_uniform_supply_matches_assignment(self):
+        # 60 x 60 with every supply and demand 3 (also a cycling instance):
+        # the optimum equals the assignment optimum of the 180 x 180
+        # expansion that copies every row and column three times
+        rng = np.random.default_rng(7)
+        costs = rng.random((60, 60))
+        flow = _min_cost_transport(costs, [3] * 60, [3] * 60)
+        assert np.all(flow.sum(axis=1) == 3) and np.all(flow.sum(axis=0) == 3)
+        expanded = np.repeat(np.repeat(costs, 3, axis=0), 3, axis=1)
+        rows, cols = linear_sum_assignment(expanded)
+        assert float((flow * costs).sum()) == pytest.approx(
+            float(expanded[rows, cols].sum()), abs=1e-9)
 
     def test_continuity_small(self):
         rng = np.random.default_rng(107)
