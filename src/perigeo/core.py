@@ -42,6 +42,8 @@ class UnitCell:
         n = basis.shape[0]
         if n not in (1, 2, 3):
             raise DataError(f"dimension {n} not supported (only n = 1, 2, 3)")
+        if not np.all(np.isfinite(basis)):
+            raise DataError("basis entries must be finite numbers")
         b = float(np.linalg.norm(basis, axis=1).max())
         det = float(np.linalg.det(basis))
         if abs(det) <= TOL_DEGENERATE * b ** n:
@@ -103,7 +105,8 @@ class PeriodicSet:
             raise DataError(
                 f"motif points have {motif.shape[1]} coordinates, cell has dimension {n}"
             )
-        if np.any(motif < 0.0) or np.any(motif >= 1.0):
+        # the comparisons are False for NaN, so [0, 1) is tested positively
+        if not np.all((motif >= 0.0) & (motif < 1.0)):
             raise DataError("fractional coordinates must lie in [0, 1)")
         if self.labels is not None and len(self.labels) != motif.shape[0]:
             raise DataError("labels, when given, need one entry per motif point")

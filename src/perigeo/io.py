@@ -118,6 +118,8 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, path)
+    if not isinstance(data, dict):
+        raise ParseError("top-level JSON value must be an object", 0, path)
     for key in ("dim", "basis", "motif"):
         if key not in data:
             raise ParseError(f"missing key {key!r}", 0, path)
@@ -130,7 +132,7 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
         raise ParseError("motif must contain at least one point", 0, path)
     if motif.shape[1] != dim:
         raise ParseError(f"motif points need {dim} coordinates", 0, path)
-    if np.any(motif < 0.0) or np.any(motif >= 1.0):
+    if not np.all((motif >= 0.0) & (motif < 1.0)):
         raise ParseError("fractional coordinate outside [0, 1)", 0, path)
     labels = data.get("labels")
     try:

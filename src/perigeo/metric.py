@@ -7,13 +7,18 @@ only at interval ends, and each point's least distance over an interval is
 known exactly, because |R(t)p - q| is smallest at an end unless the angle
 that aligns p with q lies inside, where it is ||p| - |q||.  The running max
 of those per-point values bounds every prefix from below, so a 2D value
-is certified to within 1e-9 max(1, |p|max), or, near zero, to within the
-float floor of the inner-product distances (about 1e-8 |p|max).  In 3D it
-is a search over a random rotation sample and the approximation engine's
-maps with local refinement, which carries no certificate.  The
+is certified to within 1e-9 max(1, |p|max); near zero, where the
+inner-product distances have a float floor of about 1e-8 |p|max, the best
+map is polished by least squares and evaluated by coordinate differences,
+so isometric copies read about 1e-15.  In 3D it is one lazy max-min
+search over the length-sorted prefixes: a seeded rotation sample,
+evaluated once for every prefix, gives each prefix an upper bound, and
+only a prefix that can still set the max is refined, by the approximation
+engine's maps and a local pattern search; it carries no certificate.  The
 approximation engine implements the anchor construction whose value is
 guaranteed within a factor 2(n-1) of the optimum (reported with a
-(1+delta) cushion).
+(1+delta) cushion), and runs through the same search without the sample
+or the refinement.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
@@ -25,12 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from .isoset import Cluster, IsometryClass, Isoset
 
@@ -63,17 +70,43 @@ def directed_hausdorff(C, D) -> float:
 
 
 # ---------------------------------------------------------------------------
+# orthogonal maps and their evaluation
+
+
+def _maps_2d(theta, reflect) -> np.ndarray:
+    """R(theta) F as a (..., 2, 2) stack, F = diag(1, -1) where reflect is
+    true and the identity elsewhere."""
+    c, s = np.cos(theta), np.sin(theta)
+    f = np.where(reflect, -1.0, 1.0)
+    return np.stack([np.stack([c, -s * f], -1), np.stack([s, c * f], -1)], -2)
+
+
+def _nearest(P: np.ndarray, tree: cKDTree, maps: np.ndarray) -> np.ndarray:
+    """(T, k): entry [t, j] = distance from maps[t] P[j] to the tree's points.
+
+    The distances come from coordinate differences, so isometric copies
+    read about 1e-15 instead of an inner-product float floor; one product
+    and one query per chunk of about 2e6 points bound the memory."""
+    T, k = len(maps), len(P)
+    out = np.empty((T, k))
+    chunk = max(1, int(2e6) // k)
+    for a in range(0, T, chunk):
+        b = min(a + chunk, T)
+        moved = np.einsum("tij,kj->tki", maps[a:b], P)
+        out[a:b] = tree.query(moved.reshape(-1, P.shape[1]))[0].reshape(b - a, k)
+    return out
+
+
+def _best_over_maps(P: np.ndarray, Q: np.ndarray, maps: np.ndarray):
+    """(d_H, map) for the first map of the stack with the least
+    d_H(map P, Q)."""
+    vals = _nearest(P, cKDTree(Q), maps).max(axis=1)
+    t = int(np.argmin(vals))
+    return float(vals[t]), maps[t]
+
+
+# ---------------------------------------------------------------------------
 # rotation machinery (2D)
-
-
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def _ref2(phi: float) -> np.ndarray:
-    c, s = math.cos(2 * phi), math.sin(2 * phi)
-    return np.array([[c, s], [s, -c]])
 
 
 class _RotationProfile2D:
@@ -160,8 +193,17 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
     tol = 1e-9 max(1, |P|max) and drops an interval once no prefix that can
     still set that max gains more than tol in it; without, it resolves
     every prefix.  Intervals halve until that holds or they are
-    BNB_MIN_WIDTH_2D wide.  Returns (upper, lower, evaluated), evaluated
-    being (reflect, angle, full-set d_H) of every map evaluated.
+    BNB_MIN_WIDTH_2D wide.
+
+    The inner-product distances have a float floor of about 1e-8 |P|max:
+    their error on a distance d is about 1e-15 scale^2 / d, below tol once
+    d exceeds 1e-6 scale.  So, with `gains`, when the prefix i that sets
+    the max has upper[i] <= 1e-6 scale, its best map is polished: the
+    orthogonal map of the same family that best fits P, by least squares,
+    to the points of Q nearest that map's image is evaluated by coordinate
+    differences and lowers upper.  For an isometric copy it is the exact
+    map.  Returns (upper, lower, evaluated), evaluated being (reflect, angle,
+    per-prefix d_H) of every map the search evaluated.
     """
     k = len(P)
     tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
@@ -173,7 +215,7 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
         near = engine.profiles(thetas, reflect)
         prof = np.maximum.accumulate(near, axis=1)
         np.minimum(upper, prof.min(axis=0, initial=np.inf), out=upper)
-        evaluated.append((reflect, thetas, prof[:, -1]))
+        evaluated.append((reflect, thetas, prof))
         return near
 
     width = 2 * math.pi / BNB_INTERVALS_2D
@@ -211,7 +253,19 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
         near_lo = np.concatenate([near_lo, near_mid])
         near_hi = np.concatenate([near_mid, near_hi])
         width /= 2
-    return upper, lower, tuple(np.concatenate(x) for x in zip(*evaluated))
+    reflect, theta, prof = (np.concatenate(x) for x in zip(*evaluated))
+    if gains is not None:
+        i = int(np.argmax(np.minimum(gains, upper)))
+        scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+        if upper[i] <= 1e-6 * scale:
+            t = int(np.argmin(prof[:, i]))
+            M = _maps_2d(theta[t], reflect[t])
+            tree = cKDTree(Q)
+            U, _, Vt = np.linalg.svd(Q[tree.query(P @ M.T)[1]].T @ P)
+            U[:, 1] *= np.linalg.det(M) * np.linalg.det(U @ Vt)
+            polished = _nearest(P, tree, (U @ Vt)[None])[0]
+            np.minimum(upper, np.maximum.accumulate(polished), out=upper)
+    return upper, lower, (reflect, theta, prof)
 
 
 def d_R_prefixes(C, D) -> np.ndarray:
@@ -236,55 +290,26 @@ def d_R_prefixes(C, D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rotation machinery (3D)
+# the approximation construction
 
 
-def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotation taking unit vector u to unit vector v by the smaller angle."""
-    c = float(np.clip(u @ v, -1.0, 1.0))
-    axis = np.cross(u, v)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        # opposite vectors: rotate by pi about any perpendicular axis
-        perp = np.eye(3)[np.argmin(np.abs(u))]
-        perp = perp - (perp @ u) * u
-        perp /= np.linalg.norm(perp)
-        return 2.0 * np.outer(perp, perp) - np.eye(3)
-    axis = axis / s
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
+def _axis_frames(A: np.ndarray) -> np.ndarray:
+    """(L, 3, 3): for every unit row a of A, the columns (a, e2, e3) of a
+    right-handed orthonormal frame with first axis a."""
+    e2 = np.eye(3)[np.argmin(np.abs(A), axis=1)]
+    e2 -= np.sum(e2 * A, axis=1)[:, None] * A
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    return np.stack([A, e2, np.cross(A, e2)], axis=-1)
 
 
-def _axis_frame(a: np.ndarray) -> np.ndarray:
-    """Columns (a, e2, e3): right-handed orthonormal frame with first axis a."""
-    e2 = np.eye(3)[np.argmin(np.abs(a))]
-    e2 = e2 - (e2 @ a) * a
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(a, e2)
-    return np.column_stack([a, e2, e3])
-
-
-def _axis_stabilizer_maps(a: np.ndarray, p_az: float, q_az: float):
-    """The four orthogonal maps fixing axis a pointwise that move azimuth
-    p_az into {q_az, q_az + pi}."""
-    E = _axis_frame(a)
-    out = []
-    for m2 in (
-        _rot2(q_az - p_az),
-        _rot2(q_az + math.pi - p_az),
-        _ref2(0.5 * (p_az + q_az)),
-        _ref2(0.5 * (p_az + q_az + math.pi)),
-    ):
-        block = np.eye(3)
-        block[1:, 1:] = m2
-        out.append(E @ block @ E.T)
-    return out
+def _anchor_maps_2d(p_ang, q_ang) -> np.ndarray:
+    """(..., 4, 2, 2): the planar maps that turn the direction at angle
+    p_ang onto the line at angle q_ang, namely the rotations by q - p and
+    q + pi - p and the reflections about the two bisecting lines."""
+    p_ang, q_ang = np.broadcast_arrays(p_ang, q_ang)
+    theta = np.stack([q_ang - p_ang, q_ang + math.pi - p_ang,
+                      p_ang + q_ang, p_ang + q_ang + math.pi], axis=-1)
+    return _maps_2d(theta, np.array([False, False, True, True]))
 
 
 def _approx_anchor_indices(P: np.ndarray, n: int):
@@ -306,122 +331,90 @@ def _approx_anchor_indices(P: np.ndarray, n: int):
     return anchors
 
 
-def _approx_maps(P: np.ndarray, Q: np.ndarray):
-    """Candidate orthogonal maps of the factor-2(n-1) construction."""
+def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(T, n, n): the candidate orthogonal maps of the factor-2(n-1)
+    construction.  Each sends the first anchor onto the line through a
+    point of Q; in 3D each is then turned about that line so that the
+    second anchor's azimuth meets that of a point of Q or its opposite."""
     n = P.shape[1]
     if n == 1:
-        return [np.array([[1.0]]), np.array([[-1.0]])]
+        return np.array([[[1.0]], [[-1.0]]])
     anchors = _approx_anchor_indices(P, n)
-    if not anchors:
-        return [np.eye(n)]
-    qlen = np.linalg.norm(Q, axis=1)
-    Qnz = Q[qlen > 1e-14]
-    if Qnz.shape[0] == 0:
-        return [np.eye(n)]
+    Qnz = Q[np.linalg.norm(Q, axis=1) > 1e-14]
+    if not anchors or Qnz.shape[0] == 0:
+        return np.eye(n)[None]
     p1 = P[anchors[0]]
-    p1_ang = math.atan2(p1[1], p1[0]) if n == 2 else None
-    maps = []
     if n == 2:
-        for q in Qnz:
-            q_ang = math.atan2(q[1], q[0])
-            maps.append(_rot2(q_ang - p1_ang))
-            maps.append(_rot2(q_ang + math.pi - p1_ang))
-            maps.append(_ref2(0.5 * (p1_ang + q_ang)))
-            maps.append(_ref2(0.5 * (p1_ang + q_ang + math.pi)))
-        return maps
-    # n == 3
+        return _anchor_maps_2d(math.atan2(p1[1], p1[0]),
+                               np.arctan2(Qnz[:, 1], Qnz[:, 0])).reshape(-1, 2, 2)
     u1 = p1 / np.linalg.norm(p1)
-    q_units = Qnz / np.linalg.norm(Qnz, axis=1)[:, None]
-    level1 = []
-    for qu in q_units:
-        level1.append(_minimal_rotation(u1, qu))
-        level1.append(_minimal_rotation(u1, -qu))
+    units = Qnz / np.linalg.norm(Qnz, axis=1)[:, None]
+    # the least rotations taking u1 to +q and -q
+    level1 = np.stack([Rotation.align_vectors(sign * q, u1)[0].as_matrix()
+                       for q in units for sign in (1.0, -1.0)])
     if len(anchors) == 1:
         return level1
-    p2 = P[anchors[1]]
-    for M1 in level1:
-        a = M1 @ u1
-        E = _axis_frame(a)
-        p2r = E.T @ (M1 @ p2)
-        p_az = math.atan2(p2r[2], p2r[1])
-        for q in Qnz:
-            qr = E.T @ q
-            if math.hypot(qr[1], qr[2]) < 1e-12:
-                continue
-            q_az = math.atan2(qr[2], qr[1])
-            for M2 in _axis_stabilizer_maps(a, p_az, q_az):
-                maps.append(M2 @ M1)
-    return maps or level1
+    E = _axis_frames(level1 @ u1)
+    p2 = np.einsum("lji,lj->li", E, level1 @ P[anchors[1]])
+    q = np.einsum("lji,qj->lqi", E, Qnz)
+    turns = _anchor_maps_2d(np.arctan2(p2[:, 2], p2[:, 1])[:, None],
+                            np.arctan2(q[..., 2], q[..., 1]))
+    block = np.zeros(turns.shape[:-2] + (3, 3))
+    block[..., 0, 0] = 1.0
+    block[..., 1:, 1:] = turns
+    maps = (E[:, None, None] @ block @ np.swapaxes(E, 1, 2)[:, None, None]
+            @ level1[:, None, None])
+    # a point of Q on the axis has no azimuth
+    maps = maps[np.hypot(q[..., 1], q[..., 2]) >= 1e-12].reshape(-1, 3, 3)
+    return maps if len(maps) else level1
 
 
-def _best_over_maps(P: np.ndarray, Q: np.ndarray, maps):
-    tree = cKDTree(Q)
-    best, best_map = math.inf, None
-    for M in maps:
-        val = float(tree.query(P @ M.T)[0].max())
-        if val < best:
-            best, best_map = val, M
-    return best, best_map
+# ---------------------------------------------------------------------------
+# the max-min search (3D exact d_R, approximation engine)
 
 
-def _random_rotations(count: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    quat = rng.normal(size=(count, 4))
+_PATTERN_DIRS = np.concatenate([
+    np.eye(3),
+    -np.eye(3),
+    np.array(list(product((-1.0, 1.0), repeat=3))) / math.sqrt(3),
+])
+
+
+@lru_cache(maxsize=1)
+def _rotation_sample() -> np.ndarray:
+    """(1 + 2 GRID_3D, 3, 3), read-only: the identity, GRID_3D seeded
+    random rotations R, then every R diag(1, 1, -1)."""
+    quat = np.random.default_rng(0).normal(size=(GRID_3D, 4))
     quat /= np.linalg.norm(quat, axis=1)[:, None]
-    w, x, y, z = quat.T
-    R = np.empty((count, 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - z * w)
-    R[:, 0, 2] = 2 * (x * z + y * w)
-    R[:, 1, 0] = 2 * (x * y + z * w)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - x * w)
-    R[:, 2, 0] = 2 * (x * z - y * w)
-    R[:, 2, 1] = 2 * (y * z + x * w)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    # drawn scalar-first; Rotation takes the scalar last
+    rots = Rotation.from_quat(quat[:, [1, 2, 3, 0]]).as_matrix()
+    sample = np.concatenate([np.eye(3)[None], rots, rots * [1.0, 1.0, -1.0]])
+    sample.setflags(write=False)
+    return sample
 
 
-def _rotvec_matrix(w: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-14:
-        return np.eye(3)
-    axis = w / angle
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+def _pattern_search(P: np.ndarray, tree: cKDTree, best: float,
+                    best_map: np.ndarray):
+    """Local refinement of (d_H, map) in rotation-vector coordinates.
 
-
-def _dr_exact_3d(P: np.ndarray, Q: np.ndarray):
-    tree = cKDTree(Q)
-    mirror = np.diag([1.0, 1.0, -1.0])
-    cands = [np.eye(3)]
-    cands.extend(_approx_maps(P, Q))
-    rots = _random_rotations(GRID_3D)
-    batch = np.einsum("tij,kj->tki", rots, P)
-    d = tree.query(batch.reshape(-1, 3))[0].reshape(GRID_3D, -1).max(axis=1)
-    cands.append(rots[int(d.argmin())])
-    batch = np.einsum("tij,kj->tki", rots, P @ mirror.T)
-    d = tree.query(batch.reshape(-1, 3))[0].reshape(GRID_3D, -1).max(axis=1)
-    cands.append(rots[int(d.argmin())] @ mirror)
-    best, best_map = _best_over_maps(P, Q, cands)
-    # local pattern-search refinement in rotation-vector coordinates
-    dirs = np.concatenate([
-        np.eye(3),
-        -np.eye(3),
-        np.array(list(product((-1.0, 1.0), repeat=3))) / math.sqrt(3),
-    ])
+    Each pass tries the steps of length `radius` along _PATTERN_DIRS in
+    order, each from the current map, and keeps a step that lowers d_H; a
+    pass without one halves the radius.  The steps still to try are
+    evaluated as one batch from the current map, so the accepted sequence
+    is that of trying them one at a time."""
     radius = 0.2
     for _ in range(60):
-        improved = False
-        for w in dirs:
-            M = _rotvec_matrix(radius * w) @ best_map
-            val = float(tree.query(P @ M.T)[0].max())
-            if val < best - 1e-15:
-                best, best_map, improved = val, M, True
+        steps = Rotation.from_rotvec(radius * _PATTERN_DIRS).as_matrix()
+        improved, start = False, 0
+        while start < len(steps):
+            maps = steps[start:] @ best_map
+            vals = _nearest(P, tree, maps).max(axis=1)
+            better = np.flatnonzero(vals < best - 1e-15)
+            if len(better) == 0:
+                break
+            t = int(better[0])
+            best, best_map, improved = float(vals[t]), maps[t], True
+            start += t + 1
         if not improved:
             radius /= 2.0
             if radius < 1e-10:
@@ -429,10 +422,60 @@ def _dr_exact_3d(P: np.ndarray, Q: np.ndarray):
     return best, best_map
 
 
+def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
+                    exact: bool):
+    """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i),
+    d_R_i being the approximation engine's value or, with `exact`, the 3D
+    exact engine's; map attains d_R_i for the prefix that sets the max.
+
+    The exact engine first evaluates the identity and _rotation_sample once
+    on all of P; the running max of the nearest distances gives every
+    prefix an upper value (+inf for the approximation engine).  Prefixes
+    are refined lazily, the largest min(gain, upper) first, until that is
+    at most the refined max: a refined value never exceeds its upper value,
+    so the rest cannot raise the max.  Refining evaluates the prefix's
+    _approx_maps; the exact engine adds the identity and the sample's best
+    plain and mirrored maps and runs _pattern_search from the best.  Each
+    refined value uses only its own prefix's maps, so the approximation
+    engine's max-min is its construction's and the exact one never exceeds
+    it."""
+    tree = cKDTree(Q)
+    upper = np.full(len(P), np.inf)
+    if exact:
+        sample = _rotation_sample()
+        dh = np.maximum.accumulate(_nearest(P, tree, sample), axis=1)
+        upper = dh.min(axis=0)
+        plain = 1 + np.argmin(dh[1:1 + GRID_3D], axis=0)
+        mirrored = 1 + GRID_3D + np.argmin(dh[1 + GRID_3D:], axis=0)
+    refined = np.zeros(len(P), dtype=bool)
+    best, best_map = -np.inf, None
+    while True:
+        value = np.where(refined, -np.inf, np.minimum(gains, upper))
+        i = int(np.argmax(value))
+        if not value[i] > best:
+            return float(best), best_map
+        refined[i] = True
+        prefix = P[:i + 1]
+        maps = _approx_maps(prefix, Q)
+        if exact:
+            maps = np.concatenate([np.eye(3)[None], maps,
+                                   sample[[plain[i], mirrored[i]]]])
+        vals = _nearest(prefix, tree, maps).max(axis=1)
+        t = int(np.argmin(vals))
+        val, M = float(vals[t]), maps[t]
+        if exact:
+            val, M = _pattern_search(prefix, tree, val, M)
+        if min(gains[i], val) > best:
+            best, best_map = min(float(gains[i]), val), M
+
+
 def d_R_exact_small(C, D):
     """(value, map): min over all orthogonal maps of d_H(f(C), D) (n <= 3):
-    exact in 1D, the certified branch-and-bound in 2D, and a dense
-    candidate search with local refinement in 3D."""
+    exact in 1D, the certified branch-and-bound in 2D, and in 3D the
+    approximation engine's maps, a seeded sample of GRID_3D rotations
+    (plain and mirrored) and a local pattern search from the best of them,
+    which carries no certificate.  In 2D and 3D the value never exceeds
+    d_R_approx."""
     P, Q = _points(C), _points(D)
     if P.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("empty point set")
@@ -444,20 +487,20 @@ def d_R_exact_small(C, D):
         if plus <= minus:
             return plus, np.array([[1.0]])
         return minus, np.array([[-1.0]])
+    # only the whole set counts in the max-min
+    gains = np.full(len(P), -np.inf)
+    gains[-1] = np.inf
     if n == 2:
-        gains = np.full(len(P), -np.inf)
-        gains[-1] = np.inf
-        upper, _, (reflect, theta, full) = _dr_bnb_2d(P, Q, gains)
+        upper, _, (reflect, theta, prof) = _dr_bnb_2d(P, Q, gains)
         # re-evaluate directly every map within the inner-product form's
         # float floor of the best (the coordinate-difference form keeps its
         # precision near zero), and the approximation engine's maps, so
         # that the value never exceeds d_R_approx
         scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-        near = full <= upper[-1] + 1e-7 * scale
-        maps = [_rot2(t) @ np.diag([1.0, -1.0 if r else 1.0])
-                for r, t in zip(reflect[near], theta[near])]
-        return _best_over_maps(P, Q, _approx_maps(P, Q) + maps)
-    return _dr_exact_3d(P, Q)
+        near = prof[:, -1] <= upper[-1] + 1e-7 * scale
+        return _best_over_maps(P, Q, np.concatenate(
+            [_approx_maps(P, Q), _maps_2d(theta[near], reflect[near])]))
+    return _max_min_search(P, Q, gains, exact=True)
 
 
 def d_R_approx(C, D, delta: float = DEFAULT_DELTA, thorough: bool = False):
@@ -466,15 +509,15 @@ def d_R_approx(C, D, delta: float = DEFAULT_DELTA, thorough: bool = False):
     P, Q = _points(C), _points(D)
     if P.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("empty point set")
-    maps = _approx_maps(P, Q)
+    maps = [_approx_maps(P, Q)]
     if thorough:
         # enumerate every tied anchor choice by small perturbations of order
         lengths = np.linalg.norm(P, axis=1)
         ties = np.nonzero(lengths >= lengths.max() - 1e-12)[0]
         for t in ties:
             Pt = np.concatenate([[P[t]], np.delete(P, t, axis=0)])
-            maps.extend(_approx_maps(Pt, Q))
-    val, _ = _best_over_maps(P, Q, maps)
+            maps.append(_approx_maps(Pt, Q))
+    val, _ = _best_over_maps(P, Q, np.concatenate(maps))
     return val
 
 
@@ -497,7 +540,11 @@ def _resolve_engine(engine: str, size_c: int, size_d: int) -> str:
 def d_M(C, D, alpha: float, engine: str = "auto",
         delta: float = DEFAULT_DELTA) -> float:
     """One-sided boundary-tolerant distance: the max over length-sorted
-    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D))."""
+    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)).
+
+    One search serves all prefixes: the exact engine's branch-and-bound in
+    2D, and otherwise the lazy max-min search, which finds a prefix's d_R
+    only while that prefix might still set the max."""
     P, Q = _points(C), _points(D)
     lengths = np.linalg.norm(P, axis=1)
     order = np.argsort(lengths, kind="stable")
@@ -506,29 +553,19 @@ def d_M(C, D, alpha: float, engine: str = "auto",
         raise ValueError("alpha is smaller than the cluster radius")
     gains = alpha - lengths
     n = P.shape[1]
-    eng = _resolve_engine(engine, len(P), len(Q))
-    if eng == "exact" and n <= 2:
-        # trailing zero-gain points cannot raise the max-min
-        keep = int(np.searchsorted(-gains, 0.0, side="left"))
-        if keep == 0:
-            return 0.0
-        if n == 1:
-            dr = d_R_prefixes(P[:keep], Q)
-        else:
-            dr = _dr_bnb_2d(P[:keep], Q, gains[:keep])[0]
-        return float(np.max(np.minimum(gains[:keep], dr)))
-    best = 0.0
-    tree = cKDTree(Q)
-    for i in range(len(P)):
-        if gains[i] <= best:
-            break
-        prefix = P[: i + 1]
-        if eng == "exact":
-            dr_i, _ = d_R_exact_small(prefix, Q)
-        else:
-            dr_i = d_R_approx(prefix, Q, delta)
-        best = max(best, min(float(gains[i]), float(dr_i)))
-    return best
+    exact = _resolve_engine(engine, len(P), len(Q)) == "exact"
+    # trailing zero-gain points cannot raise the max-min
+    keep = int(np.searchsorted(-gains, 0.0, side="left"))
+    if keep == 0:
+        return 0.0
+    P, gains = P[:keep], gains[:keep]
+    if exact and n == 1:
+        dr = d_R_prefixes(P, Q)
+    elif exact and n == 2:
+        dr = _dr_bnb_2d(P, Q, gains)[0]
+    else:
+        return _max_min_search(P, Q, gains, exact)[0]
+    return float(np.max(np.minimum(gains, dr)))
 
 
 def d_C(sigma, xi, alpha: float, engine: str = "auto",
@@ -639,25 +676,6 @@ def _periodic_distance_matrix(S, Q) -> np.ndarray:
     return np.linalg.norm(diff, axis=-1).min(axis=2)
 
 
-def _has_perfect_matching(adj: np.ndarray) -> bool:
-    m = adj.shape[0]
-    match = [-1] * m  # match[j] = row assigned to column j
-
-    def try_assign(i, seen):
-        for j in range(m):
-            if adj[i, j] and not seen[j]:
-                seen[j] = True
-                if match[j] < 0 or try_assign(match[j], seen):
-                    match[j] = i
-                    return True
-        return False
-
-    for i in range(m):
-        if not try_assign(i, [False] * m):
-            return False
-    return True
-
-
 def bottleneck_distance_common_cell(S, Q) -> float:
     """Bottleneck matching distance between motifs of two sets sharing a
     unit cell (the small-perturbation regime), periodic wrap included."""
@@ -665,12 +683,16 @@ def bottleneck_distance_common_cell(S, Q) -> float:
         raise ValueError("sets must share a unit cell")
     if S.m != Q.m:
         raise ValueError("sets must have motifs of equal size")
+    # imported here: scipy.sparse.csgraph adds about 18 ms to a start-up
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     dmat = _periodic_distance_matrix(S, Q)
     values = np.unique(dmat)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(dmat <= values[mid] + 1e-12):
+        close = csr_matrix(dmat <= values[mid] + 1e-12)
+        if np.all(maximum_bipartite_matching(close) >= 0):
             hi = mid
         else:
             lo = mid + 1

@@ -136,6 +136,97 @@ def dm_scan_2d(C, D, alpha: float, n_angles: int) -> float:
     return float(np.max(np.minimum(gains[keep], prefix_dr)))
 
 
+def dm_prefix_loop(C, D, alpha: float, engine: str) -> float:
+    """The one-sided d_M computed prefix by prefix, as its definition reads:
+    the max over length-sorted prefixes {p_1..p_i} with positive gain
+    alpha - |p_i| of min(gain, d_R of the prefix), d_R being
+    d_R_exact_small (engine "exact") or d_R_approx ("approx")."""
+    C = np.atleast_2d(np.asarray(C, float))
+    lengths = np.linalg.norm(C, axis=1)
+    order = np.argsort(lengths, kind="stable")
+    best = 0.0
+    for i, gain in enumerate(alpha - lengths[order]):
+        if gain <= 0:
+            break
+        prefix = C[order][: i + 1]
+        if engine == "exact":
+            dr = pg.d_R_exact_small(prefix, D)[0]
+        else:
+            dr = pg.d_R_approx(prefix, D)
+        best = max(best, min(float(gain), float(dr)))
+    return best
+
+
+def _ref2(phi: float) -> np.ndarray:
+    c, s = np.cos(2 * phi), np.sin(2 * phi)
+    return np.array([[c, s], [s, -c]])
+
+
+def _anchor_maps_loop(p_ang: float, q_ang: float):
+    return [rot2(q_ang - p_ang), rot2(q_ang + np.pi - p_ang),
+            _ref2(0.5 * (p_ang + q_ang)), _ref2(0.5 * (p_ang + q_ang + np.pi))]
+
+
+def _least_rotation(u, v) -> np.ndarray:
+    """Rotation taking unit u to unit v about the axis u x v (by pi about a
+    perpendicular axis when v = -u), by Rodrigues' formula."""
+    axis = np.cross(u, v)
+    s, c = np.linalg.norm(axis), u @ v
+    if s < 1e-14:
+        if c > 0:
+            return np.eye(3)
+        perp = np.eye(3)[np.argmin(np.abs(u))]
+        perp = perp - (perp @ u) * u
+        perp /= np.linalg.norm(perp)
+        return 2.0 * np.outer(perp, perp) - np.eye(3)
+    x, y, z = axis / s
+    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + s * K + (1 - c) * (K @ K)
+
+
+def approx_maps_loop(P, Q) -> np.ndarray:
+    """Reference for perigeo.metric._approx_maps, one map at a time: the
+    first anchor is turned onto the line of every point of Q (in 3D by the
+    least rotations to +q and -q), and in 3D every such map is then turned
+    about that line in the four ways that take the second anchor's azimuth
+    to that of a point of Q or its opposite."""
+    from perigeo.metric import _approx_anchor_indices
+
+    n = P.shape[1]
+    anchors = _approx_anchor_indices(P, n)
+    Qnz = Q[np.linalg.norm(Q, axis=1) > 1e-14]
+    if not anchors or len(Qnz) == 0:
+        return np.eye(n)[None]
+    p1 = P[anchors[0]]
+    if n == 2:
+        p_ang = np.arctan2(p1[1], p1[0])
+        return np.array([M for q in Qnz
+                         for M in _anchor_maps_loop(p_ang, np.arctan2(q[1], q[0]))])
+    u1 = p1 / np.linalg.norm(p1)
+    level1 = [_least_rotation(u1, sign * q / np.linalg.norm(q))
+              for q in Qnz for sign in (1.0, -1.0)]
+    if len(anchors) == 1:
+        return np.array(level1)
+    maps = []
+    for M1 in level1:
+        a = M1 @ u1
+        e2 = np.eye(3)[np.argmin(np.abs(a))]
+        e2 = e2 - (e2 @ a) * a
+        e2 /= np.linalg.norm(e2)
+        E = np.column_stack([a, e2, np.cross(a, e2)])
+        p2 = E.T @ (M1 @ P[anchors[1]])
+        for q in Qnz:
+            qr = E.T @ q
+            if np.hypot(qr[1], qr[2]) < 1e-12:
+                continue
+            for m2 in _anchor_maps_loop(np.arctan2(p2[2], p2[1]),
+                                        np.arctan2(qr[2], qr[1])):
+                block = np.eye(3)
+                block[1:, 1:] = m2
+                maps.append(E @ block @ E.T @ M1)
+    return np.array(maps or level1)
+
+
 def transport_bruteforce(costs, supply, demand):
     """Exact transportation optimum by enumerating spanning-tree vertices of
     the transportation polytope (independent EMD oracle, small instances)."""

@@ -60,6 +60,31 @@ class TestParsing:
             parse_set_text(text)
         assert err.value.line == 5
 
+    def test_non_finite_values_rejected(self, tmp_path):
+        # Python's JSON reader accepts NaN and Infinity, float() reads "nan"
+        texts = {
+            "nan_basis.json": '{"dim": 2, "basis": [[1, 0], [0, NaN]], '
+                              '"motif": [[0.5, 0.5]]}',
+            "inf_basis.json": '{"dim": 2, "basis": [[1, 0], [0, Infinity]], '
+                              '"motif": [[0.5, 0.5]]}',
+            "nan_motif.json": '{"dim": 2, "basis": [[1, 0], [0, 1]], '
+                              '"motif": [[0.5, NaN]]}',
+            "nan_basis.txt": "dim 2\n1 0\n0 nan\nmotif 1\n0.5 0.5\n",
+            "nan_motif.txt": "dim 2\n1 0\n0 1\nmotif 1\n0.5 nan\n",
+        }
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError):
+                parse_set_file(path)
+
+    def test_json_top_level_must_be_object(self, tmp_path):
+        for text in ("5", "[1, 2]", '"dim"', "null"):
+            path = tmp_path / "set.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError, match="object"):
+                parse_set_file(path)
+
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         cell = pg.UnitCell(np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
@@ -91,6 +116,12 @@ class TestExitCodes:
         assert main(["amd", str(bad), "-k", "4"]) == 2
         err = capsys.readouterr().err
         assert "at least one point" in err
+
+    def test_non_object_json_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "five.json"
+        bad.write_text("5", encoding="utf-8")
+        assert main(["isoset", str(bad)]) == 2
+        assert "object" in capsys.readouterr().err
 
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)

@@ -27,11 +27,22 @@ class TestUnitCell:
         with pytest.raises(pg.DataError, match="dimension"):
             pg.UnitCell(np.eye(4))
 
+    def test_non_finite_basis_rejected(self):
+        # NaN passes every comparison-based check, so it needs its own
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(pg.DataError, match="finite"):
+                pg.UnitCell(np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestPeriodicSet:
     def test_fraction_range_enforced(self):
         with pytest.raises(pg.DataError):
             pg.PeriodicSet(pg.UnitCell(np.eye(2)), np.array([[0.0, 1.0]]))
+
+    def test_non_finite_motif_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(pg.DataError, match=r"\[0, 1\)"):
+                pg.PeriodicSet(pg.UnitCell(np.eye(2)), np.array([[0.5, bad]]))
 
     def test_coincident_points_rejected(self):
         with pytest.raises(pg.DataError, match="coincident"):

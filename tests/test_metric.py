@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 import perigeo as pg
 from perigeo.metric import (
     TransportPlan,
+    _approx_maps,
     _dr_bnb_2d,
     _min_cost_transport,
     approx_factor_bound,
@@ -13,6 +14,8 @@ from perigeo.metric import (
 
 from helpers import (
     _prefix_scan_2d,
+    approx_maps_loop,
+    dm_prefix_loop,
     dm_scan_2d,
     dr_scan_2d,
     jitter_set,
@@ -159,6 +162,24 @@ class TestDrApprox:
         M = random_orthogonal(rng, 3)
         assert pg.d_R_approx(C @ M.T, C) <= 1e-9
 
+    def test_maps_match_loop_reference(self):
+        # the vectorised construction against the loop it replaced, in
+        # order; the last cases have one anchor only (a line through the
+        # origin), points of Q at the origin and points of Q on the turning
+        # axis of a level-1 map (parallel to another point of Q)
+        rng = np.random.default_rng(113)
+        cases = [(rng.normal(size=(int(rng.integers(2, 9)), n)),
+                  rng.normal(size=(int(rng.integers(1, 9)), n)))
+                 for n in (2, 3) for _ in range(6)]
+        line = np.outer(np.arange(1.0, 4.0), rng.normal(size=3))
+        Q = rng.normal(size=(5, 3))
+        Q[1], Q[2] = 2.0 * Q[0], 0.0
+        cases += [(line, Q), (rng.normal(size=(6, 3)), Q)]
+        for P, Q in cases:
+            got, ref = _approx_maps(P, Q), approx_maps_loop(P, Q)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
     def test_thorough_not_worse(self):
         rng = np.random.default_rng(89)
         C = rng.normal(size=(6, 2))
@@ -226,6 +247,19 @@ class TestDm:
             assert lower <= oracle + 1e-9, (pair, lower, oracle)
             assert value <= oracle + tol, (pair, value, oracle)
 
+    def test_isometric_supercell_copies_read_zero(self):
+        # rotated and reflected copies of criterion 9's supercell cluster;
+        # the branch-and-bound's inner-product distances alone read 1e-8
+        # to 4e-8 here
+        rng = np.random.default_rng(919)
+        cell = pg.UnitCell(2 * np.eye(2))
+        motif = np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]])
+        C = pg.alpha_cluster(pg.PeriodicSet(cell, motif), 0, 4.0).points
+        for _ in range(6):
+            D = C @ random_orthogonal(rng, 2).T
+            assert pg.d_M(C, D, 4.0, engine="exact") <= 1e-12
+            assert pg.d_M(D, C, 4.0, engine="exact") <= 1e-12
+
     @staticmethod
     def _random_cluster(rng, alpha):
         P = rng.normal(size=(int(rng.integers(4, 8)), 2))
@@ -253,6 +287,42 @@ class TestDm:
             assert lower <= oracle + 1e-9
             resolution = np.linalg.norm(P, axis=1).max() * np.pi / n_angles
             assert value >= oracle - resolution
+
+
+class TestDm3d:
+    ALPHA = 1.5
+
+    @classmethod
+    def _cluster(cls, rng):
+        P = rng.normal(size=(int(rng.integers(4, 13)), 3))
+        P *= 0.9 * cls.ALPHA / np.linalg.norm(P, axis=1).max()
+        P[0] = 0.0
+        return P
+
+    def test_not_above_prefix_loop(self):
+        # random pairs and jittered isometric copies of 4 to 12 points
+        rng = np.random.default_rng(3131)
+        for pair in range(8):
+            C = self._cluster(rng)
+            if pair % 2:
+                D = (C @ random_orthogonal(rng, 3).T
+                     + 0.03 * rng.normal(size=C.shape))
+            else:
+                D = self._cluster(rng)
+            values = {}
+            for engine in ("exact", "approx"):
+                values[engine] = pg.d_M(C, D, self.ALPHA, engine=engine)
+                loop = dm_prefix_loop(C, D, self.ALPHA, engine)
+                assert values[engine] <= loop + 1e-12, (pair, engine)
+            assert values["exact"] <= values["approx"] + 1e-9, pair
+
+    def test_isometric_copy(self):
+        rng = np.random.default_rng(3737)
+        for _ in range(4):
+            C = self._cluster(rng)
+            D = C @ random_orthogonal(rng, 3).T
+            for engine in ("exact", "approx"):
+                assert pg.d_C(C, D, self.ALPHA, engine=engine) <= 1e-9
 
 
 class TestDc:
