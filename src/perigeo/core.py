@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,7 +37,7 @@ class UnitCell:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
+        basis = np.array(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise DataError("basis must be a square matrix of row vectors")
         n = basis.shape[0]
@@ -48,6 +49,8 @@ class UnitCell:
         det = float(np.linalg.det(basis))
         if abs(det) <= TOL_DEGENERATE * b ** n:
             raise DataError("degenerate cell: |det(basis)| is numerically zero")
+        # read-only, because the derived quantities below are cached
+        basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -63,7 +66,7 @@ class UnitCell:
         """Length b of the longest basis vector."""
         return float(np.linalg.norm(self.basis, axis=1).max())
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         """Length d of the longest cell diagonal sum(+-v_i), leading sign +."""
         n = self.dim
@@ -75,9 +78,11 @@ class UnitCell:
             best = max(best, float(np.linalg.norm(diag)))
         return best
 
-    @property
+    @cached_property
     def inv_basis(self) -> np.ndarray:
-        return np.linalg.inv(self.basis)
+        inv = np.linalg.inv(self.basis)
+        inv.flags.writeable = False
+        return inv
 
 
 class Neighbor(NamedTuple):
@@ -97,7 +102,7 @@ class PeriodicSet:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        motif = np.atleast_2d(np.asarray(self.motif, dtype=float))
+        motif = np.atleast_2d(np.array(self.motif, dtype=float))
         n = self.cell.dim
         if motif.shape[0] < 1:
             raise DataError("motif must contain at least one point")
@@ -110,6 +115,8 @@ class PeriodicSet:
             raise DataError("fractional coordinates must lie in [0, 1)")
         if self.labels is not None and len(self.labels) != motif.shape[0]:
             raise DataError("labels, when given, need one entry per motif point")
+        # read-only, because the neighbor stacks below are cached
+        motif.flags.writeable = False
         object.__setattr__(self, "motif", motif)
         self._check_coincidence(motif)
 
@@ -144,6 +151,11 @@ class PeriodicSet:
     def cartesian_motif(self) -> np.ndarray:
         return self.motif @ self.cell.basis
 
+    @cached_property
+    def _stacks(self) -> dict:
+        """Motif index -> the largest NeighborStack built so far."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RadiusReport:
@@ -156,17 +168,36 @@ class RadiusReport:
     covering_method: str = "voronoi"
 
 
-def _offset_ranges(cell: UnitCell, frac_lo, frac_hi, reach: float):
+# Largest enumeration, (lattice offsets) x (motif points), that
+# neighbor_arrays and neighbor_cloud build; above it they raise DataError
+# before allocating.  In 3D one slot costs about 115 bytes at the peak of
+# neighbor_arrays (measured on the cubic lattice), so the cap keeps one
+# call near 230 MB.  Measured largest enumerations: 7,700 slots in the
+# perfbench workloads, 6,450 in the test suite apart from the skewed
+# random cells drawn for the covering-radius corpus, which reach 326,340.
+MAX_ENUMERATION = 2_000_000
+
+
+def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
+                     m: int) -> np.ndarray:
     """Integer cell offsets whose cells can meet the fractional window
-    [frac_lo, frac_hi] fattened by a Cartesian distance `reach`."""
+    [frac_lo, frac_hi] fattened by a Cartesian distance `reach`.
+
+    Raises DataError when offsets x m would pass MAX_ENUMERATION; the
+    count is estimated in floats before anything is allocated.
+    """
+    if not math.isfinite(reach):
+        raise DataError("radius must be a finite number")
     dual = np.linalg.norm(cell.inv_basis, axis=0)  # fractional reach per unit length
-    lo = np.floor(np.asarray(frac_lo) - reach * dual).astype(int) - 1
-    hi = np.floor(np.asarray(frac_hi) + reach * dual).astype(int) + 1
-    return lo, hi
-
-
-def _lattice_offsets(lo, hi) -> np.ndarray:
-    ranges = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    lo = np.floor(np.asarray(frac_lo) - reach * dual) - 1
+    hi = np.floor(np.asarray(frac_hi) + reach * dual) + 1
+    size = float(np.prod(hi - lo + 1)) * m
+    if size > MAX_ENUMERATION:
+        raise DataError(
+            f"radius {reach:.6g} needs about {size:.3g} enumerated points, "
+            f"more than the limit {MAX_ENUMERATION}"
+        )
+    ranges = [np.arange(a, b + 1) for a, b in zip(lo.astype(int), hi.astype(int))]
     grids = np.meshgrid(*ranges, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -181,8 +212,7 @@ def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
     cell = S.cell
     p_frac = S.motif[p_index]
     p_cart = p_frac @ cell.basis
-    lo, hi = _offset_ranges(cell, p_frac, p_frac, alpha)
-    offsets = _lattice_offsets(lo, hi)
+    offsets = _lattice_offsets(cell, p_frac, p_frac, alpha, S.m)
     cart_off = offsets @ cell.basis
     vecs = (S.cartesian_motif[None, :, :] + cart_off[:, None, :]) - p_cart
     dist = np.linalg.norm(vecs, axis=-1)
@@ -194,6 +224,49 @@ def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
     keys = [idx] + [vecs[:, c] for c in range(cell.dim - 1, -1, -1)] + [dist]
     order = np.lexsort(keys)
     return vecs[order], idx[order], shifts[order]
+
+
+class NeighborStack(NamedTuple):
+    """neighbor_arrays output together with the lengths that order it."""
+
+    vectors: np.ndarray  # q - p, Cartesian
+    lengths: np.ndarray  # |q - p|, non-decreasing
+    indices: np.ndarray  # motif index of q
+    shifts: np.ndarray   # integer lattice coordinates of q's cell
+
+
+# relative slack of the radius a stack is enumerated at, so that the small
+# margins a later caller adds to the same radius (isoset's critical radii
+# at alpha + 2 tol) do not enumerate again
+STACK_SLACK = 1e-3
+
+
+def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
+    """neighbor_arrays(S, p_index, alpha) plus lengths, read as a
+    length-prefix of the motif point's cached enumeration.
+
+    The enumeration is sorted by length first, so the points within any
+    radius up to the one it was built at are a prefix of it.  The prefix
+    ends at alpha + REL_TOL * (alpha + d), found by searchsorted on the
+    lengths; that is the inclusion bound of neighbor_arrays, so the arrays
+    equal neighbor_arrays(S, p_index, alpha) bit for bit.  A point is
+    enumerated again, at alpha * (1 + STACK_SLACK), only when a radius
+    beyond its enumeration is asked for.  The arrays are read-only views.
+    """
+    if not alpha >= 0:
+        raise DataError("alpha must be a non-negative number")
+    built = S._stacks.get(p_index)
+    if built is None or built[0] < alpha:
+        radius = alpha * (1.0 + STACK_SLACK)
+        vecs, idx, shifts = neighbor_arrays(S, p_index, radius)
+        full = NeighborStack(vecs, np.linalg.norm(vecs, axis=1), idx, shifts)
+        for array in full:
+            array.flags.writeable = False
+        built = S._stacks[p_index] = (radius, full)
+    full = built[1]
+    cut = alpha + REL_TOL * (alpha + S.cell.diameter)
+    k = int(np.searchsorted(full.lengths, cut, side="right"))
+    return NeighborStack(*(array[:k] for array in full))
 
 
 def neighbors_within(S: PeriodicSet, p_index: int, alpha: float):
@@ -215,8 +288,8 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
     queries against arbitrary positions inside the cell.
     """
     cell = S.cell
-    lo, hi = _offset_ranges(cell, np.zeros(cell.dim), np.ones(cell.dim), reach)
-    offsets = _lattice_offsets(lo, hi)
+    offsets = _lattice_offsets(cell, np.zeros(cell.dim), np.ones(cell.dim),
+                               reach, S.m)
     cart_off = offsets @ cell.basis
     pts = (S.cartesian_motif[None, :, :] + cart_off[:, None, :]).reshape(-1, cell.dim)
     idx = np.tile(np.arange(S.m), offsets.shape[0])
@@ -228,8 +301,7 @@ def min_interpoint_distance(S: PeriodicSet) -> float:
     probe = float(np.linalg.norm(S.cell.basis, axis=1).min()) * (1 + 1e-9)
     best = math.inf
     for i in range(S.m):
-        vecs, _, _ = neighbor_arrays(S, i, probe)
-        dist = np.linalg.norm(vecs, axis=1)
+        dist = neighbor_stack(S, i, probe).lengths
         dist = dist[dist > REL_TOL * S.cell.diameter]
         if dist.size:
             best = min(best, float(dist.min()))
@@ -239,7 +311,21 @@ def min_interpoint_distance(S: PeriodicSet) -> float:
 def packing_covering_radii(S: PeriodicSet) -> tuple:
     """(r, R): half the minimum interpoint distance, and the deepest-hole
     distance computed from Voronoi vertices of a periodic patch (analytic
-    in 1D)."""
+    in 1D).
+
+    The patch holds every point of S within d/2 of the unit cell, for the
+    set re-expressed on the basis of reduce_basis (whose patch is the
+    smallest) and d the diameter of that cell.  That reach is enough.  A
+    point x = sum t_i v_i lies within |sum s_i v_i| <= d/2 (|s_i| <= 1/2)
+    of the lattice point found by rounding each t_i, so every x is within
+    d/2 of a copy of each motif point and R <= d/2.  A vertex of the
+    Voronoi diagram of S inside the cell therefore has all of its nearest
+    points in the patch, and no patch point closer, so it is a vertex of
+    the patch's diagram too.  For any vertex v of the patch's diagram
+    inside the cell, the nearest patch point is the nearest point of S, so
+    the KD-tree query returns the true distance from v to S, at most R.
+    The largest query distance over the vertices in the cell is thus R.
+    """
     r = 0.5 * min_interpoint_distance(S)
     n = S.dim
     if n == 1:
@@ -248,7 +334,9 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
         gaps = np.diff(np.concatenate([xs, [xs[0] + period]]))
         R = 0.5 * float(gaps.max())
         return r, R
-    pts, _ = neighbor_cloud(S, 2.0 * S.cell.diameter)
+    U = np.rint(reduce_basis(S.cell.basis) @ S.cell.inv_basis).astype(int)
+    S = change_cell(S, U)
+    pts, _ = neighbor_cloud(S, 0.5 * S.cell.diameter)
     vor = Voronoi(pts)
     frac = vor.vertices @ S.cell.inv_basis
     window = np.all((frac >= -1e-9) & (frac <= 1 + 1e-9), axis=1)
@@ -304,8 +392,7 @@ def _quotient_edges(S: PeriodicSet, max_len: float):
     hop length <= max_len, one orientation per geometric edge."""
     edges = []
     for i in range(S.m):
-        vecs, idx, shifts = neighbor_arrays(S, i, max_len)
-        dist = np.linalg.norm(vecs, axis=1)
+        _, dist, idx, shifts = neighbor_stack(S, i, max_len)
         for k in range(len(idx)):
             length = float(dist[k])
             if length <= REL_TOL * S.cell.diameter:
@@ -381,11 +468,13 @@ def easy_stable_radius(S: PeriodicSet) -> float:
 
 
 def radius_report(S: PeriodicSet) -> RadiusReport:
+    # the bridge length's neighbor stacks are the larger, so they go first
+    beta = bridge_length(S)
     r, R = packing_covering_radii(S)
     return RadiusReport(
         packing_radius=r,
         covering_radius=R,
-        bridge_length=bridge_length(S),
+        bridge_length=beta,
         easy_stable_radius=easy_stable_radius(S),
         covering_method="analytic" if S.dim == 1 else "voronoi",
     )

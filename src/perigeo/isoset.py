@@ -26,7 +26,7 @@ from .core import (
     PeriodicSet,
     bridge_length,
     easy_stable_radius,
-    neighbor_arrays,
+    neighbor_stack,
 )
 
 TOL_MATCH_FRAC = 1e-6  # point-match tolerance as a fraction of alpha
@@ -126,7 +126,9 @@ def match_tolerance(alpha: float, tol: Optional[float]) -> float:
 
 
 def alpha_cluster(S: PeriodicSet, p_index: int, alpha: float) -> Cluster:
-    vecs, _, _ = neighbor_arrays(S, p_index, alpha)
+    """The alpha-cluster, a read-only length-prefix of the point's
+    neighbor stack."""
+    vecs = neighbor_stack(S, p_index, alpha).vectors
     return Cluster(center_index=p_index, alpha=alpha, points=vecs)
 
 
@@ -178,18 +180,15 @@ def _anchor_indices(points: np.ndarray, r: int):
     lengths = np.linalg.norm(points, axis=1)
     nz = np.nonzero(lengths > 0)[0]
     order = nz[np.argsort(lengths[nz], kind="stable")]
+    cand = points[order]
     anchors = [int(order[0])]
-    basis = [points[order[0]] / lengths[order[0]]]
+    basis = cand[:1] / lengths[order[0]]  # orthonormal rows
     while len(anchors) < r:
-        best, best_perp = None, -1.0
-        for j in order:
-            v = points[j]
-            res = v - sum((v @ b) * b for b in basis)
-            perp = float(np.linalg.norm(res))
-            if perp > best_perp:
-                best, best_perp, best_res = int(j), perp, res
-        anchors.append(best)
-        basis.append(best_res / best_perp)
+        res = cand - (cand @ basis.T) @ basis
+        perp = np.linalg.norm(res, axis=1)
+        j = int(np.argmax(perp))  # the first, i.e. shortest, of the largest
+        anchors.append(int(order[j]))
+        basis = np.vstack([basis, res[j] / perp[j]])
     return anchors
 
 
@@ -361,8 +360,7 @@ def critical_radii(S: PeriodicSet, alpha_max: float):
     tol = REL_TOL * S.cell.diameter
     values = []
     for i in range(S.m):
-        vecs, _, _ = neighbor_arrays(S, i, alpha_max)
-        d = np.linalg.norm(vecs, axis=1)
+        d = neighbor_stack(S, i, alpha_max).lengths
         values.append(d[d > tol])
     values = np.sort(np.concatenate(values))
     out = []
@@ -409,10 +407,11 @@ def minimum_stable_radius(S: PeriodicSet, tol: Optional[float] = None
     radii and their beta-shifts, snapping both compared radii onto the
     critical grid.
     """
-    beta = bridge_length(S)
     upper = easy_stable_radius(S)
     snap_tol = REL_TOL * S.cell.diameter
+    # the largest radius first: every later cluster is a prefix of its stack
     crit = [0.0] + critical_radii(S, upper + snap_tol)
+    beta = bridge_length(S)
 
     candidates = {beta, upper}
     for c in crit:
@@ -454,6 +453,9 @@ def minimum_stable_radius(S: PeriodicSet, tol: Optional[float] = None
 def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
     """Weighted isometry classes of alpha-clusters; class representative is
     the lexicographically smallest sorted cluster of the class."""
+    tol_abs = match_tolerance(alpha, tol)
+    # the largest radius first: every cluster is a prefix of its stack
+    crit = critical_radii(S, alpha + 2 * tol_abs + REL_TOL * S.cell.diameter)
     partition = alpha_partition(S, alpha, tol)
     classes = []
     for block in partition:
@@ -466,8 +468,6 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
                 members=tuple(block),
             )
         )
-    tol_abs = match_tolerance(alpha, tol)
-    crit = critical_radii(S, alpha + 2 * tol_abs + REL_TOL * S.cell.diameter)
     unstable = any(abs(alpha - c) <= tol_abs for c in crit)
     return Isoset(alpha=alpha, classes=tuple(classes), unstable=unstable)
 

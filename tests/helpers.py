@@ -8,6 +8,7 @@ shares no implementation path with them.
 import itertools
 
 import numpy as np
+from scipy.spatial import Voronoi, cKDTree
 
 import perigeo as pg
 
@@ -225,6 +226,34 @@ def approx_maps_loop(P, Q) -> np.ndarray:
                 block[1:, 1:] = m2
                 maps.append(E @ block @ E.T @ M1)
     return np.array(maps or level1)
+
+
+def _reach_2d_ranges(S: pg.PeriodicSet):
+    """Per axis, the cell offsets of every point within twice the cell
+    diameter of the unit cell, plus one cell on each side."""
+    reach = 2.0 * S.cell.diameter
+    dual = np.linalg.norm(np.linalg.inv(S.cell.basis), axis=0)
+    return [np.arange(int(np.floor(-r)) - 1, int(np.floor(1 + r)) + 2)
+            for r in reach * dual]
+
+
+def reach_2d_patch_size(S: pg.PeriodicSet) -> int:
+    """Number of points covering_radius_reach_2d puts in its patch."""
+    return int(np.prod([len(r) for r in _reach_2d_ranges(S)], dtype=float)) * S.m
+
+
+def covering_radius_reach_2d(S: pg.PeriodicSet) -> float:
+    """Covering radius R from the Voronoi diagram of every point of S within
+    twice the cell diameter of the unit cell, on the cell S is given in:
+    the deepest Voronoi vertex inside the cell, by its nearest point."""
+    basis = S.cell.basis
+    shifts = np.array(list(itertools.product(*_reach_2d_ranges(S))), dtype=float)
+    pts = ((S.motif[None, :, :] + shifts[:, None, :]) @ basis).reshape(-1, S.dim)
+    vertices = Voronoi(pts).vertices
+    frac = vertices @ np.linalg.inv(basis)
+    inside = np.all((frac >= -1e-9) & (frac <= 1 + 1e-9), axis=1)
+    dist, _ = cKDTree(pts).query(vertices[inside])
+    return float(dist.max())
 
 
 def transport_bruteforce(costs, supply, demand):

@@ -123,6 +123,14 @@ class TestExitCodes:
         assert main(["isoset", str(bad)]) == 2
         assert "object" in capsys.readouterr().err
 
+    def test_enumeration_cap_is_two(self, tmp_path, capsys):
+        # refused by the size estimate, before anything is allocated
+        path = write_1d(tmp_path / "z.txt", [0], 1)
+        assert main(["isotree", path, "--alpha-max", "1e9"]) == 2
+        assert "limit" in capsys.readouterr().err
+        assert main(["isoset", path, "--alpha", "1e9"]) == 2
+        assert "limit" in capsys.readouterr().err
+
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)
         assert main(["amd", path, "-k", "3"]) == 0

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import perigeo as pg
-from perigeo.core import min_interpoint_distance, neighbor_arrays
+from perigeo import core
+from perigeo.core import min_interpoint_distance, neighbor_arrays, neighbor_cloud
 
-from helpers import UNIMODULAR, random_orthogonal, random_periodic_set
+from helpers import (
+    UNIMODULAR,
+    covering_radius_reach_2d,
+    random_orthogonal,
+    random_periodic_set,
+    reach_2d_patch_size,
+)
 
 
 class TestUnitCell:
@@ -26,6 +33,14 @@ class TestUnitCell:
     def test_higher_dimensions_rejected(self):
         with pytest.raises(pg.DataError, match="dimension"):
             pg.UnitCell(np.eye(4))
+
+    def test_derived_quantities_cached_on_read_only_basis(self):
+        cell = pg.UnitCell(np.array([[1.0, 0.2], [0.3, 1.1]]))
+        assert not cell.basis.flags.writeable
+        assert cell.diameter is cell.diameter
+        assert cell.inv_basis is cell.inv_basis
+        assert not cell.inv_basis.flags.writeable
+        assert np.allclose(cell.inv_basis @ cell.basis, np.eye(2))
 
     def test_non_finite_basis_rejected(self):
         # NaN passes every comparison-based check, so it needs its own
@@ -128,6 +143,40 @@ class TestNeighborsWithin:
             assert np.allclose(a, b, atol=1e-9)
 
 
+class TestEnumerationCap:
+    """The cap is tested by its estimate: every refused call raises before
+    it allocates, and the boundary is probed on a small enumeration."""
+
+    def test_huge_radius_refused(self, square):
+        S3 = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
+        for S in (square, S3):
+            with pytest.raises(pg.DataError, match="limit"):
+                neighbor_arrays(S, 0, 1e4)
+            with pytest.raises(pg.DataError, match="limit"):
+                neighbor_cloud(S, 1e4)
+            with pytest.raises(pg.DataError, match="limit"):
+                pg.alpha_cluster(S, 0, 1e4)
+
+    def test_non_finite_radius_refused(self, square):
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(pg.DataError):
+                neighbor_arrays(square, 0, alpha)
+            with pytest.raises(pg.DataError):
+                pg.alpha_cluster(square, 0, alpha)
+
+    def test_boundary_is_offsets_times_motif(self, s2, monkeypatch):
+        vecs, _, shifts = neighbor_arrays(s2, 0, 7.0)
+        size = len(np.unique(shifts, axis=0))  # cells the ball meets
+        offsets = core._lattice_offsets(s2.cell, s2.motif[0], s2.motif[0],
+                                        7.0, s2.m)
+        assert len(offsets) >= size
+        monkeypatch.setattr(core, "MAX_ENUMERATION", len(offsets) * s2.m)
+        assert np.array_equal(neighbor_arrays(s2, 0, 7.0)[0], vecs)
+        monkeypatch.setattr(core, "MAX_ENUMERATION", len(offsets) * s2.m - 1)
+        with pytest.raises(pg.DataError):
+            neighbor_arrays(s2, 0, 7.0)
+
+
 class TestRadii:
     def test_packing_covering_s1(self, s1):
         r, R = pg.packing_covering_radii(s1)
@@ -148,6 +197,41 @@ class TestRadii:
         r, R = pg.packing_covering_radii(S)
         assert r == pytest.approx(0.5)
         assert R == pytest.approx(np.sqrt(3) / 2)
+
+    def test_covering_matches_reach_2d_reference(self):
+        # seeded corpus: m = 1..6 in 2D and 1..4 in 3D, near-identity and
+        # skewed cells, and skewed cells of the same sets; a set is drawn
+        # again when its reach-2d patch passes 2,000 cells
+        rng = np.random.default_rng(7070)
+        checked = 0
+        for draw in range(400):
+            n = 2 + checked % 2
+            m = 1 + (checked // 2) % (8 - 2 * n)
+            try:
+                S = random_periodic_set(rng, n, m, skew=(0.1, 0.25, 0.4)[draw % 3])
+            except pg.DataError:  # a thin cell passed the enumeration cap
+                continue
+            if checked % 4 == 3:
+                S = pg.change_cell(S, UNIMODULAR[n][1 + checked % 3])
+            if reach_2d_patch_size(S) > 2000 * m:
+                continue
+            _, R = pg.packing_covering_radii(S)
+            assert abs(R - covering_radius_reach_2d(S)) <= 1e-12
+            checked += 1
+            if checked == 24:
+                break
+        assert checked == 24
+
+    def test_covering_on_a_long_cell(self):
+        # the same set on a cell 40 times longer: its reach-2d patch would
+        # hold about 1e8 points, the reduced cell's reach-d/2 patch a few
+        # hundred
+        rng = np.random.default_rng(7171)
+        S = random_periodic_set(rng, 3, 3)
+        T = pg.change_cell(S, np.array([[1, 0, 0], [0, 1, 0], [40, 0, 1]]))
+        assert reach_2d_patch_size(T) > 1e7
+        _, R = pg.packing_covering_radii(T)
+        assert abs(R - covering_radius_reach_2d(S)) <= 1e-12
 
     def test_packing_is_half_min_nn(self):
         rng = np.random.default_rng(9)

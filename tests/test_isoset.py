@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 import perigeo as pg
-from perigeo.isoset import cluster_symmetry_group, groups_equal
+from perigeo.core import neighbor_arrays, neighbor_stack
+from perigeo.isoset import cluster_symmetry_group, critical_radii, groups_equal
 
 from helpers import (
     UNIMODULAR,
@@ -40,6 +43,51 @@ class TestAlphaCluster:
         assert lengths[0] == 0.0
         assert np.all(np.diff(lengths) >= -1e-12)
         assert np.all(lengths <= 9.0 + 1e-8)
+
+
+class TestNeighborStack:
+    @staticmethod
+    def assert_prefixes_exact(S, alpha_max):
+        """Every stack read equals neighbor_arrays bit for bit at each
+        critical radius and midpoint, from one enumeration per point."""
+        radii = [0.0] + critical_radii(S, alpha_max)
+        built = {p: S._stacks[p][0] for p in range(S.m)}
+        mids = [0.5 * (a + b) for a, b in zip(radii, radii[1:])]
+        for alpha in radii + mids:
+            for p in range(S.m):
+                stack = neighbor_stack(S, p, alpha)
+                vecs, idx, shifts = neighbor_arrays(S, p, alpha)
+                assert np.array_equal(stack.vectors, vecs)
+                assert np.array_equal(stack.indices, idx)
+                assert np.array_equal(stack.shifts, shifts)
+                assert np.array_equal(stack.lengths,
+                                      np.linalg.norm(vecs, axis=1))
+                assert np.array_equal(pg.alpha_cluster(S, p, alpha).points, vecs)
+        assert {p: S._stacks[p][0] for p in range(S.m)} == built
+
+    def test_prefixes_equal_neighbor_arrays(self):
+        rng = np.random.default_rng(83)
+        for n in (2, 3):
+            S = random_periodic_set(rng, n, 3)
+            alpha_max = pg.easy_stable_radius(S)
+            U = UNIMODULAR[n][1]
+            M = random_orthogonal(rng, n)
+            for T in (S, pg.change_cell(S, U),
+                      pg.apply_isometry(S, M, rng.random(n))):
+                self.assert_prefixes_exact(T, alpha_max)
+
+    def test_read_only_and_grown_on_demand(self, square):
+        small = neighbor_stack(square, 0, 1.0)
+        assert not small.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            small.vectors[0, 0] = 1.0
+        radius = square._stacks[0][0]
+        assert radius >= 1.0
+        large = neighbor_stack(square, 0, 3.0)
+        assert square._stacks[0][0] > radius
+        assert np.array_equal(large.vectors[:len(small.vectors)], small.vectors)
+        with pytest.raises(ValueError):
+            neighbor_stack(square, 0, -1.0)
 
 
 class TestClustersIsometric:
@@ -286,6 +334,23 @@ class TestIsosetsEqual:
         assert not pg.isosets_equal(S, Q)
         M = rot2(0.7)
         assert pg.isosets_equal(S, pg.apply_isometry(S, M, [0.1, 0.2]))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 3), m=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_invariant_under_isometry(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        S = random_periodic_set(rng, n, m)
+        M = random_orthogonal(rng, n)
+        assert pg.isosets_equal(S, pg.apply_isometry(S, M, rng.random(n)))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 3), m=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), which=st.integers(0, 4))
+    def test_invariant_under_cell_change(self, n, m, seed, which):
+        S = random_periodic_set(np.random.default_rng(seed), n, m)
+        U = UNIMODULAR[n][which % len(UNIMODULAR[n])]
+        assert pg.isosets_equal(S, pg.change_cell(S, U))
 
     def test_unstable_flag(self, square):
         assert pg.isoset(square, 1.0).unstable
