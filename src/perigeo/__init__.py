@@ -3,7 +3,6 @@
 from .amd import AmdVector, amd
 from .core import (
     DataError,
-    Neighbor,
     PeriodicSet,
     RadiusReport,
     UnitCell,
@@ -11,7 +10,6 @@ from .core import (
     bridge_length,
     change_cell,
     easy_stable_radius,
-    neighbors_within,
     packing_covering_radii,
     radius_report,
     reduce_basis,

@@ -1,20 +1,19 @@
 """Average Minimum Distances of a periodic point set.
 
 AMD_j is the motif average of the distance from each motif point to its
-j-th nearest neighbor in the infinite set.  Neighbor search expands cell
-shells in Chebyshev order and stops once every point's k-th distance is
-certified against the closest possible point of the next shell.
+j-th nearest neighbor in the infinite set, found by one KD-tree query on
+a neighbor cloud whose reach certifies the k-th distance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PeriodicSet
+from .core import PeriodicSet, neighbor_cloud
 
 
 @dataclass(frozen=True)
@@ -30,40 +29,26 @@ class AmdVector:
         )
 
 
-def _shell_offsets(n: int, s: int) -> np.ndarray:
-    """Integer offsets with Chebyshev norm exactly s."""
-    if s == 0:
-        return np.zeros((1, n), dtype=int)
-    offs = [c for c in product(range(-s, s + 1), repeat=n) if max(map(abs, c)) == s]
-    return np.array(offs, dtype=int)
-
-
 def nearest_neighbor_distances(S: PeriodicSet, k: int) -> np.ndarray:
-    """(m, k) matrix of certified distances to the k nearest neighbors of
-    each motif point (the point itself excluded)."""
+    """(m, k) matrix of the distances to the k nearest neighbors of each
+    motif point (the point itself excluded).
+
+    One neighbor_cloud of reach rho = ((k+1) V / (m omega_n))^(1/n) + d
+    serves every motif point p, V being the cell volume, omega_n that of
+    the unit ball and d the cell diameter.  The cells that meet
+    B(p, rho - d) cover that ball, so there are at least (k+1)/m of them,
+    and they lie inside B(p, rho): the cloud holds the k+1 nearest points.
+    A k too large for MAX_ENUMERATION raises DataError.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
     cell = S.cell
     n = cell.dim
-    motif_cart = S.cartesian_motif
-    # distance between opposite cell faces along each axis: a cell whose
-    # Chebyshev shell index is s sits at least (s - 1) * h_min away
-    h_min = float(1.0 / np.linalg.norm(cell.inv_basis, axis=0).max())
-
-    cloud_parts = []
-    s = 0
-    while True:
-        offsets = _shell_offsets(n, s)
-        cloud_parts.append(offsets @ cell.basis)
-        cloud = np.concatenate(cloud_parts)
-        points = (motif_cart[None, :, :] + cloud[:, None, :]).reshape(-1, n)
-        if points.shape[0] > k:
-            tree = cKDTree(points)
-            dist, _ = tree.query(motif_cart, k=k + 1)
-            dist = np.atleast_2d(dist)[:, 1:]
-            if float(dist[:, -1].max()) < s * h_min:
-                return dist
-        s += 1
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    reach = ((k + 1) * cell.volume / (S.m * ball)) ** (1 / n) + cell.diameter
+    cloud, _ = neighbor_cloud(S, reach)
+    dist, _ = cKDTree(cloud).query(S.cartesian_motif, k=k + 1)
+    return dist[:, 1:]
 
 
 def amd(S: PeriodicSet, k: int) -> AmdVector:

@@ -231,7 +231,7 @@ def _cmd_emd(args):
         alpha = common_stable_alpha(A, B)
     iso_a = isoset(A, alpha, tol)
     iso_b = isoset(B, alpha, tol)
-    cost, plan = emd(iso_a, iso_b, engine=args.dr, delta=args.delta)
+    cost, plan = emd(iso_a, iso_b, engine=args.dr)
     engine_used = _resolve_engine(
         args.dr,
         max(c.representative.size for c in iso_a.classes),
@@ -258,7 +258,7 @@ def _cmd_dcluster(args):
     ia, ib = args.points
     ca = alpha_cluster(A, ia, args.alpha)
     cb = alpha_cluster(B, ib, args.alpha)
-    value = d_C(ca, cb, args.alpha, engine=args.dr, delta=args.delta)
+    value = d_C(ca, cb, args.alpha, engine=args.dr)
     _emit({
         "schema": SCHEMA,
         "command": "dcluster",
@@ -271,8 +271,7 @@ def _cmd_dcluster(args):
     return 0
 
 
-def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto",
-                  delta: float = DEFAULT_DELTA):
+def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto"):
     """Pairwise comparison matrix over a list of set files.
 
     Per-file parse failures are reported and the run continues with the
@@ -306,7 +305,7 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto",
                 cost, _ = emd(
                     isoset(sets[i], alpha, tol),
                     isoset(sets[j], alpha, tol),
-                    engine=dr, delta=delta,
+                    engine=dr,
                 )
                 matrix[i, j] = matrix[j, i] = cost
     else:
@@ -316,7 +315,7 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto",
 
 def _cmd_batch(args):
     names, matrix, failures = batch_compare(
-        args.files, args.mode, args.k, _tolerance_override(), args.dr, args.delta
+        args.files, args.mode, args.k, _tolerance_override(), args.dr
     )
     for failure in failures:
         print(f"warning: {failure['path']}: {failure['error']}", file=sys.stderr)
@@ -383,7 +382,8 @@ def build_parser() -> _Parser:
     group.add_argument("--alpha", type=float)
     group.add_argument("--stable", action="store_true")
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                   help="cushion of the reported factor_bound only")
     p.set_defaults(func=_cmd_emd)
 
     p = sub.add_parser("dcluster", help="cluster distance for one point pair")
@@ -392,7 +392,8 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, nargs=2, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                   help="accepted for compatibility; changes nothing")
     p.set_defaults(func=_cmd_dcluster)
 
     p = sub.add_parser("batch", help="pairwise comparison matrix")
@@ -400,7 +401,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("amd", "isoset", "emd"), required=True)
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                   help="accepted for compatibility; changes nothing")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_batch)
 

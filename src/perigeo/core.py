@@ -85,14 +85,6 @@ class UnitCell:
         return inv
 
 
-class Neighbor(NamedTuple):
-    """One point of S relative to a motif center."""
-
-    vector: np.ndarray  # q - p, Cartesian
-    index: int          # motif index of q
-    shift: np.ndarray   # integer lattice coordinates of q's cell
-
-
 @dataclass(frozen=True)
 class PeriodicSet:
     """A periodic point set: unit cell plus motif of fractional points."""
@@ -121,23 +113,15 @@ class PeriodicSet:
         self._check_coincidence(motif)
 
     def _check_coincidence(self, motif):
-        m, n = motif.shape
-        if m == 1:
-            return
-        tol = REL_TOL * self.cell.diameter
-        cart = motif @ self.cell.basis
-        shifts = np.array(list(product((-1, 0, 1), repeat=n)), dtype=float)
-        translations = shifts @ self.cell.basis
-        for t in translations:
-            diff = cart[:, None, :] - (cart[None, :, :] + t[None, None, :])
-            dist = np.linalg.norm(diff, axis=-1)
-            if not np.allclose(t, 0.0):
-                if dist.min() <= tol:
-                    raise DataError("motif contains coincident points")
-            else:
-                np.fill_diagonal(dist, np.inf)
-                if dist.min() <= tol:
-                    raise DataError("motif contains coincident points")
+        # two points coincide when their difference is a lattice vector up
+        # to tol, which is under half a cell per axis unless the cell is
+        # 5e8 times longer than wide, so that vector is their fractional
+        # difference rounded
+        diff = motif[:, None, :] - motif[None, :, :]
+        dist = np.linalg.norm((diff - np.rint(diff)) @ self.cell.basis, axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() <= REL_TOL * self.cell.diameter:
+            raise DataError("motif contains coincident points")
 
     @property
     def m(self) -> int:
@@ -172,9 +156,10 @@ class RadiusReport:
 # neighbor_arrays and neighbor_cloud build; above it they raise DataError
 # before allocating.  In 3D one slot costs about 115 bytes at the peak of
 # neighbor_arrays (measured on the cubic lattice), so the cap keeps one
-# call near 230 MB.  Measured largest enumerations: 7,700 slots in the
-# perfbench workloads, 6,450 in the test suite apart from the skewed
-# random cells drawn for the covering-radius corpus, which reach 326,340.
+# call near 230 MB.  Measured largest enumerations: 16,065 slots in the
+# perfbench workloads (AMD's cloud at k = 400), 19,380 in the test suite
+# apart from the skewed random cells drawn for the covering-radius corpus,
+# which reach 326,340.
 MAX_ENUMERATION = 2_000_000
 
 
@@ -203,8 +188,10 @@ def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
 
 
 def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
-    """Array form of neighbors_within: (vectors, motif indices, shifts),
-    sorted by (length, coordinates, index)."""
+    """All points q of S with |q - p| <= alpha, p the motif point p_index
+    (itself included), as (vectors q - p, motif indices of q, integer
+    lattice coordinates of q's cell), sorted by (length, coordinates,
+    index).  Only the shifted cells that can meet the ball are visited."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     if not 0 <= p_index < S.m:
@@ -269,23 +256,11 @@ def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
     return NeighborStack(*(array[:k] for array in full))
 
 
-def neighbors_within(S: PeriodicSet, p_index: int, alpha: float):
-    """All vectors q - p with q in S and |q - p| <= alpha, center included.
-
-    Returns a list of Neighbor tuples sorted by (length, coordinates, index);
-    the enumeration only visits shifted cells that can intersect the ball.
-    """
-    vecs, idx, shifts = neighbor_arrays(S, p_index, alpha)
-    return [
-        Neighbor(v.copy(), int(i), s.copy()) for v, i, s in zip(vecs, idx, shifts)
-    ]
-
-
 def neighbor_cloud(S: PeriodicSet, reach: float):
     """All points of S within Cartesian distance `reach` of the unit cell.
 
-    Returns (points, motif_indices); used for covering-radius and sampling
-    queries against arbitrary positions inside the cell.
+    Returns (points, motif_indices); used for covering-radius, AMD and
+    sampling queries against arbitrary positions inside the cell.
     """
     cell = S.cell
     offsets = _lattice_offsets(cell, np.zeros(cell.dim), np.ones(cell.dim),

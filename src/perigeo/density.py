@@ -206,6 +206,9 @@ def psi_k_sampled(S: PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
     Stratified jittered (Latin hypercube) sample points in the cell; for
     each t the estimate is the fraction of samples covered by exactly k
     balls, with its binomial standard error.  Deterministic under `seed`.
+    A sample is covered by exactly k balls when d_k <= t < d_{k+1}, d_j
+    being its distance to the j-th nearest point, so one KD-tree query
+    serves every t.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -219,11 +222,13 @@ def psi_k_sampled(S: PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
     xs = frac @ S.cell.basis
     cloud, _ = neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)
-    tree = cKDTree(cloud)
+    dist, _ = cKDTree(cloud).query(xs, k=[k, k + 1] if k else [1])
+    # every sample is covered by at least 0 balls, at any t
+    lower = dist[:, 0] if k else -np.inf
+    upper = dist[:, -1]
     out = []
     for t in t_grid:
-        counts = tree.query_ball_point(xs, r=float(t), return_length=True)
-        est = float(np.mean(counts == k))
+        est = float(np.mean((lower <= t) & (t < upper)))
         stderr = float(np.sqrt(est * (1.0 - est) / samples))
         out.append((float(t), est, stderr))
     return out

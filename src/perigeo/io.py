@@ -124,17 +124,22 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
         if key not in data:
             raise ParseError(f"missing key {key!r}", 0, path)
     dim = data["dim"]
-    basis = np.asarray(data["basis"], dtype=float)
-    motif = np.atleast_2d(np.asarray(data["motif"], dtype=float))
+    try:
+        basis = np.asarray(data["basis"], dtype=float)
+        motif = np.atleast_2d(np.asarray(data["motif"], dtype=float))
+    except (TypeError, ValueError):
+        raise ParseError("basis and motif must be arrays of numbers", 0, path)
     if basis.shape != (dim, dim):
         raise ParseError(f"basis must be a {dim}x{dim} matrix", 0, path)
     if motif.shape[0] < 1:
         raise ParseError("motif must contain at least one point", 0, path)
-    if motif.shape[1] != dim:
+    if motif.ndim != 2 or motif.shape[1] != dim:
         raise ParseError(f"motif points need {dim} coordinates", 0, path)
     if not np.all((motif >= 0.0) & (motif < 1.0)):
         raise ParseError("fractional coordinate outside [0, 1)", 0, path)
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError("labels must be a list", 0, path)
     try:
         return PeriodicSet(UnitCell(basis), motif,
                            tuple(labels) if labels else None)

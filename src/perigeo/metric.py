@@ -39,6 +39,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from .core import neighbor_cloud
 from .isoset import Cluster, IsometryClass, Isoset
 
 EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
@@ -271,22 +272,15 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
 def d_R_prefixes(C, D) -> np.ndarray:
     """d_R of every length-sorted prefix of C against D (exact engine).
 
-    Only 1D and 2D; the i-th entry is min over O(R^n) of
-    d_H(f({p_1..p_{i+1}}), D), in 2D to within the branch-and-bound's
-    tolerance above.
+    Only 2D; the i-th entry is min over O(R^2) of
+    d_H(f({p_1..p_{i+1}}), D), to within the branch-and-bound's tolerance
+    above.
     """
     P, Q = _points(C), _points(D)
-    n = P.shape[1]
+    if P.shape[1] != 2:
+        raise ValueError("prefix profiles implemented for n = 2 only")
     order = np.argsort(np.linalg.norm(P, axis=1), kind="stable")
-    P = P[order]
-    if n == 1:
-        tree = cKDTree(Q)
-        plus = np.maximum.accumulate(tree.query(P)[0])
-        minus = np.maximum.accumulate(tree.query(-P)[0])
-        return np.minimum(plus, minus)
-    if n == 2:
-        return _dr_bnb_2d(P, Q)[0]
-    raise ValueError("prefix profiles implemented for n <= 2 only")
+    return _dr_bnb_2d(P[order], Q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +421,8 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i),
     d_R_i being the approximation engine's value or, with `exact`, the 3D
     exact engine's; map attains d_R_i for the prefix that sets the max.
+    In 1D the approximation engine's maps are +1 and -1, all of O(1), so
+    its value is exact there.
 
     The exact engine first evaluates the identity and _rotation_sample once
     on all of P; the running max of the nearest distances gives every
@@ -480,13 +476,6 @@ def d_R_exact_small(C, D):
     if P.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("empty point set")
     n = P.shape[1]
-    if n == 1:
-        tree = cKDTree(Q)
-        plus = float(tree.query(P)[0].max())
-        minus = float(tree.query(-P)[0].max())
-        if plus <= minus:
-            return plus, np.array([[1.0]])
-        return minus, np.array([[-1.0]])
     # only the whole set counts in the max-min
     gains = np.full(len(P), -np.inf)
     gains[-1] = np.inf
@@ -500,24 +489,16 @@ def d_R_exact_small(C, D):
         near = prof[:, -1] <= upper[-1] + 1e-7 * scale
         return _best_over_maps(P, Q, np.concatenate(
             [_approx_maps(P, Q), _maps_2d(theta[near], reflect[near])]))
-    return _max_min_search(P, Q, gains, exact=True)
+    return _max_min_search(P, Q, gains, exact=n == 3)
 
 
-def d_R_approx(C, D, delta: float = DEFAULT_DELTA, thorough: bool = False):
-    """Upper bound on d_R within a factor 2(n-1)(1+delta) of the optimum,
-    from the farthest-point anchor construction (n >= 2; exact in 1D)."""
+def d_R_approx(C, D):
+    """Upper bound on d_R within a factor 2(n-1) of the optimum, from the
+    farthest-point anchor construction (n >= 2; exact in 1D)."""
     P, Q = _points(C), _points(D)
     if P.shape[0] == 0 or Q.shape[0] == 0:
         raise ValueError("empty point set")
-    maps = [_approx_maps(P, Q)]
-    if thorough:
-        # enumerate every tied anchor choice by small perturbations of order
-        lengths = np.linalg.norm(P, axis=1)
-        ties = np.nonzero(lengths >= lengths.max() - 1e-12)[0]
-        for t in ties:
-            Pt = np.concatenate([[P[t]], np.delete(P, t, axis=0)])
-            maps.append(_approx_maps(Pt, Q))
-    val, _ = _best_over_maps(P, Q, np.concatenate(maps))
+    val, _ = _best_over_maps(P, Q, _approx_maps(P, Q))
     return val
 
 
@@ -537,8 +518,7 @@ def _resolve_engine(engine: str, size_c: int, size_d: int) -> str:
     return engine
 
 
-def d_M(C, D, alpha: float, engine: str = "auto",
-        delta: float = DEFAULT_DELTA) -> float:
+def d_M(C, D, alpha: float, engine: str = "auto") -> float:
     """One-sided boundary-tolerant distance: the max over length-sorted
     prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)).
 
@@ -559,22 +539,15 @@ def d_M(C, D, alpha: float, engine: str = "auto",
     if keep == 0:
         return 0.0
     P, gains = P[:keep], gains[:keep]
-    if exact and n == 1:
-        dr = d_R_prefixes(P, Q)
-    elif exact and n == 2:
+    if exact and n == 2:
         dr = _dr_bnb_2d(P, Q, gains)[0]
-    else:
-        return _max_min_search(P, Q, gains, exact)[0]
-    return float(np.max(np.minimum(gains, dr)))
+        return float(np.max(np.minimum(gains, dr)))
+    return _max_min_search(P, Q, gains, exact and n == 3)[0]
 
 
-def d_C(sigma, xi, alpha: float, engine: str = "auto",
-        delta: float = DEFAULT_DELTA) -> float:
+def d_C(sigma, xi, alpha: float, engine: str = "auto") -> float:
     """Boundary-tolerant cluster distance: max of the two one-sided d_M."""
-    return max(
-        d_M(sigma, xi, alpha, engine, delta),
-        d_M(xi, sigma, alpha, engine, delta),
-    )
+    return max(d_M(sigma, xi, alpha, engine), d_M(xi, sigma, alpha, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +603,7 @@ def _min_cost_transport(costs: np.ndarray, supply, demand):
     return flow
 
 
-def emd(A: Isoset, B: Isoset, engine: str = "auto",
-        delta: float = DEFAULT_DELTA):
+def emd(A: Isoset, B: Isoset, engine: str = "auto"):
     """(cost, TransportPlan): exact Earth Mover's Distance between two
     isosets at the same radius, ground cost d_C."""
     if abs(A.alpha - B.alpha) > 1e-9 * max(1.0, A.alpha):
@@ -642,7 +614,7 @@ def emd(A: Isoset, B: Isoset, engine: str = "auto",
         raise ValueError("isoset weights must sum to 1")
     costs = np.array([
         [
-            d_C(ca.representative, cb.representative, A.alpha, engine, delta)
+            d_C(ca.representative, cb.representative, A.alpha, engine)
             for cb in B.classes
         ]
         for ca in A.classes
@@ -667,13 +639,12 @@ def emd(A: Isoset, B: Isoset, engine: str = "auto",
 
 
 def _periodic_distance_matrix(S, Q) -> np.ndarray:
-    basis = S.cell.basis
-    n = S.dim
-    offsets = np.array(list(product((-1, 0, 1), repeat=n)), dtype=float)
-    trans = offsets @ basis
-    ps, pq = S.cartesian_motif, Q.cartesian_motif
-    diff = ps[:, None, None, :] - (pq[None, :, None, :] + trans[None, None, :, :])
-    return np.linalg.norm(diff, axis=-1).min(axis=2)
+    """Entry [i, j]: distance from motif point i of S to the nearest copy
+    of motif point j of Q.  Both lie in the unit cell, so that copy is
+    within the cell diameter of it, inside Q's neighbor cloud."""
+    pts, _ = neighbor_cloud(Q, S.cell.diameter)
+    dist = np.linalg.norm(S.cartesian_motif[:, None, :] - pts[None, :, :], axis=-1)
+    return dist.reshape(S.m, -1, Q.m).min(axis=1)
 
 
 def bottleneck_distance_common_cell(S, Q) -> float:

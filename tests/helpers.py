@@ -89,6 +89,44 @@ def psi_bruteforce_1d(points, k: int, t: float, samples: int = 10 ** 6) -> float
     return float(np.mean(mult == k))
 
 
+def psi_sampled_ball_counts(S: pg.PeriodicSet, k: int, t_grid, samples: int,
+                            seed: int = 0):
+    """psi_k_sampled's estimates, counting for every t the balls that cover
+    each sample with one query_ball_point pass (the same samples)."""
+    rng = np.random.default_rng(seed)
+    frac = np.empty((samples, S.dim))
+    for axis in range(S.dim):
+        frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
+    xs = frac @ S.cell.basis
+    t_grid = np.asarray(t_grid, dtype=float)
+    tree = cKDTree(pg.core.neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)[0])
+    out = []
+    for t in t_grid:
+        counts = tree.query_ball_point(xs, r=float(t), return_length=True)
+        est = float(np.mean(counts == k))
+        out.append((float(t), est, float(np.sqrt(est * (1.0 - est) / samples))))
+    return out
+
+
+def amd_bruteforce(S: pg.PeriodicSet, k: int) -> np.ndarray:
+    """(m, k) distances from each motif point to its k nearest neighbors, by
+    sorting the distances to every point of a cube of N^n cell offsets per
+    side; N doubles until the k-th distance is below N times the least
+    width of the cell, which no point outside the cube can beat."""
+    n = S.dim
+    width = 1.0 / np.linalg.norm(np.linalg.inv(S.cell.basis), axis=0).max()
+    motif = S.cartesian_motif
+    N = 1
+    while True:
+        shifts = np.array(list(itertools.product(range(-N, N + 1), repeat=n)))
+        pts = (motif[None, :, :] + (shifts @ S.cell.basis)[:, None, :]).reshape(-1, n)
+        dist = np.sort(np.linalg.norm(pts[None, :, :] - motif[:, None, :], axis=2),
+                       axis=1)[:, 1:k + 1]
+        if dist.shape[1] == k and dist[:, -1].max() < N * width:
+            return dist
+        N *= 2
+
+
 def _prefix_scan_2d(C, D, n_angles: int) -> np.ndarray:
     """Dense rotation+reflection scan of the directed Hausdorff distance from
     every prefix C[:i+1] to D: entry i is its min over n_angles evenly spaced

@@ -282,7 +282,7 @@ def test_criterion_10_approximation_bound():
             C = rng.normal(size=(int(rng.integers(4, size_hi)), n))
             D = rng.normal(size=(int(rng.integers(4, size_hi)), n))
             oracle, _ = pg.d_R_exact_small(C, D)
-            approx = pg.d_R_approx(C, D, delta)
+            approx = pg.d_R_approx(C, D)
             # the oracle evaluates every approximation-engine map too, so
             # approx >= oracle up to float noise between evaluation paths
             assert approx >= oracle - 1e-9

@@ -3,7 +3,13 @@ import pytest
 
 import perigeo as pg
 
-from helpers import UNIMODULAR, jitter_set, random_orthogonal, random_periodic_set
+from helpers import (
+    UNIMODULAR,
+    amd_bruteforce,
+    jitter_set,
+    random_orthogonal,
+    random_periodic_set,
+)
 
 
 class TestAmdTables:
@@ -34,6 +40,18 @@ class TestAmdTables:
         # next shells: sqrt(2) for the square, sqrt(3) for the hexagonal
         assert pg.amd(square, 8).values[4:] == pytest.approx(np.sqrt(2))
         assert pg.amd(hexagonal, 12).values[6:] == pytest.approx(np.sqrt(3))
+
+    def test_matches_bruteforce(self):
+        # seeded 1D, 2D and 3D sets on near-identity and skewed cells
+        rng = np.random.default_rng(4141)
+        for n in (1, 2, 3):
+            for skew in (0.15, 0.3):
+                for m in (1, 4):
+                    S = random_periodic_set(rng, n, m, skew=skew)
+                    for k in (1, 37, 1000):
+                        got = pg.amd(S, k).per_point_matrix
+                        ref = amd_bruteforce(S, k)
+                        assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (n, skew, m, k)
 
     def test_k_must_be_positive(self, square):
         with pytest.raises(ValueError):

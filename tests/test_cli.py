@@ -2,10 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
 from perigeo.cli import main
-from perigeo.io import ParseError, parse_set_file, parse_set_text, write_set_text
+from perigeo.io import (
+    ParseError,
+    parse_set_file,
+    parse_set_json,
+    parse_set_text,
+    write_set_text,
+)
 
 S15_TEXT = """dim 1
 15
@@ -24,6 +31,26 @@ motif 9
 
 def s15_points():
     return [0, 1, 3, 4, 5, 7, 9, 10, 12]
+
+
+# JSON values of every kind, and set-like objects whose keys hold them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+SET_OBJECTS = st.fixed_dictionaries({}, optional={
+    key: JSON_VALUES | st.integers(1, 3)
+    | st.lists(st.lists(st.floats(-2, 2), min_size=1, max_size=3), max_size=3)
+    for key in ("dim", "basis", "motif", "labels")
+})
+# lines of tokens from the text format's vocabulary, and arbitrary text
+TEXT_TOKENS = st.sampled_from(
+    ["dim", "motif", "0", "1", "2", "3", "-1", "0.5", "0.99", "nan", "1e400", "#", "A"]
+) | st.text(max_size=3)
+SET_TEXTS = st.lists(st.lists(TEXT_TOKENS, max_size=4).map(" ".join), max_size=8).map(
+    "\n".join) | st.text()
 
 
 def write_1d(path, points, period):
@@ -85,6 +112,22 @@ class TestParsing:
             with pytest.raises(ParseError, match="object"):
                 parse_set_file(path)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=SET_TEXTS)
+    def test_text_parser_raises_only_parse_error(self, text):
+        try:
+            parse_set_text(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=SET_OBJECTS | JSON_VALUES)
+    def test_json_parser_raises_only_parse_error(self, data):
+        try:
+            parse_set_json(json.dumps(data))
+        except ParseError:
+            pass
+
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         cell = pg.UnitCell(np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
@@ -129,6 +172,8 @@ class TestExitCodes:
         assert main(["isotree", path, "--alpha-max", "1e9"]) == 2
         assert "limit" in capsys.readouterr().err
         assert main(["isoset", path, "--alpha", "1e9"]) == 2
+        assert "limit" in capsys.readouterr().err
+        assert main(["amd", path, "-k", "1000000000"]) == 2
         assert "limit" in capsys.readouterr().err
 
     def test_success_is_zero(self, tmp_path, capsys):

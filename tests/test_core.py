@@ -88,37 +88,33 @@ class TestNeighborsWithin:
             for j in range(-2, 3)
             if i * i + j * j <= 4
         )
-        nbrs = pg.neighbors_within(square, 0, 2.0)
-        assert len(nbrs) == 13
-        got = sorted(tuple(np.round(nb.vector).astype(int)) for nb in nbrs)
+        vecs, _, _ = neighbor_arrays(square, 0, 2.0)
+        assert len(vecs) == 13
+        got = sorted(tuple(v) for v in np.round(vecs).astype(int))
         assert got == expected
 
     def test_alpha_zero_returns_center(self, s1):
-        nbrs = pg.neighbors_within(s1, 0, 0.0)
-        assert len(nbrs) == 1
-        assert np.allclose(nbrs[0].vector, 0.0)
-        assert nbrs[0].index == 0
+        vecs, idx, _ = neighbor_arrays(s1, 0, 0.0)
+        assert len(vecs) == 1
+        assert np.allclose(vecs[0], 0.0)
+        assert idx[0] == 0
 
     def test_s1_bridge_neighbors(self, s1):
         # derived by hand from the 10-cell with motif (2,2),(2,8),(8,2),(8,8)
-        nbrs = pg.neighbors_within(s1, 0, 6.0)
-        got = sorted(tuple(np.round(nb.vector).astype(int)) for nb in nbrs)
+        vecs, _, _ = neighbor_arrays(s1, 0, 6.0)
+        got = sorted(tuple(v) for v in np.round(vecs).astype(int))
         assert got == sorted(
             [(0, 0), (0, 6), (6, 0), (0, -4), (-4, 0), (-4, -4)]
         )
-        lengths = sorted(round(np.linalg.norm(v), 9) for v in
-                         (nb.vector for nb in nbrs))
+        lengths = sorted(round(np.linalg.norm(v), 9) for v in vecs)
         assert lengths.count(6.0) == 2  # the bridge hops
 
     def test_output_sorted_and_deterministic(self, s2):
-        nbrs = pg.neighbors_within(s2, 4, 7.0)
-        lengths = [np.linalg.norm(nb.vector) for nb in nbrs]
+        vecs, idx, _ = neighbor_arrays(s2, 4, 7.0)
+        lengths = list(np.linalg.norm(vecs, axis=1))
         assert lengths == sorted(lengths)
-        again = pg.neighbors_within(s2, 4, 7.0)
-        assert all(
-            np.array_equal(a.vector, b.vector) and a.index == b.index
-            for a, b in zip(nbrs, again)
-        )
+        again, again_idx, _ = neighbor_arrays(s2, 4, 7.0)
+        assert np.array_equal(vecs, again) and np.array_equal(idx, again_idx)
 
     def test_count_bound(self):
         # |cluster| <= nu(S, alpha, n) * m with nu = (alpha+d)^n V_n / Vol
@@ -136,10 +132,8 @@ class TestNeighborsWithin:
         # the three unit cells of the same square lattice
         for U in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 0], [1, 1]]):
             other = pg.change_cell(square, np.array(U))
-            a = np.sort([np.linalg.norm(nb.vector)
-                         for nb in pg.neighbors_within(square, 0, 3.0)])
-            b = np.sort([np.linalg.norm(nb.vector)
-                         for nb in pg.neighbors_within(other, 0, 3.0)])
+            a = np.sort(np.linalg.norm(neighbor_arrays(square, 0, 3.0)[0], axis=1))
+            b = np.sort(np.linalg.norm(neighbor_arrays(other, 0, 3.0)[0], axis=1))
             assert np.allclose(a, b, atol=1e-9)
 
 
@@ -304,11 +298,9 @@ class TestTransforms:
         S = random_periodic_set(rng, 2, 3)
         M = random_orthogonal(rng, 2)
         T = pg.apply_isometry(S, M, rng.random(2))
-        a = np.sort([np.linalg.norm(nb.vector)
-                     for nb in pg.neighbors_within(S, 0, 2.0)])
+        a = np.sort(np.linalg.norm(neighbor_arrays(S, 0, 2.0)[0], axis=1))
         # the motif order is preserved by apply_isometry
-        b = np.sort([np.linalg.norm(nb.vector)
-                     for nb in pg.neighbors_within(T, 0, 2.0)])
+        b = np.sort(np.linalg.norm(neighbor_arrays(T, 0, 2.0)[0], axis=1))
         assert np.allclose(a, b, atol=1e-9)
 
     def test_change_cell_same_point_set(self):

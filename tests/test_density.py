@@ -6,7 +6,7 @@ import pytest
 import perigeo as pg
 from perigeo.density import DensityFingerprint1D, make_pwl, pwl_sum
 
-from helpers import psi_bruteforce_1d
+from helpers import psi_bruteforce_1d, psi_sampled_ball_counts, random_periodic_set
 
 
 def fingerprint(points):
@@ -205,6 +205,22 @@ class TestSampled:
                 rows = pg.psi_k_sampled(S, k, grid, 20000, seed=trial)
                 for (t, est, se), ex in zip(rows, exact):
                     assert abs(est - ex) <= 4 * se + 1e-12
+
+    def test_equals_ball_count_loop(self):
+        # the same samples counted ball by ball for every t, on seeded sets
+        # with the CLI's default grid
+        rng = np.random.default_rng(6060)
+        for n in (1, 2, 3, 2, 3):
+            S = random_periodic_set(rng, n, int(rng.integers(1, 6)), skew=0.3)
+            grid = np.linspace(0.0, pg.easy_stable_radius(S) / 2.0, 20)
+            for k in range(4):
+                assert (pg.psi_k_sampled(S, k, grid, 1500, seed=k)
+                        == psi_sampled_ball_counts(S, k, grid, 1500, seed=k))
+
+    def test_negative_radius_covers_nothing(self, square):
+        for k in (0, 1, 2):
+            rows = pg.psi_k_sampled(square, k, [-0.5, -0.1], 500)
+            assert [est for _, est, _ in rows] == [float(k == 0)] * 2
 
     def test_square_lattice_covered_beyond_covering_radius(self, square):
         rows = pg.psi_k_sampled(square, 0, [np.sqrt(2) / 2 + 1e-9], 4000, seed=0)
