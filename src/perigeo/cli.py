@@ -392,8 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, nargs=2, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                   help="accepted for compatibility; changes nothing")
     p.set_defaults(func=_cmd_dcluster)
 
     p = sub.add_parser("batch", help="pairwise comparison matrix")
@@ -401,8 +399,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("amd", "isoset", "emd"), required=True)
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                   help="accepted for compatibility; changes nothing")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_batch)
 

@@ -22,6 +22,9 @@ from scipy.spatial import Voronoi, cKDTree
 
 # determinant cutoff (relative to b^n) below which a cell is rejected
 TOL_DEGENERATE = 1e-12
+# largest accepted |basis entry|: for n <= 3 the squared lengths (<= 3e200),
+# b^n (<= 5.2e300) and det(basis) (<= 6e300) then stay finite
+MAX_BASIS_ENTRY = 1e100
 # relative tolerance for distance comparisons and deduplication
 REL_TOL = 1e-9
 
@@ -45,6 +48,9 @@ class UnitCell:
             raise DataError(f"dimension {n} not supported (only n = 1, 2, 3)")
         if not np.all(np.isfinite(basis)):
             raise DataError("basis entries must be finite numbers")
+        if np.abs(basis).max() > MAX_BASIS_ENTRY:
+            raise DataError(
+                f"basis entries must not exceed {MAX_BASIS_ENTRY:g} in absolute value")
         b = float(np.linalg.norm(basis, axis=1).max())
         det = float(np.linalg.det(basis))
         if abs(det) <= TOL_DEGENERATE * b ** n:

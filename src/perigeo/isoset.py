@@ -298,12 +298,7 @@ def cluster_symmetry_group(C: Cluster, tol: Optional[float] = None
     scale = max(float(C.lengths.max()), 1e-30)
     rank, frame = _rank_and_frame(C.points, scale)
     pc = C.points @ frame[:rank].T
-    if rank == 0:
-        reduced = [np.eye(0)]
-    elif rank == 1:
-        reduced = [np.array([[s]]) for s in _signed_line_match(pc[:, 0], pc[:, 0], tol_abs)]
-    else:
-        reduced = _reduced_maps(pc, pc, tol_abs, first_only=False)
+    reduced = _reduced_maps(pc, pc, tol_abs, first_only=False)
     codim = n - rank
     if codim >= 2:
         return SymmetryGroup(continuous=True, rank=rank,

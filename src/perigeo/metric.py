@@ -1,24 +1,28 @@
 """Distances between clusters, isometry classes, isosets and periodic sets.
 
-Two d_R engines are provided.  The exact-small engine is exact in 1D.  In
-2D it is an interval branch-and-bound over the rotation angle, for
-rotations and reflections alike: nearest-point distances are evaluated
-only at interval ends, and each point's least distance over an interval is
-known exactly, because |R(t)p - q| is smallest at an end unless the angle
-that aligns p with q lies inside, where it is ||p| - |q||.  The running max
-of those per-point values bounds every prefix from below, so a 2D value
-is certified to within 1e-9 max(1, |p|max); near zero, where the
-inner-product distances have a float floor of about 1e-8 |p|max, the best
-map is polished by least squares and evaluated by coordinate differences,
-so isometric copies read about 1e-15.  In 3D it is one lazy max-min
-search over the length-sorted prefixes: a seeded rotation sample,
+Every distance here is one max-min over the length-sorted prefixes of a
+cluster, max_i min(gain_i, d_R_i), computed by _max_min: d_M takes the
+gains alpha - |p_i|, and d_R of a whole set the gains under which only
+the last prefix counts.  Two d_R engines are provided.  The exact-small
+engine is exact in 1D.  In 2D it is an interval branch-and-bound over the
+rotation angle, for rotations and reflections alike: nearest-point
+distances are evaluated only at interval ends, and each point's least
+distance over an interval is known exactly, because |R(t)p - q| is
+smallest at an end unless the angle that aligns p with q lies inside,
+where it is ||p| - |q||.  The running max of those per-point values bounds
+every prefix from below, so a 2D value is certified to within
+1e-9 max(1, |p|max).  Those distances come from inner products, whose
+float floor is about 1e-8 |p|max; near zero the best map is polished by
+least squares and evaluated by coordinate differences, so isometric copies
+read about 1e-15.  That polish is the only float-floor correction.  In 3D
+the exact engine is a lazy max-min search: a seeded rotation sample,
 evaluated once for every prefix, gives each prefix an upper bound, and
 only a prefix that can still set the max is refined, by the approximation
 engine's maps and a local pattern search; it carries no certificate.  The
 approximation engine implements the anchor construction whose value is
 guaranteed within a factor 2(n-1) of the optimum (reported with a
 (1+delta) cushion), and runs through the same search without the sample
-or the refinement.
+or the pattern search.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -96,14 +99,6 @@ def _nearest(P: np.ndarray, tree: cKDTree, maps: np.ndarray) -> np.ndarray:
         moved = np.einsum("tij,kj->tki", maps[a:b], P)
         out[a:b] = tree.query(moved.reshape(-1, P.shape[1]))[0].reshape(b - a, k)
     return out
-
-
-def _best_over_maps(P: np.ndarray, Q: np.ndarray, maps: np.ndarray):
-    """(d_H, map) for the first map of the stack with the least
-    d_H(map P, Q)."""
-    vals = _nearest(P, cKDTree(Q), maps).max(axis=1)
-    t = int(np.argmin(vals))
-    return float(vals[t]), maps[t]
 
 
 # ---------------------------------------------------------------------------
@@ -177,46 +172,50 @@ class _RotationProfile2D:
         return out
 
 
-def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
-               gains: Optional[np.ndarray] = None):
-    """Per-prefix 2D d_R by interval branch-and-bound over the angle.
+def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
+    """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
+    max_i min(gains[i], d_R_i), by interval branch-and-bound over the angle.
 
     Rotations R(t) and reflections R(t) diag(1, -1) start from a uniform
     grid of BNB_INTERVALS_2D angle intervals each.  Per-point distances are
     evaluated only at interval ends; the incumbent upper[i] of prefix
-    P[:i+1] is its least d_H over the maps evaluated.  An interval's bound
-    for a point is the point's exact least distance there (see
-    _RotationProfile2D), a prefix's bound the running max over its points,
-    and lower[i] the least bound of prefix i over all intervals, so d_R_i
-    lies in [lower[i], upper[i]].
+    P[:i+1] is its least d_H over the maps evaluated, and maps[i] the first
+    map that attains it.  An interval's bound for a point is the point's
+    exact least distance there (see _RotationProfile2D), a prefix's bound
+    the running max over its points, and lower[i] the least bound of prefix
+    i over all intervals, so d_R_i lies in [lower[i], upper[i]].
 
-    With `gains`, the search resolves max_i min(gains[i], d_R_i) to within
-    tol = 1e-9 max(1, |P|max) and drops an interval once no prefix that can
-    still set that max gains more than tol in it; without, it resolves
-    every prefix.  Intervals halve until that holds or they are
+    The search resolves the max-min to within tol = 1e-9 max(1, |P|max) and
+    drops an interval once no prefix that can still set the max gains more
+    than tol in it.  Intervals halve until that holds or they are
     BNB_MIN_WIDTH_2D wide.
 
-    The inner-product distances have a float floor of about 1e-8 |P|max:
-    their error on a distance d is about 1e-15 scale^2 / d, below tol once
-    d exceeds 1e-6 scale.  So, with `gains`, when the prefix i that sets
-    the max has upper[i] <= 1e-6 scale, its best map is polished: the
-    orthogonal map of the same family that best fits P, by least squares,
-    to the points of Q nearest that map's image is evaluated by coordinate
-    differences and lowers upper.  For an isometric copy it is the exact
-    map.  Returns (upper, lower, evaluated), evaluated being (reflect, angle,
-    per-prefix d_H) of every map the search evaluated.
+    The float floor: the inner-product distances err by about 1e-15
+    scale^2 / d on a distance d, below tol once d exceeds 1e-6 scale.  So
+    when the prefix i that sets the max has upper[i] <= 1e-6 scale, its
+    map is polished: the orthogonal map of the same family that best fits
+    P, by least squares, to the points of Q nearest that map's image is
+    evaluated by coordinate differences, and replaces the incumbent of
+    every prefix whose d_H it lowers.  For an isometric copy it is the exact
+    map, which reads about 1e-15.
     """
     k = len(P)
     tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
     engine = _RotationProfile2D(P, Q)
     upper = np.full(k, np.inf)
-    evaluated = []
+    best_theta = np.zeros(k)
+    best_reflect = np.zeros(k, dtype=bool)
 
     def evaluate(thetas, reflect):
         near = engine.profiles(thetas, reflect)
-        prof = np.maximum.accumulate(near, axis=1)
-        np.minimum(upper, prof.min(axis=0, initial=np.inf), out=upper)
-        evaluated.append((reflect, thetas, prof))
+        if len(thetas):  # every interval may have been dropped
+            prof = np.maximum.accumulate(near, axis=1)
+            t = np.argmin(prof, axis=0)
+            vals = prof[t, np.arange(k)]
+            better = vals < upper
+            upper[better] = vals[better]
+            best_theta[better] = thetas[t[better]]
+            best_reflect[better] = reflect[t[better]]
         return near
 
     width = 2 * math.pi / BNB_INTERVALS_2D
@@ -227,19 +226,17 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
     near_hi = np.roll(near_lo.reshape(2, BNB_INTERVALS_2D, k), -1, axis=1)
     near_hi = near_hi.reshape(-1, k)
     floor = np.full(k, np.inf)  # least prefix bounds of dropped intervals
-    irrelevant = np.zeros(k, dtype=bool)
     while True:
         bound = np.minimum(np.minimum(near_lo, near_hi),
                            engine.aligned_gaps(lo, hi, reflect))
         bound = np.maximum.accumulate(bound, axis=1)
         lower = np.minimum(floor, bound.min(axis=0, initial=np.inf))
-        if gains is not None:
-            # prefix i cannot set the max-min when even its upper bound is
-            # within tol of the certified d_lo, or when the next gain
-            # exceeds d_up: then d_R_i <= d_R_{i+1} <= d_up < gains[i+1]
-            d_lo = np.max(np.minimum(gains, lower))
-            irrelevant = np.minimum(gains, upper) <= d_lo + tol
-            irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
+        # prefix i cannot set the max-min when even its upper bound is
+        # within tol of the certified d_lo, or when the next gain exceeds
+        # d_up: then d_R_i <= d_R_{i+1} <= d_up < gains[i+1]
+        d_lo = np.max(np.minimum(gains, lower))
+        irrelevant = np.minimum(gains, upper) <= d_lo + tol
+        irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
         if (np.all(irrelevant | (upper - lower <= tol))
                 or len(lo) == 0 or width <= BNB_MIN_WIDTH_2D):
             break
@@ -254,33 +251,18 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray,
         near_lo = np.concatenate([near_lo, near_mid])
         near_hi = np.concatenate([near_mid, near_hi])
         width /= 2
-    reflect, theta, prof = (np.concatenate(x) for x in zip(*evaluated))
-    if gains is not None:
-        i = int(np.argmax(np.minimum(gains, upper)))
-        scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-        if upper[i] <= 1e-6 * scale:
-            t = int(np.argmin(prof[:, i]))
-            M = _maps_2d(theta[t], reflect[t])
-            tree = cKDTree(Q)
-            U, _, Vt = np.linalg.svd(Q[tree.query(P @ M.T)[1]].T @ P)
-            U[:, 1] *= np.linalg.det(M) * np.linalg.det(U @ Vt)
-            polished = _nearest(P, tree, (U @ Vt)[None])[0]
-            np.minimum(upper, np.maximum.accumulate(polished), out=upper)
-    return upper, lower, (reflect, theta, prof)
-
-
-def d_R_prefixes(C, D) -> np.ndarray:
-    """d_R of every length-sorted prefix of C against D (exact engine).
-
-    Only 2D; the i-th entry is min over O(R^2) of
-    d_H(f({p_1..p_{i+1}}), D), to within the branch-and-bound's tolerance
-    above.
-    """
-    P, Q = _points(C), _points(D)
-    if P.shape[1] != 2:
-        raise ValueError("prefix profiles implemented for n = 2 only")
-    order = np.argsort(np.linalg.norm(P, axis=1), kind="stable")
-    return _dr_bnb_2d(P[order], Q)[0]
+    maps = _maps_2d(best_theta, best_reflect)
+    i = int(np.argmax(np.minimum(gains, upper)))
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+    if upper[i] <= 1e-6 * scale:
+        tree = cKDTree(Q)
+        U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
+        U[:, 1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
+        polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
+        better = polished < upper
+        upper[better] = polished[better]
+        maps[better] = U @ Vt
+    return upper, lower, maps
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +325,15 @@ def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                                np.arctan2(Qnz[:, 1], Qnz[:, 0])).reshape(-1, 2, 2)
     u1 = p1 / np.linalg.norm(p1)
     units = Qnz / np.linalg.norm(Qnz, axis=1)[:, None]
-    # the least rotations taking u1 to +q and -q
-    level1 = np.stack([Rotation.align_vectors(sign * q, u1)[0].as_matrix()
-                       for q in units for sign in (1.0, -1.0)])
+    # the least rotations taking u1 to +q and -q: about u1 x q by the angle
+    # between them, or by pi about a fixed perpendicular when q = -u1
+    targets = np.stack([units, -units], axis=1).reshape(-1, 3)
+    axes = np.cross(u1, targets)
+    sines = np.linalg.norm(axes, axis=1)
+    axes[sines < 1e-14] = _axis_frames(u1[None])[0, :, 1]
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    level1 = Rotation.from_rotvec(
+        np.arctan2(sines, targets @ u1)[:, None] * axes).as_matrix()
     if len(anchors) == 1:
         return level1
     E = _axis_frames(level1 @ u1)
@@ -364,7 +352,7 @@ def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the max-min search (3D exact d_R, approximation engine)
+# the max-min search and the d_R entry points
 
 
 _PATTERN_DIRS = np.concatenate([
@@ -465,41 +453,54 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
             best, best_map = min(float(gains[i]), val), M
 
 
+def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool):
+    """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i) and a
+    map attaining d_R_i for the prefix that sets it.  The exact engine is
+    the branch-and-bound in 2D and the max-min search with its rotation
+    sample in 3D; the approximation engine, and 1D, use the max-min search
+    on the construction's maps alone."""
+    if exact and P.shape[1] == 2:
+        upper, _, maps = _dr_bnb_2d(P, Q, gains)
+        value = np.minimum(gains, upper)
+        i = int(np.argmax(value))
+        return float(value[i]), maps[i]
+    return _max_min_search(P, Q, gains, exact and P.shape[1] == 3)
+
+
+def _whole_set(C, D):
+    """(P, Q, gains): the point arrays, and the gains under which the
+    max-min is d_R of the whole of P: only the last prefix counts."""
+    P, Q = _points(C), _points(D)
+    if P.shape[0] == 0 or Q.shape[0] == 0:
+        raise ValueError("empty point set")
+    gains = np.full(len(P), -np.inf)
+    gains[-1] = np.inf
+    return P, Q, gains
+
+
 def d_R_exact_small(C, D):
     """(value, map): min over all orthogonal maps of d_H(f(C), D) (n <= 3):
     exact in 1D, the certified branch-and-bound in 2D, and in 3D the
     approximation engine's maps, a seeded sample of GRID_3D rotations
     (plain and mirrored) and a local pattern search from the best of them,
-    which carries no certificate.  In 2D and 3D the value never exceeds
-    d_R_approx."""
-    P, Q = _points(C), _points(D)
-    if P.shape[0] == 0 or Q.shape[0] == 0:
-        raise ValueError("empty point set")
-    n = P.shape[1]
-    # only the whole set counts in the max-min
-    gains = np.full(len(P), -np.inf)
-    gains[-1] = np.inf
-    if n == 2:
-        upper, _, (reflect, theta, prof) = _dr_bnb_2d(P, Q, gains)
-        # re-evaluate directly every map within the inner-product form's
-        # float floor of the best (the coordinate-difference form keeps its
-        # precision near zero), and the approximation engine's maps, so
-        # that the value never exceeds d_R_approx
-        scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-        near = prof[:, -1] <= upper[-1] + 1e-7 * scale
-        return _best_over_maps(P, Q, np.concatenate(
-            [_approx_maps(P, Q), _maps_2d(theta[near], reflect[near])]))
-    return _max_min_search(P, Q, gains, exact=n == 3)
+    which carries no certificate.  The value is the returned map's own
+    d_H, by coordinate differences, and never exceeds d_R_approx."""
+    P, Q, gains = _whole_set(C, D)
+    value, M = _max_min(P, Q, gains, exact=True)
+    if P.shape[1] != 2:
+        # the max-min search evaluates by coordinate differences, and its
+        # maps include the construction's
+        return value, M
+    value = float(_nearest(P, cKDTree(Q), M[None]).max())
+    approx, A = _max_min(P, Q, gains, exact=False)
+    return (approx, A) if approx <= value else (value, M)
 
 
 def d_R_approx(C, D):
     """Upper bound on d_R within a factor 2(n-1) of the optimum, from the
     farthest-point anchor construction (n >= 2; exact in 1D)."""
-    P, Q = _points(C), _points(D)
-    if P.shape[0] == 0 or Q.shape[0] == 0:
-        raise ValueError("empty point set")
-    val, _ = _best_over_maps(P, Q, _approx_maps(P, Q))
-    return val
+    P, Q, gains = _whole_set(C, D)
+    return _max_min(P, Q, gains, exact=False)[0]
 
 
 def approx_factor_bound(n: int, delta: float = DEFAULT_DELTA) -> float:
@@ -522,8 +523,7 @@ def d_M(C, D, alpha: float, engine: str = "auto") -> float:
     """One-sided boundary-tolerant distance: the max over length-sorted
     prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)).
 
-    One search serves all prefixes: the exact engine's branch-and-bound in
-    2D, and otherwise the lazy max-min search, which finds a prefix's d_R
+    One search serves all prefixes (see _max_min): it finds a prefix's d_R
     only while that prefix might still set the max."""
     P, Q = _points(C), _points(D)
     lengths = np.linalg.norm(P, axis=1)
@@ -532,17 +532,12 @@ def d_M(C, D, alpha: float, engine: str = "auto") -> float:
     if alpha < lengths[-1] - 1e-9 * max(1.0, alpha):
         raise ValueError("alpha is smaller than the cluster radius")
     gains = alpha - lengths
-    n = P.shape[1]
     exact = _resolve_engine(engine, len(P), len(Q)) == "exact"
     # trailing zero-gain points cannot raise the max-min
     keep = int(np.searchsorted(-gains, 0.0, side="left"))
     if keep == 0:
         return 0.0
-    P, gains = P[:keep], gains[:keep]
-    if exact and n == 2:
-        dr = _dr_bnb_2d(P, Q, gains)[0]
-        return float(np.max(np.minimum(gains, dr)))
-    return _max_min_search(P, Q, gains, exact and n == 3)[0]
+    return _max_min(P[:keep], Q, gains[:keep], exact)[0]
 
 
 def d_C(sigma, xi, alpha: float, engine: str = "auto") -> float:

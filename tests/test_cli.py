@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ class TestParsing:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ParseError):
                 parse_set_file(path)
+
+    def test_huge_basis_rejected(self, tmp_path, capsys):
+        # refused by the entry limit before b ** n or det(basis) overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e200, 1e300):
+                files = {
+                    "huge.txt": f"dim 2\n{scale} 0\n0 1\nmotif 1\n0.5 0.5\n",
+                    "huge.json": json.dumps({"dim": 2, "basis": [[scale, 0], [0, 1]],
+                                             "motif": [[0.5, 0.5]]}),
+                }
+                for name, text in files.items():
+                    path = tmp_path / name
+                    path.write_text(text, encoding="utf-8")
+                    with pytest.raises(ParseError, match="must not exceed 1e\\+100"):
+                        parse_set_file(path)
+                    assert main(["amd", str(path), "-k", "2"]) == 2
+                    assert "must not exceed 1e+100" in capsys.readouterr().err
+            for scale in (1e-3, 1.0, 1e6):
+                S = parse_set_text(f"dim 2\n{scale} 0\n0 {scale}\nmotif 1\n0.5 0.5\n")
+                assert S.cell.basis[0, 0] == scale
 
     def test_json_top_level_must_be_object(self, tmp_path):
         for text in ("5", "[1, 2]", '"dim"', "null"):

@@ -10,11 +10,9 @@ from perigeo.metric import (
     _dr_bnb_2d,
     _min_cost_transport,
     approx_factor_bound,
-    d_R_prefixes,
 )
 
 from helpers import (
-    _prefix_scan_2d,
     approx_maps_loop,
     dm_prefix_loop,
     dm_scan_2d,
@@ -112,21 +110,6 @@ class TestDrExact:
             resolution = np.linalg.norm(C, axis=1).max() * np.pi / n_angles
             assert val >= oracle - resolution, (draw, val, oracle)
 
-    def test_prefixes_certified(self, square, hexagonal):
-        # without gains the search resolves every prefix to its tolerance
-        C = pg.alpha_cluster(square, 0, 2.0).points
-        D = pg.alpha_cluster(hexagonal, 0, 2.0).points
-        C = C[np.argsort(np.linalg.norm(C, axis=1), kind="stable")]
-        upper, lower, _ = _dr_bnb_2d(C, D)
-        tol = 1e-9 * np.linalg.norm(C, axis=1).max()
-        assert np.all(upper - lower <= tol)
-        n_angles = 3000
-        scan = _prefix_scan_2d(C, D, n_angles)
-        resolution = np.linalg.norm(C, axis=1).max() * np.pi / n_angles
-        assert np.all(lower <= scan + 1e-9)
-        assert np.all(upper >= scan - resolution)
-        assert np.array_equal(d_R_prefixes(C, D), upper)
-
     def test_matches_dense_scan_on_random_clusters(self):
         rng = np.random.default_rng(73)
         for _ in range(5):
@@ -136,6 +119,22 @@ class TestDrExact:
             oracle = dr_scan_2d(C, D, 8000)
             assert val <= oracle + 1e-9
             assert val >= oracle - 2e-3  # oracle grid resolution
+
+    def test_map_attains_value(self):
+        # random pairs and isometric copies; the value is the returned map's
+        # own d_H and never exceeds the approximation engine's
+        rng = np.random.default_rng(127)
+        for n in (2, 3):
+            for pair in range(12):
+                C = rng.normal(size=(int(rng.integers(4, 13)), n))
+                if pair % 2:
+                    D = C @ random_orthogonal(rng, n).T
+                else:
+                    D = rng.normal(size=(int(rng.integers(4, 13)), n))
+                val, M = pg.d_R_exact_small(C, D)
+                assert np.allclose(M.T @ M, np.eye(n), atol=1e-12)
+                assert abs(val - pg.directed_hausdorff(C @ M.T, D)) <= 1e-12
+                assert val <= pg.d_R_approx(C, D), (n, pair)
 
 
 class TestDrApprox:
@@ -186,12 +185,6 @@ class TestDm:
     def test_identical_clusters(self, square):
         C = pg.alpha_cluster(square, 0, 2.0)
         assert pg.d_M(C, C, 2.0) <= 1e-9
-
-    def test_prefix_monotonicity_checked(self, square, hexagonal):
-        C = pg.alpha_cluster(square, 0, 2.0).points
-        D = pg.alpha_cluster(hexagonal, 0, 2.0).points
-        prefixes = d_R_prefixes(C, D)
-        assert np.all(np.diff(prefixes) >= -1e-8)
 
     def test_alpha_too_small_rejected(self, square):
         C = pg.alpha_cluster(square, 0, 2.0)
