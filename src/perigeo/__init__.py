@@ -40,6 +40,7 @@ from .isoset import (
     isosets_equal,
     isotree,
     minimum_stable_radius,
+    stable_alpha,
     symmetry_group,
 )
 from .metric import (

@@ -26,6 +26,7 @@ from .isoset import (
     isosets_equal,
     isotree,
     minimum_stable_radius,
+    stable_alpha,
 )
 from .metric import (
     DEFAULT_DELTA,
@@ -225,8 +226,11 @@ def _cmd_emd(args):
     A = parse_set_file(args.file_a)
     B = parse_set_file(args.file_b)
     tol = _tolerance_override()
+    fallback = None
     if args.alpha is not None:
         alpha = float(args.alpha)
+    elif args.stable:
+        alpha, fallback = stable_alpha(A, B, tol)
     else:
         alpha = common_stable_alpha(A, B)
     iso_a = isoset(A, alpha, tol)
@@ -237,7 +241,7 @@ def _cmd_emd(args):
         max(c.representative.size for c in iso_a.classes),
         max(c.representative.size for c in iso_b.classes),
     )
-    _emit({
+    data = {
         "schema": SCHEMA,
         "command": "emd",
         "files": [str(args.file_a), str(args.file_b)],
@@ -248,7 +252,10 @@ def _cmd_emd(args):
         "delta": args.delta,
         "factor_bound": approx_factor_bound(A.dim, args.delta)
         if engine_used == "approx" else 1.0,
-    })
+    }
+    if fallback is not None:
+        data["fallback"] = fallback
+    _emit(data)
     return 0
 
 
@@ -380,7 +387,9 @@ def build_parser() -> _Parser:
     p.add_argument("file_b")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=float)
-    group.add_argument("--stable", action="store_true")
+    group.add_argument("--stable", action="store_true",
+                       help="use the larger of the two minimum stable radii "
+                       "(default: the larger of the two max{2b, d})")
     p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="cushion of the reported factor_bound only")

@@ -25,6 +25,9 @@ TOL_DEGENERATE = 1e-12
 # largest accepted |basis entry|: for n <= 3 the squared lengths (<= 3e200),
 # b^n (<= 5.2e300) and det(basis) (<= 6e300) then stay finite
 MAX_BASIS_ENTRY = 1e100
+# smallest accepted longest basis vector: for n <= 3, b^n (>= 1e-300) then
+# stays a normal float and does not underflow to zero
+MIN_BASIS_LENGTH = 1e-100
 # relative tolerance for distance comparisons and deduplication
 REL_TOL = 1e-9
 
@@ -52,6 +55,9 @@ class UnitCell:
             raise DataError(
                 f"basis entries must not exceed {MAX_BASIS_ENTRY:g} in absolute value")
         b = float(np.linalg.norm(basis, axis=1).max())
+        if b < MIN_BASIS_LENGTH:
+            raise DataError(
+                f"the longest basis vector must be at least {MIN_BASIS_LENGTH:g} long")
         det = float(np.linalg.det(basis))
         if abs(det) <= TOL_DEGENERATE * b ** n:
             raise DataError("degenerate cell: |det(basis)| is numerically zero")

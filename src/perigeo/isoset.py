@@ -333,20 +333,36 @@ def groups_equal(g1: SymmetryGroup, g2: SymmetryGroup,
 # partitions, isotree, stable radius, isoset
 
 
+def _refine(S: PeriodicSet, parent, alpha: float, tol: Optional[float]):
+    """Split every block of `parent` by isometry class of its members'
+    alpha-clusters; blocks are sorted tuples, ordered by smallest member.
+
+    Only members of one parent block are compared, so `parent` must be the
+    partition at some radius <= alpha (the alpha-partition at alpha'
+    refines the one at alpha <= alpha')."""
+    blocks = []
+    for pblock in parent:
+        if len(pblock) == 1:
+            blocks.append(pblock)
+            continue
+        reps, split = [], []
+        for i in pblock:
+            C = alpha_cluster(S, i, alpha)
+            for rep, members in zip(reps, split):
+                if clusters_isometric(C, rep, tol) is not None:
+                    members.append(i)
+                    break
+            else:
+                reps.append(C)
+                split.append([i])
+        blocks.extend(tuple(b) for b in split)
+    return tuple(sorted(blocks))
+
+
 def alpha_partition(S: PeriodicSet, alpha: float, tol: Optional[float] = None):
     """Motif indices split by isometry class of their alpha-clusters;
     blocks are sorted tuples, ordered by smallest member."""
-    clusters = [alpha_cluster(S, i, alpha) for i in range(S.m)]
-    reps, blocks = [], []
-    for i in range(S.m):
-        for b, rep in enumerate(reps):
-            if clusters_isometric(clusters[i], rep, tol) is not None:
-                blocks[b].append(i)
-                break
-        else:
-            reps.append(clusters[i])
-            blocks.append([i])
-    return tuple(tuple(b) for b in blocks)
+    return _refine(S, (tuple(range(S.m)),), alpha, tol)
 
 
 def critical_radii(S: PeriodicSet, alpha_max: float):
@@ -392,6 +408,130 @@ class StableRadiusResult:
     fallback: bool = False
 
 
+def _filter_group(root: SymmetryGroup, C: Cluster, tol: Optional[float]
+                  ) -> SymmetryGroup:
+    """The elements of a full-rank root group that still map C onto itself."""
+    if root.order == 1:
+        return root
+    tree = cKDTree(C.points)
+    tol_abs = match_tolerance(C.alpha, tol)
+    kept = tuple(
+        e for e in root.elements
+        if _verify_map(e, C.points, tree, C.size, tol_abs)
+    )
+    return SymmetryGroup(continuous=False, rank=root.rank,
+                         reduced_order=len(kept), elements=kept,
+                         order=len(kept))
+
+
+class _StableScan:
+    """One minimum-stable-radius scan over the critical grid `crit`.
+
+    Partitions and groups are computed lazily per grid level and cached.
+    A partition refines the nearest settled lower level already computed
+    (the alpha-partition at alpha' refines the one at alpha <= alpha').
+    Each motif point has one root group, searched at the first settled
+    level where its cluster has full rank; above it the group is the
+    root's elements that still verify (a self-isometry of a larger cluster
+    restricts to one of a smaller cluster).  Below the root the group is
+    searched.  A level is settled when no critical radius lies within the
+    match tolerance above it: a shell whose radii a near-tie splits is
+    partly inside such a level, which breaks both facts within tolerance.
+    """
+
+    def __init__(self, S: PeriodicSet, tol: Optional[float]):
+        self.S, self.tol = S, tol
+        self.upper = easy_stable_radius(S)
+        self.snap_tol = REL_TOL * S.cell.diameter
+        # the largest radius first: every later cluster is a prefix of its stack
+        self.crit = [0.0] + critical_radii(S, self.upper + self.snap_tol)
+        self.beta = bridge_length(S)
+        self.band = 2.0 * match_tolerance(self.crit[-1], tol)
+        self.partitions = {}  # level -> partition
+        self.parents = []     # sorted settled levels in `partitions`
+        self.groups = {}      # (motif index, level) -> SymmetryGroup
+        self.roots = {}       # motif index -> (level, root group)
+
+    def snap(self, r: float) -> int:
+        return bisect.bisect_right(self.crit, r + self.snap_tol) - 1
+
+    def partition(self, idx: int):
+        if idx not in self.partitions:
+            pos = bisect.bisect_left(self.parents, idx)
+            parent = (self.partitions[self.parents[pos - 1]] if pos
+                      else (tuple(range(self.S.m)),))
+            self.partitions[idx] = _refine(self.S, parent, self.crit[idx],
+                                           self.tol)
+            if self._settled(idx):
+                self.parents.insert(pos, idx)
+        return self.partitions[idx]
+
+    def _settled(self, j: int) -> bool:
+        """The next critical radius is more than the scan's widest length
+        tolerance above level j, so no near-tie splits a shell there."""
+        nxt = self.crit[j + 1] if j + 1 < len(self.crit) else np.inf
+        return nxt - self.crit[j] > self.band
+
+    def _full_rank(self, p: int, idx: int) -> bool:
+        C = alpha_cluster(self.S, p, self.crit[idx])
+        rank, _ = _rank_and_frame(C.points, max(float(C.lengths.max()), 1e-30))
+        return rank == self.S.dim
+
+    def _root(self, p: int):
+        if p not in self.roots:
+            # rank only grows with the radius: gallop, then bisect, for the
+            # first full-rank level (level 0 is the center alone, rank 0)
+            end = len(self.crit)
+            step = 1
+            while step < end and not self._full_rank(p, step):
+                step *= 2
+            level = bisect.bisect_left(range(end), True, step // 2, min(step, end),
+                                       key=lambda i: self._full_rank(p, i))
+            while level < end and not self._settled(level):
+                level += 1
+            root = (symmetry_group(self.S, p, self.crit[level], self.tol)
+                    if level < end else None)
+            if root is None or root.rank < self.S.dim:
+                level, root = end, None
+            self.roots[p] = (level, root)
+        return self.roots[p]
+
+    def group(self, p: int, idx: int) -> SymmetryGroup:
+        key = (p, idx)
+        if key not in self.groups:
+            level, root = self._root(p)
+            if idx < level:
+                g = symmetry_group(self.S, p, self.crit[idx], self.tol)
+            elif idx == level:
+                g = root
+            else:
+                g = _filter_group(root, alpha_cluster(self.S, p, self.crit[idx]),
+                                  self.tol)
+            self.groups[key] = g
+        return self.groups[key]
+
+    def run(self) -> StableRadiusResult:
+        beta, upper, snap_tol = self.beta, self.upper, self.snap_tol
+        candidates = {beta, upper}
+        for c in self.crit:
+            if beta - snap_tol <= c <= upper + snap_tol:
+                candidates.add(c)
+            if beta - snap_tol <= c + beta <= upper + snap_tol:
+                candidates.add(c + beta)
+        for alpha in sorted(candidates):
+            hi, lo = self.snap(alpha), self.snap(max(alpha - beta, 0.0))
+            # the lower level first, so that the higher one refines it
+            if self.partition(lo) != self.partition(hi):
+                continue
+            # point by point, stopping at the first mismatch
+            if all(
+                groups_equal(self.group(p, hi), self.group(p, lo))
+                for p in range(self.S.m)
+            ):
+                return StableRadiusResult(alpha=alpha, beta=beta)
+        return StableRadiusResult(alpha=upper, beta=beta, fallback=True)
+
+
 def minimum_stable_radius(S: PeriodicSet, tol: Optional[float] = None
                           ) -> StableRadiusResult:
     """Smallest alpha >= beta with P(S; alpha) = P(S; alpha - beta) and
@@ -400,49 +540,11 @@ def minimum_stable_radius(S: PeriodicSet, tol: Optional[float] = None
     Partitions and groups are piecewise constant in the radius, changing
     only at pairwise distances; the scan therefore visits the critical
     radii and their beta-shifts, snapping both compared radii onto the
-    critical grid.
+    critical grid.  The scan is monotone: partitions refine the nearest
+    lower level computed, and each point's groups at and above the first
+    full-rank level are filtered from the one group searched there.
     """
-    upper = easy_stable_radius(S)
-    snap_tol = REL_TOL * S.cell.diameter
-    # the largest radius first: every later cluster is a prefix of its stack
-    crit = [0.0] + critical_radii(S, upper + snap_tol)
-    beta = bridge_length(S)
-
-    candidates = {beta, upper}
-    for c in crit:
-        if beta - snap_tol <= c <= upper + snap_tol:
-            candidates.add(c)
-        if beta - snap_tol <= c + beta <= upper + snap_tol:
-            candidates.add(c + beta)
-    candidates = sorted(candidates)
-
-    part_cache, sym_cache = {}, {}
-
-    def snap(r: float) -> int:
-        return bisect.bisect_right(crit, r + snap_tol) - 1
-
-    def partition_at(idx: int):
-        if idx not in part_cache:
-            part_cache[idx] = alpha_partition(S, crit[idx], tol)
-        return part_cache[idx]
-
-    def groups_at(idx: int):
-        if idx not in sym_cache:
-            sym_cache[idx] = [
-                symmetry_group(S, p, crit[idx], tol) for p in range(S.m)
-            ]
-        return sym_cache[idx]
-
-    for alpha in candidates:
-        hi, lo = snap(alpha), snap(max(alpha - beta, 0.0))
-        if partition_at(hi) != partition_at(lo):
-            continue
-        if all(
-            groups_equal(gh, gl)
-            for gh, gl in zip(groups_at(hi), groups_at(lo))
-        ):
-            return StableRadiusResult(alpha=alpha, beta=beta)
-    return StableRadiusResult(alpha=upper, beta=beta, fallback=True)
+    return _StableScan(S, tol).run()
 
 
 def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
@@ -470,6 +572,14 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
 def common_stable_alpha(S: PeriodicSet, Q: PeriodicSet) -> float:
     """A radius stable for both sets: the larger of the two easy bounds."""
     return max(easy_stable_radius(S), easy_stable_radius(Q))
+
+
+def stable_alpha(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None):
+    """(alpha, fallback): the larger of the two minimum stable radii, a
+    radius stable for both sets; fallback is True when either scan fell
+    back to the easy bound."""
+    a, b = minimum_stable_radius(S, tol), minimum_stable_radius(Q, tol)
+    return max(a.alpha, b.alpha), a.fallback or b.fallback
 
 
 def isosets_equal(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None,

@@ -41,6 +41,20 @@ def random_periodic_set(rng, n: int, m: int, min_sep: float = 0.2,
     raise RuntimeError("could not draw a well-separated motif")
 
 
+def layered_set(rng, n: int, k: int) -> pg.PeriodicSet:
+    """k motif points on the mirror planes x = 0 or 1/2 near the bottom of
+    a tall rectangular cell, and one point higher up that breaks the
+    mirror: small clusters of the k points are mirror-symmetric, larger
+    ones are not."""
+    basis = np.diag(np.r_[1 + 0.3 * rng.random(n - 1), 2.5 + rng.random()])
+    on = rng.random((k, n))
+    on[:, 0] = rng.choice([0.0, 0.5], size=k)
+    on[:, -1] = 0.1 * rng.random(k)
+    extra = rng.random((1, n))
+    extra[0, -1] = 0.25 + 0.5 * rng.random()
+    return pg.PeriodicSet(pg.UnitCell(basis), np.vstack([on, extra]))
+
+
 def jitter_set(rng, S: pg.PeriodicSet, eps: float):
     """Copy of S with every motif point moved by < eps (Cartesian).
 
@@ -352,3 +366,54 @@ def transport_bruteforce(costs, supply, demand):
         cost = sum(f * costs[e] for e, f in flows.items())
         best = min(best, cost)
     return best
+
+
+def alpha_partition_scratch(S: pg.PeriodicSet, alpha: float, tol=None):
+    """Motif indices split by isometry class of their alpha-clusters, each
+    cluster compared with the first member of every block found so far;
+    blocks are sorted tuples, ordered by smallest member."""
+    clusters = [pg.alpha_cluster(S, i, alpha) for i in range(S.m)]
+    reps, blocks = [], []
+    for i in range(S.m):
+        for b, rep in enumerate(reps):
+            if pg.clusters_isometric(clusters[i], rep, tol) is not None:
+                blocks[b].append(i)
+                break
+        else:
+            reps.append(clusters[i])
+            blocks.append([i])
+    return tuple(tuple(b) for b in blocks)
+
+
+def minimum_stable_radius_scratch(S: pg.PeriodicSet, tol=None):
+    """The stable-radius scan with nothing carried between radii: at every
+    visited critical radius the alpha-partition and every motif point's
+    symmetry group are recomputed from scratch.  Returns (alpha, beta,
+    fallback) as `pg.minimum_stable_radius` does."""
+    from perigeo.core import REL_TOL
+    from perigeo.isoset import critical_radii, groups_equal
+
+    upper = pg.easy_stable_radius(S)
+    snap_tol = REL_TOL * S.cell.diameter
+    crit = [0.0] + critical_radii(S, upper + snap_tol)
+    beta = pg.bridge_length(S)
+    candidates = {beta, upper}
+    for c in crit:
+        if beta - snap_tol <= c <= upper + snap_tol:
+            candidates.add(c)
+        if beta - snap_tol <= c + beta <= upper + snap_tol:
+            candidates.add(c + beta)
+
+    def snap(r):
+        return int(np.searchsorted(crit, r + snap_tol, side="right")) - 1
+
+    def groups(idx):
+        return [pg.symmetry_group(S, p, crit[idx], tol) for p in range(S.m)]
+
+    for alpha in sorted(candidates):
+        hi, lo = snap(alpha), snap(max(alpha - beta, 0.0))
+        if alpha_partition_scratch(S, crit[hi], tol) != alpha_partition_scratch(S, crit[lo], tol):
+            continue
+        if all(groups_equal(gh, gl) for gh, gl in zip(groups(hi), groups(lo))):
+            return alpha, beta, False
+    return upper, beta, True

@@ -15,6 +15,8 @@ from perigeo.io import (
     write_set_text,
 )
 
+from helpers import jitter_set, random_periodic_set
+
 S15_TEXT = """dim 1
 15
 motif 9
@@ -126,6 +128,31 @@ class TestParsing:
             for scale in (1e-3, 1.0, 1e6):
                 S = parse_set_text(f"dim 2\n{scale} 0\n0 {scale}\nmotif 1\n0.5 0.5\n")
                 assert S.cell.basis[0, 0] == scale
+
+    def test_tiny_basis_rejected(self, tmp_path, capsys):
+        # refused by the length limit before b ** n or det(basis) underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-160, 1e-200):
+                files = {
+                    "tiny.txt": f"dim 3\n{scale} 0 0\n0 {scale} 0\n0 0 {scale}\n"
+                                "motif 1\n0.5 0.5 0.5\n",
+                    "tiny.json": json.dumps({"dim": 3, "basis": (np.eye(3) * scale).tolist(),
+                                             "motif": [[0.5, 0.5, 0.5]]}),
+                }
+                for name, text in files.items():
+                    path = tmp_path / name
+                    path.write_text(text, encoding="utf-8")
+                    with pytest.raises(ParseError, match="at least 1e-100"):
+                        parse_set_file(path)
+                    assert main(["amd", str(path), "-k", "2"]) == 2
+                    assert "at least 1e-100" in capsys.readouterr().err
+            for text in ("dim 3\n1e-50 0 0\n0 1e-50 0\n0 0 1e-50\nmotif 1\n0.5 0.5 0.5\n",
+                         json.dumps({"dim": 3, "basis": (np.eye(3) * 1e-50).tolist(),
+                                     "motif": [[0.5, 0.5, 0.5]]})):
+                S = (parse_set_json if text.startswith("{") else parse_set_text)(text)
+                assert S.cell.basis[0, 0] == 1e-50
+                assert S.cell.volume > 0
 
     def test_json_top_level_must_be_object(self, tmp_path):
         for text in ("5", "[1, 2]", '"dim"', "null"):
@@ -283,6 +310,32 @@ class TestCommands:
         ]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["d_cluster"] >= 0
+
+    def test_emd_stable_uses_larger_minimum_stable_radius(self, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        S = random_periodic_set(rng, 2, 3)
+        eps = 0.01
+        Q, _ = jitter_set(rng, S, eps)
+        paths = []
+        for name, T in (("s.txt", S), ("q.txt", Q)):
+            path = tmp_path / name
+            path.write_text(write_set_text(T), encoding="utf-8")
+            paths.append(str(path))
+        stable = []
+        for path in paths:
+            assert main(["isoset", path, "--stable"]) == 0
+            stable.append(json.loads(capsys.readouterr().out)["alpha"])
+        assert main(["emd", *paths, "--stable"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["alpha"] == max(stable)
+        assert data["fallback"] is False
+        assert data["cost"] <= 2 * eps
+        # without --stable: the larger easy bound and no fallback field
+        assert main(["emd", *paths]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["alpha"] == pg.common_stable_alpha(
+            parse_set_file(paths[0]), parse_set_file(paths[1]))
+        assert "fallback" not in data
 
     def test_batch_amd_matrix(self, tmp_path, capsys):
         s15 = write_1d(tmp_path / "s15.txt", s15_points(), 15)

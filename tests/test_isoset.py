@@ -8,15 +8,55 @@ from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
 from perigeo.core import neighbor_arrays, neighbor_stack
-from perigeo.isoset import cluster_symmetry_group, critical_radii, groups_equal
+from perigeo.isoset import (
+    _StableScan,
+    cluster_symmetry_group,
+    critical_radii,
+    groups_equal,
+)
 
 from helpers import (
     UNIMODULAR,
+    alpha_partition_scratch,
     jitter_set,
+    layered_set,
+    minimum_stable_radius_scratch,
     random_orthogonal,
     random_periodic_set,
     rot2,
 )
+
+
+def symmetric_sets():
+    """Exactly symmetric sets by name: lattices, the paper's examples and
+    criterion 9's 2x2 square supercell."""
+    def make(basis, motif):
+        return pg.PeriodicSet(pg.UnitCell(np.asarray(basis, dtype=float)),
+                              np.asarray(motif, dtype=float))
+
+    return {
+        "square": make(np.eye(2), [[0, 0]]),
+        "hexagonal": make([[1, 0], [0.5, np.sqrt(3) / 2]], [[0, 0]]),
+        "cubic": make(np.eye(3), [[0, 0, 0]]),
+        "bcc": make(np.eye(3), [[0, 0, 0], [0.5, 0.5, 0.5]]),
+        "fcc": make(np.eye(3), [[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5],
+                                [0, 0.5, 0.5]]),
+        "s1": make(10 * np.eye(2), [[0.2, 0.2], [0.2, 0.8], [0.8, 0.2],
+                                    [0.8, 0.8]]),
+        "s2": make(10 * np.eye(2), [[0.2, 0.2], [0.2, 0.8], [0.8, 0.2],
+                                    [0.8, 0.8], [0.5, 0.5]]),
+        "s4": make([[1]], [[0], [1 / 4], [1 / 3], [1 / 2]]),
+        "supercell": make(2 * np.eye(2), [[0, 0], [0, 0.5], [0.5, 0],
+                                          [0.5, 0.5]]),
+    }
+
+
+def isometric_copies(S, rng):
+    """S, S in another cell, and S moved by an isometry in a third cell."""
+    n = S.dim
+    moved = pg.apply_isometry(S, random_orthogonal(rng, n), rng.random(n))
+    return [S, pg.change_cell(S, UNIMODULAR[n][-1]),
+            pg.change_cell(moved, UNIMODULAR[n][1])]
 
 
 class TestAlphaCluster:
@@ -355,3 +395,75 @@ class TestIsosetsEqual:
     def test_unstable_flag(self, square):
         assert pg.isoset(square, 1.0).unstable
         assert not pg.isoset(square, 1.2).unstable
+
+
+class TestMonotoneScan:
+    """The monotone scan against the scan that recomputes partitions and
+    groups from scratch at every radius it visits."""
+
+    @staticmethod
+    def random_sets():
+        """Random sets, and layered ones whose groups shrink above the root."""
+        for n in (2, 3):
+            for m in range(1, 7):
+                rng = np.random.default_rng(1000 * n + m)
+                yield random_periodic_set(rng, n, m, skew=(0.1, 0.15, 0.3)[m % 3])
+        for seed in (1, 2, 4, 7, 8, 10, 13):
+            yield layered_set(np.random.default_rng(seed), 2 + seed % 2, 1 + seed % 3)
+
+    @staticmethod
+    def assert_levels_match_scratch(S):
+        """Every partition and group the scan computed equals the one
+        computed from scratch at that radius.  Returns how many filtered
+        groups are smaller than their root."""
+        scan = _StableScan(S, None)
+        scan.run()
+        assert scan.partitions and scan.groups
+        for idx, part in scan.partitions.items():
+            assert part == alpha_partition_scratch(S, scan.crit[idx])
+        shrunk = 0
+        for (p, idx), g in scan.groups.items():
+            assert groups_equal(g, pg.symmetry_group(S, p, scan.crit[idx]))
+            level, root = scan.roots[p]
+            shrunk += idx > level and g.order < root.order
+        return shrunk
+
+    def test_random_sets_match_scratch(self):
+        for S in self.random_sets():
+            res = pg.minimum_stable_radius(S)
+            assert (res.alpha, res.beta, res.fallback) == \
+                minimum_stable_radius_scratch(S)
+
+    def test_symmetric_sets_match_scratch(self):
+        rng = np.random.default_rng(89)
+        for name, S in symmetric_sets().items():
+            for T in isometric_copies(S, rng):
+                res = pg.minimum_stable_radius(T)
+                assert (res.alpha, res.beta, res.fallback) == \
+                    minimum_stable_radius_scratch(T), name
+
+    def test_visited_levels_match_scratch(self):
+        shrunk = sum(self.assert_levels_match_scratch(S) for S in self.random_sets())
+        assert shrunk > 0  # filtering removed root elements somewhere
+        rng = np.random.default_rng(97)
+        for S in symmetric_sets().values():
+            for T in isometric_copies(S, rng):
+                self.assert_levels_match_scratch(T)
+
+    @pytest.mark.parametrize("name, eps, seed", [
+        ("supercell", 3e-7, 502),
+        ("bcc", 1e-7, 501),
+        ("s2", 3e-7, 502),
+        ("fcc", 3e-7, 5),
+    ])
+    def test_near_symmetric_keeps_exact_radius(self, name, eps, seed):
+        # jitter far inside the 1e-6 alpha match tolerance: the stable radius
+        # stays the exact set's. Near that radius the scan that recomputes
+        # everything rejects every candidate on these draws: where a near-tie
+        # splits a shell the partitions differ, and elsewhere the groups'
+        # re-solved matrices differ by more than groups_equal's 1e-8
+        S = symmetric_sets()[name]
+        exact = pg.minimum_stable_radius(S).alpha
+        Q, _ = jitter_set(np.random.default_rng(seed), S, eps)
+        assert pg.minimum_stable_radius(Q).alpha == pytest.approx(exact, rel=1e-5)
+        assert minimum_stable_radius_scratch(Q)[0] > exact * (1 + 1e-5)
