@@ -272,7 +272,7 @@ def _cmd_dcluster(args):
         "files": [str(args.file_a), str(args.file_b)],
         "points": [ia, ib],
         "alpha": args.alpha,
-        "engine": args.dr,
+        "engine": _resolve_engine(args.dr, ca.size, cb.size),
         "d_cluster": value,
     })
     return 0

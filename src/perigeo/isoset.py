@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 
 from .core import (
     REL_TOL,
+    DataError,
     PeriodicSet,
     bridge_length,
     easy_stable_radius,
@@ -383,7 +384,12 @@ def critical_radii(S: PeriodicSet, alpha_max: float):
 
 def isotree(S: PeriodicSet, alpha_max: float, tol: Optional[float] = None
             ) -> Isotree:
-    """Merge tree of alpha-partitions sampled at every critical radius."""
+    """Merge tree of alpha-partitions sampled at every critical radius.
+
+    Raises DataError when a partition does not refine the one below it,
+    which happens when two critical radii lie within the match tolerance
+    of each other: the set is then a near-tie of a more symmetric one, and
+    a shell split between the two radii is matched as if it were whole."""
     radii = [0.0] + critical_radii(S, alpha_max)
     partitions = [alpha_partition(S, r, tol) for r in radii]
     parents = [tuple()]
@@ -395,7 +401,15 @@ def isotree(S: PeriodicSet, alpha_max: float, tol: Optional[float] = None
                 pb for pb, pblock in enumerate(prev) if block[0] in pblock
             )
             if not set(block) <= set(prev[parent]):
-                raise RuntimeError("alpha-partitions failed to refine")
+                gap = radii[lvl] - radii[lvl - 1]
+                match = match_tolerance(radii[lvl], tol)
+                tie = (f"; they are a near-tie, {gap:.3g} apart within the "
+                       f"match tolerance {match:.3g}" if gap <= match else "")
+                raise DataError(
+                    f"alpha-partitions failed to refine at radius "
+                    f"{radii[lvl]:.12g}: the partition there joins points "
+                    f"that the one at the critical radius "
+                    f"{radii[lvl - 1]:.12g} separates{tie}")
             links.append(parent)
         parents.append(tuple(links))
     return Isotree(tuple(radii), tuple(partitions), tuple(parents))

@@ -4,25 +4,28 @@ Every distance here is one max-min over the length-sorted prefixes of a
 cluster, max_i min(gain_i, d_R_i), computed by _max_min: d_M takes the
 gains alpha - |p_i|, and d_R of a whole set the gains under which only
 the last prefix counts.  Two d_R engines are provided.  The exact-small
-engine is exact in 1D.  In 2D it is an interval branch-and-bound over the
-rotation angle, for rotations and reflections alike: nearest-point
-distances are evaluated only at interval ends, and each point's least
-distance over an interval is known exactly, because |R(t)p - q| is
-smallest at an end unless the angle that aligns p with q lies inside,
-where it is ||p| - |q||.  The running max of those per-point values bounds
-every prefix from below, so a 2D value is certified to within
-1e-9 max(1, |p|max).  Those distances come from inner products, whose
-float floor is about 1e-8 |p|max; near zero the best map is polished by
-least squares and evaluated by coordinate differences, so isometric copies
-read about 1e-15.  That polish is the only float-floor correction.  In 3D
-the exact engine is a lazy max-min search: a seeded rotation sample,
-evaluated once for every prefix, gives each prefix an upper bound, and
-only a prefix that can still set the max is refined, by the approximation
-engine's maps and a local pattern search; it carries no certificate.  The
+engine is exact in 1D.  In 2D and 3D it is a branch-and-bound over the
+orthogonal maps, rotations and reflections alike, whose nearest-point
+distances come from one matrix product per batch of maps.  In 2D it
+splits angle intervals: distances are evaluated only at interval ends,
+and each point's least distance over an interval is known exactly,
+because |R(t)p - q| is smallest at an end unless the angle that aligns p
+with q lies inside, where it is ||p| - |q||.  In 3D it splits cubes of
+rotation vectors, plain and mirrored: distances are evaluated at cube
+centres, and a cube turns p by at most an angle theta (Hartley & Kahl),
+so each point's least distance over a cube is at least that from the
+cap of half-angle theta to the nearest point.  The running max of those
+per-point values bounds every prefix from below, so a value is certified
+to within 1e-9 max(1, |p|max) in 2D, and in 3D to within that or the
+relative gap BNB_REL_TOL_3D, or else the search stopped at
+BNB_MAX_CUBES_3D cubes and returns its certified lower bound with it.
+Those distances come from inner products, whose float floor is about
+1e-8 |p|max; near zero the best map is polished by least squares and
+evaluated by coordinate differences, so isometric copies read about
+1e-15.  That polish is the only float-floor correction.  The
 approximation engine implements the anchor construction whose value is
 guaranteed within a factor 2(n-1) of the optimum (reported with a
-(1+delta) cushion), and runs through the same search without the sample
-or the pattern search.
+(1+delta) cushion), through a lazy max-min search over the prefixes.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -47,12 +49,17 @@ from .isoset import Cluster, IsometryClass, Isoset
 
 EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
 DEFAULT_DELTA = 0.1
-GRID_3D = 4096         # base rotation sample for the 3D exact engine
 BNB_INTERVALS_2D = 64  # initial angle intervals of the 2D branch-and-bound
 # narrowest 2D interval (about 2.6e-9 rad): |P|max times it lies below the
 # float floor of the inner-product distances, about 1e-8 |P|max, so
 # narrower intervals would resolve nothing
 BNB_MIN_WIDTH_2D = 2 * math.pi / 512 / 3 ** 14
+BNB_CUBES_3D = 4       # initial cubes per axis of the 3D branch-and-bound
+# smallest 3D cube half-side (about 5.9e-9 rad): its cap angle times
+# |P|max lies below the float floor, as for BNB_MIN_WIDTH_2D
+BNB_MIN_HALF_SIDE_3D = math.pi / BNB_CUBES_3D / 2 ** 27
+BNB_REL_TOL_3D = 1e-3  # relative certificate gap of the 3D search
+BNB_MAX_CUBES_3D = 2 ** 16  # cube evaluations after which 3D stops
 
 
 def _points(obj) -> np.ndarray:
@@ -172,6 +179,58 @@ class _RotationProfile2D:
         return out
 
 
+def _bnb_rule(gains, upper, lower, bound, tol):
+    """(irrelevant, done, drop) of one branch-and-bound step.  upper and
+    lower bracket every prefix's d_R, bound[s] holds region s's prefix
+    bounds, and tol is the certificate gap, one value or one per prefix.
+
+    Prefix i cannot set the max-min when even its upper bound is within
+    tol of the certified d_lo, or when the next gain exceeds d_up: then
+    d_R_i <= d_R_{i+1} <= d_up < gains[i+1].  The search is done when
+    every other prefix is resolved to tol, and a region is dropped once no
+    prefix that can still set the max gains more than tol in it."""
+    d_lo = np.max(np.minimum(gains, lower))
+    irrelevant = np.minimum(gains, upper) <= d_lo + tol
+    irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
+    done = bool(np.all(irrelevant | (upper - lower <= tol)))
+    drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
+    return irrelevant, done, drop
+
+
+def _keep_best(upper, maps, near, candidates):
+    """Lower upper[i] to the least d_H of prefix i over the maps whose
+    nearest distances are the rows of near, and keep the first map that
+    attains it in maps[i]."""
+    if len(near):
+        prof = np.maximum.accumulate(near, axis=1)
+        t = np.argmin(prof, axis=0)
+        vals = prof[t, np.arange(prof.shape[1])]
+        better = vals < upper
+        upper[better] = vals[better]
+        maps[better] = candidates[t[better]]
+
+
+def _polish(P, Q, gains, upper, maps):
+    """The float floor: inner-product distances err by about 1e-15
+    scale^2 / d on a distance d, below the search tolerance once d exceeds
+    1e-6 scale.  So when the prefix i that sets the max has upper[i] <=
+    1e-6 scale, its map is polished: the orthogonal map of the same
+    determinant that best fits P, by least squares, to the points of Q
+    nearest that map's image is evaluated by coordinate differences, and
+    replaces the incumbent of every prefix whose d_H it lowers.  For an
+    isometric copy it is the exact map, which reads about 1e-15."""
+    i = int(np.argmax(np.minimum(gains, upper)))
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+    if upper[i] <= 1e-6 * scale:
+        tree = cKDTree(Q)
+        U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
+        U[:, -1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
+        polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
+        better = polished < upper
+        upper[better] = polished[better]
+        maps[better] = U @ Vt
+
+
 def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
     max_i min(gains[i], d_R_i), by interval branch-and-bound over the angle.
@@ -185,37 +244,19 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     the running max over its points, and lower[i] the least bound of prefix
     i over all intervals, so d_R_i lies in [lower[i], upper[i]].
 
-    The search resolves the max-min to within tol = 1e-9 max(1, |P|max) and
-    drops an interval once no prefix that can still set the max gains more
-    than tol in it.  Intervals halve until that holds or they are
-    BNB_MIN_WIDTH_2D wide.
-
-    The float floor: the inner-product distances err by about 1e-15
-    scale^2 / d on a distance d, below tol once d exceeds 1e-6 scale.  So
-    when the prefix i that sets the max has upper[i] <= 1e-6 scale, its
-    map is polished: the orthogonal map of the same family that best fits
-    P, by least squares, to the points of Q nearest that map's image is
-    evaluated by coordinate differences, and replaces the incumbent of
-    every prefix whose d_H it lowers.  For an isometric copy it is the exact
-    map, which reads about 1e-15.
+    The search resolves the max-min to within tol = 1e-9 max(1, |P|max)
+    (see _bnb_rule).  Intervals halve until it is resolved or they are
+    BNB_MIN_WIDTH_2D wide.  Then _polish lifts the float floor.
     """
     k = len(P)
     tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
     engine = _RotationProfile2D(P, Q)
     upper = np.full(k, np.inf)
-    best_theta = np.zeros(k)
-    best_reflect = np.zeros(k, dtype=bool)
+    best = np.zeros((k, 2))  # angle and reflection flag of maps[i]
 
     def evaluate(thetas, reflect):
         near = engine.profiles(thetas, reflect)
-        if len(thetas):  # every interval may have been dropped
-            prof = np.maximum.accumulate(near, axis=1)
-            t = np.argmin(prof, axis=0)
-            vals = prof[t, np.arange(k)]
-            better = vals < upper
-            upper[better] = vals[better]
-            best_theta[better] = thetas[t[better]]
-            best_reflect[better] = reflect[t[better]]
+        _keep_best(upper, best, near, np.stack([thetas, reflect], axis=1))
         return near
 
     width = 2 * math.pi / BNB_INTERVALS_2D
@@ -231,16 +272,9 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
                            engine.aligned_gaps(lo, hi, reflect))
         bound = np.maximum.accumulate(bound, axis=1)
         lower = np.minimum(floor, bound.min(axis=0, initial=np.inf))
-        # prefix i cannot set the max-min when even its upper bound is
-        # within tol of the certified d_lo, or when the next gain exceeds
-        # d_up: then d_R_i <= d_R_{i+1} <= d_up < gains[i+1]
-        d_lo = np.max(np.minimum(gains, lower))
-        irrelevant = np.minimum(gains, upper) <= d_lo + tol
-        irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
-        if (np.all(irrelevant | (upper - lower <= tol))
-                or len(lo) == 0 or width <= BNB_MIN_WIDTH_2D):
+        _, done, drop = _bnb_rule(gains, upper, lower, bound, tol)
+        if done or len(lo) == 0 or width <= BNB_MIN_WIDTH_2D:
             break
-        drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
         floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
         reflect, lo, hi, near_lo, near_hi = (
             x[~drop] for x in (reflect, lo, hi, near_lo, near_hi))
@@ -251,17 +285,175 @@ def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
         near_lo = np.concatenate([near_lo, near_mid])
         near_hi = np.concatenate([near_mid, near_hi])
         width /= 2
-    maps = _maps_2d(best_theta, best_reflect)
-    i = int(np.argmax(np.minimum(gains, upper)))
-    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-    if upper[i] <= 1e-6 * scale:
-        tree = cKDTree(Q)
-        U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
-        U[:, 1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
-        polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
-        better = polished < upper
-        upper[better] = polished[better]
-        maps[better] = U @ Vt
+    maps = _maps_2d(best[:, 0], best[:, 1] > 0)
+    _polish(P, Q, gains, upper, maps)
+    return upper, lower, maps
+
+
+# ---------------------------------------------------------------------------
+# rotation machinery (3D)
+
+
+class _RotationProfile3D:
+    """Nearest-point distances of one pair (P, Q) over orthogonal maps M,
+    and their least values over cubes of rotation vectors.
+
+    Uses |Mp - q|^2 = |p|^2 + |q|^2 - 2 sum_ij M_ij p_j q_i: the nine
+    tables p_j q_i make every batch of maps one (T, 9) x (9, k m) product.
+    Every rotation vector of a cube of half-side sigma turns p by at most
+    theta = min(sqrt(3) sigma, pi) away from its image under the centre's
+    map (Hartley & Kahl), into the cap of half-angle theta around it.  The
+    least distance from that cap to q is ||p| - |q|| when the angle phi
+    between the centre image and q is at most theta, and otherwise
+    sqrt(|p|^2 + |q|^2 - 2 |p||q| cos(phi - theta)); the same product
+    gives |p||q| cos(phi), and |p||q| sin(phi) follows from it.
+    """
+
+    POINTS = 8  # points per evaluation step of `cubes`
+
+    def __init__(self, P: np.ndarray, Q: np.ndarray):
+        self.k, self.m = len(P), len(Q)
+        # column a m + b belongs to the pair (P[a], Q[b]); row 3 i + j of
+        # terms holds P[a, j] Q[b, i]
+        self.terms = np.einsum("aj,bi->ijab", P, Q).reshape(9, -1)
+        self.sq = ((P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :]).ravel()
+        lp, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
+        self.pq = np.outer(lp, lq).ravel()
+        self.pq2 = self.pq ** 2
+        self.rows = max(1, int(1e6 / (self.POINTS * self.m)))
+
+    def cubes(self, maps: np.ndarray, theta: float, thr: np.ndarray):
+        """(near, bound) of cubes whose centres have the maps `maps`, each
+        (T, k): near[t, j] is the distance from maps[t] P[j] to Q, and
+        bound[t, j] the running max over P[:j+1] of each point's least
+        distance to Q over cube t, whose maps turn P by at most theta.
+
+        Points are taken in order, POINTS at a time, up to the last prefix
+        i with a finite thr[i].  A cube stops once bound[t, i] >= thr[i]
+        for every prefix i, the prefixes not yet evaluated included (their
+        bounds are at least the running max so far).  Beyond the points it
+        evaluated, near is inf and bound the running max."""
+        T, m = len(maps), self.m
+        near = np.full((T, self.k), np.inf)
+        bound = np.empty((T, self.k))
+        live = np.flatnonzero(thr > -np.inf)
+        stop = int(live[-1]) + 1 if len(live) else 0
+        # after[j]: the largest threshold of the prefixes after j
+        after = np.append(np.maximum.accumulate(thr[::-1])[::-1][1:], -np.inf)
+        coef = maps.reshape(T, 9)
+        c, s = math.cos(theta), math.sin(theta)
+        for a in range(0, T, self.rows):
+            rows = np.arange(a, min(a + self.rows, T))
+            run = np.zeros(len(rows))
+            ok = np.ones(len(rows), dtype=bool)
+            for j0 in range(0, stop, self.POINTS):
+                j1 = min(j0 + self.POINTS, stop)
+                cols = slice(j0 * m, j1 * m)
+                dot = coef[rows] @ self.terms[:, cols]
+                sq, pq = self.sq[cols], self.pq[cols]
+                shape = (len(rows), j1 - j0, m)
+                near[rows, j0:j1] = np.sqrt(np.maximum(
+                    (sq - 2.0 * dot).reshape(shape).min(axis=2), 0.0))
+                # h = |p||q| cos(phi - theta), or |p||q| where phi <= theta;
+                # the cap's least squared distance is |p|^2 + |q|^2 - 2 h
+                h = np.square(dot)
+                np.subtract(self.pq2[cols], h, out=h)
+                np.maximum(h, 0.0, out=h)
+                np.sqrt(h, out=h)
+                h *= s
+                h += c * dot
+                np.copyto(h, np.broadcast_to(pq, h.shape), where=dot >= c * pq)
+                h *= -2.0
+                h += sq
+                b = np.sqrt(np.maximum(h.reshape(shape).min(axis=2), 0.0))
+                b[:, 0] = np.maximum(b[:, 0], run)
+                b = np.maximum.accumulate(b, axis=1)
+                bound[rows, j0:j1] = b
+                run = b[:, -1]
+                ok &= np.all(b >= thr[j0:j1], axis=1)
+                dead = ok & (run >= after[j1 - 1])
+                bound[rows[dead], j1:] = run[dead, None]
+                rows, run, ok = rows[~dead], run[~dead], ok[~dead]
+                if len(rows) == 0:
+                    break
+            bound[rows, stop:] = run[:, None]
+        return near, bound
+
+
+_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
+
+
+def _dr_bnb_3d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
+    """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
+    max_i min(gains[i], d_R_i), by branch-and-bound over rotation vectors.
+
+    Rotations R(r) and mirrored maps R(r) diag(1, 1, -1) start from
+    BNB_CUBES_3D^3 cubes each over [-pi, pi]^3; a child cube wholly
+    outside the pi-ball, which holds every rotation, is dropped.  The incumbent starts
+    from the identity and the approximation construction's maps of all of
+    P; then every cube is evaluated at its centre map (see
+    _RotationProfile3D) and, unless dropped (see _bnb_rule), split into
+    eight.  upper, lower and maps are as in _dr_bnb_2d; lower starts from
+    the length gaps ||p| - |q||, which no map can close, and only grows:
+    every step's least bound is a certified one.
+
+    The search resolves the max-min to within tol_i = max(1e-9 max(1,
+    |P|max), BNB_REL_TOL_3D min(gains[i], upper[i])), or stops when the
+    cubes reach BNB_MIN_HALF_SIDE_3D.  Its cube evaluations never pass
+    BNB_MAX_CUBES_3D: when a split would, only the cubes whose centre maps
+    give the least max-min are split, into half the room left, and the
+    bounds of the others join the floor.  So a capped search still
+    improves its incumbent, and its lower bound stays certified; the gap
+    is then wider than tol.  Then _polish lifts the float floor.
+    """
+    k = len(P)
+    abs_tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
+    engine = _RotationProfile3D(P, Q)
+    upper = np.full(k, np.inf)
+    maps = np.zeros((k, 3, 3))
+    seeds = np.concatenate([np.eye(3)[None], _approx_maps(P, Q)])
+    _keep_best(upper, maps, _nearest(P, cKDTree(Q), seeds), seeds)
+
+    sigma = math.pi / BNB_CUBES_3D
+    axis = sigma * (2 * np.arange(BNB_CUBES_3D) + 1) - math.pi
+    centres = np.array(list(product(axis, repeat=3)))
+    centres = np.tile(centres, (2, 1))
+    mirror = np.repeat([False, True], len(centres) // 2)
+    floor = np.full(k, np.inf)  # least prefix bounds of dropped cubes
+    # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
+    lower = np.maximum.accumulate(np.abs(np.subtract.outer(
+        np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
+    evaluated = 0
+    tol = np.maximum(abs_tol, BNB_REL_TOL_3D * np.minimum(gains, upper))
+    irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol)
+    while not done and len(centres) and sigma >= BNB_MIN_HALF_SIDE_3D:
+        batch = Rotation.from_rotvec(centres).as_matrix()
+        batch[mirror] *= [1.0, 1.0, -1.0]
+        thr = np.where(irrelevant, -np.inf, upper - tol)
+        near, bound = engine.cubes(batch, min(math.sqrt(3) * sigma, math.pi),
+                                   thr)
+        evaluated += len(batch)
+        _keep_best(upper, maps, near, batch)
+        tol = np.maximum(abs_tol, BNB_REL_TOL_3D * np.minimum(gains, upper))
+        lower = np.maximum(lower, np.minimum(floor, bound.min(axis=0)))
+        irrelevant, done, drop = _bnb_rule(gains, upper, lower, bound, tol)
+        room = BNB_MAX_CUBES_3D - evaluated
+        if 8 * np.count_nonzero(~drop) > room:
+            # the budget would run out: split only the best cubes, their
+            # children taking half the room left
+            prof = np.maximum.accumulate(near, axis=1)
+            score = np.max(np.where(np.isfinite(prof),
+                                    np.minimum(gains, prof), -np.inf), axis=1)
+            score[drop] = np.inf
+            drop[np.argsort(score, kind="stable")[room // 16:]] = True
+        floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
+        sigma /= 2
+        centres = (centres[~drop, None] + sigma * _CORNERS).reshape(-1, 3)
+        mirror = np.repeat(mirror[~drop], 8)
+        keep = np.linalg.norm(np.maximum(np.abs(centres) - sigma, 0.0),
+                              axis=1) <= math.pi
+        centres, mirror = centres[keep], mirror[keep]
+    _polish(P, Q, gains, upper, maps)
     return upper, lower, maps
 
 
@@ -355,116 +547,49 @@ def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # the max-min search and the d_R entry points
 
 
-_PATTERN_DIRS = np.concatenate([
-    np.eye(3),
-    -np.eye(3),
-    np.array(list(product((-1.0, 1.0), repeat=3))) / math.sqrt(3),
-])
-
-
-@lru_cache(maxsize=1)
-def _rotation_sample() -> np.ndarray:
-    """(1 + 2 GRID_3D, 3, 3), read-only: the identity, GRID_3D seeded
-    random rotations R, then every R diag(1, 1, -1)."""
-    quat = np.random.default_rng(0).normal(size=(GRID_3D, 4))
-    quat /= np.linalg.norm(quat, axis=1)[:, None]
-    # drawn scalar-first; Rotation takes the scalar last
-    rots = Rotation.from_quat(quat[:, [1, 2, 3, 0]]).as_matrix()
-    sample = np.concatenate([np.eye(3)[None], rots, rots * [1.0, 1.0, -1.0]])
-    sample.setflags(write=False)
-    return sample
-
-
-def _pattern_search(P: np.ndarray, tree: cKDTree, best: float,
-                    best_map: np.ndarray):
-    """Local refinement of (d_H, map) in rotation-vector coordinates.
-
-    Each pass tries the steps of length `radius` along _PATTERN_DIRS in
-    order, each from the current map, and keeps a step that lowers d_H; a
-    pass without one halves the radius.  The steps still to try are
-    evaluated as one batch from the current map, so the accepted sequence
-    is that of trying them one at a time."""
-    radius = 0.2
-    for _ in range(60):
-        steps = Rotation.from_rotvec(radius * _PATTERN_DIRS).as_matrix()
-        improved, start = False, 0
-        while start < len(steps):
-            maps = steps[start:] @ best_map
-            vals = _nearest(P, tree, maps).max(axis=1)
-            better = np.flatnonzero(vals < best - 1e-15)
-            if len(better) == 0:
-                break
-            t = int(better[0])
-            best, best_map, improved = float(vals[t]), maps[t], True
-            start += t + 1
-        if not improved:
-            radius /= 2.0
-            if radius < 1e-10:
-                break
-    return best, best_map
-
-
-def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
-                    exact: bool):
+def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i),
-    d_R_i being the approximation engine's value or, with `exact`, the 3D
-    exact engine's; map attains d_R_i for the prefix that sets the max.
-    In 1D the approximation engine's maps are +1 and -1, all of O(1), so
-    its value is exact there.
+    d_R_i being the approximation engine's value; map attains d_R_i for
+    the prefix that sets the max.  In 1D the engine's maps are +1 and -1,
+    all of O(1), so its value is exact there.
 
-    The exact engine first evaluates the identity and _rotation_sample once
-    on all of P; the running max of the nearest distances gives every
-    prefix an upper value (+inf for the approximation engine).  Prefixes
-    are refined lazily, the largest min(gain, upper) first, until that is
-    at most the refined max: a refined value never exceeds its upper value,
-    so the rest cannot raise the max.  Refining evaluates the prefix's
-    _approx_maps; the exact engine adds the identity and the sample's best
-    plain and mirrored maps and runs _pattern_search from the best.  Each
-    refined value uses only its own prefix's maps, so the approximation
-    engine's max-min is its construction's and the exact one never exceeds
-    it."""
+    Prefixes are refined lazily, the largest gain first, until that is at
+    most the refined max: the rest cannot raise it.  Refining evaluates
+    the prefix's _approx_maps, so the max-min is the construction's."""
     tree = cKDTree(Q)
-    upper = np.full(len(P), np.inf)
-    if exact:
-        sample = _rotation_sample()
-        dh = np.maximum.accumulate(_nearest(P, tree, sample), axis=1)
-        upper = dh.min(axis=0)
-        plain = 1 + np.argmin(dh[1:1 + GRID_3D], axis=0)
-        mirrored = 1 + GRID_3D + np.argmin(dh[1 + GRID_3D:], axis=0)
     refined = np.zeros(len(P), dtype=bool)
     best, best_map = -np.inf, None
     while True:
-        value = np.where(refined, -np.inf, np.minimum(gains, upper))
+        value = np.where(refined, -np.inf, gains)
         i = int(np.argmax(value))
         if not value[i] > best:
             return float(best), best_map
         refined[i] = True
         prefix = P[:i + 1]
         maps = _approx_maps(prefix, Q)
-        if exact:
-            maps = np.concatenate([np.eye(3)[None], maps,
-                                   sample[[plain[i], mirrored[i]]]])
         vals = _nearest(prefix, tree, maps).max(axis=1)
         t = int(np.argmin(vals))
-        val, M = float(vals[t]), maps[t]
-        if exact:
-            val, M = _pattern_search(prefix, tree, val, M)
-        if min(gains[i], val) > best:
-            best, best_map = min(float(gains[i]), val), M
+        if min(gains[i], vals[t]) > best:
+            best, best_map = min(float(gains[i]), float(vals[t])), maps[t]
 
 
 def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool):
-    """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i) and a
-    map attaining d_R_i for the prefix that sets it.  The exact engine is
-    the branch-and-bound in 2D and the max-min search with its rotation
-    sample in 3D; the approximation engine, and 1D, use the max-min search
-    on the construction's maps alone."""
-    if exact and P.shape[1] == 2:
-        upper, _, maps = _dr_bnb_2d(P, Q, gains)
+    """(value, map, lower): max over prefixes P[:i+1] of min(gains[i],
+    d_R_i), a map attaining d_R_i for the prefix that sets it, and a
+    certified lower bound on the max-min.  The exact engine is the
+    branch-and-bound in 2D and 3D; the approximation engine, and 1D, use
+    the max-min search on the construction's maps alone, whose lower bound
+    is the value over the construction's factor."""
+    n = P.shape[1]
+    if exact and n > 1:
+        upper, lower, maps = (_dr_bnb_2d if n == 2 else _dr_bnb_3d)(P, Q, gains)
         value = np.minimum(gains, upper)
         i = int(np.argmax(value))
-        return float(value[i]), maps[i]
-    return _max_min_search(P, Q, gains, exact and P.shape[1] == 3)
+        # near zero the float floor can put the bound above the polished value
+        lower = min(value[i], np.max(np.minimum(gains, lower)))
+        return float(value[i]), maps[i], float(lower)
+    value, M = _max_min_search(P, Q, gains)
+    return value, M, value / approx_factor_bound(n)
 
 
 def _whole_set(C, D):
@@ -480,19 +605,14 @@ def _whole_set(C, D):
 
 def d_R_exact_small(C, D):
     """(value, map): min over all orthogonal maps of d_H(f(C), D) (n <= 3):
-    exact in 1D, the certified branch-and-bound in 2D, and in 3D the
-    approximation engine's maps, a seeded sample of GRID_3D rotations
-    (plain and mirrored) and a local pattern search from the best of them,
-    which carries no certificate.  The value is the returned map's own
-    d_H, by coordinate differences, and never exceeds d_R_approx."""
+    exact in 1D, and the certified branch-and-bound in 2D and 3D (in 3D to
+    the relative gap BNB_REL_TOL_3D, or its certified gap when capped).
+    The value is the returned map's own d_H, by coordinate differences,
+    and never exceeds d_R_approx."""
     P, Q, gains = _whole_set(C, D)
-    value, M = _max_min(P, Q, gains, exact=True)
-    if P.shape[1] != 2:
-        # the max-min search evaluates by coordinate differences, and its
-        # maps include the construction's
-        return value, M
+    _, M, _ = _max_min(P, Q, gains, exact=True)
     value = float(_nearest(P, cKDTree(Q), M[None]).max())
-    approx, A = _max_min(P, Q, gains, exact=False)
+    approx, A, _ = _max_min(P, Q, gains, exact=False)
     return (approx, A) if approx <= value else (value, M)
 
 

@@ -189,6 +189,42 @@ def dm_scan_2d(C, D, alpha: float, n_angles: int) -> float:
     return float(np.max(np.minimum(gains[keep], prefix_dr)))
 
 
+def _quaternion_matrices(quat) -> np.ndarray:
+    """(T, 3, 3) rotation matrices of the unit quaternions (w, x, y, z)."""
+    w, x, y, z = quat.T
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
+
+
+def prefix_sample_3d(C, D, n: int, seed: int = 0) -> np.ndarray:
+    """Entry i: the least directed Hausdorff distance from C[:i+1] to D
+    over the identity and n seeded random rotations, each also followed by
+    the mirror diag(1, 1, -1), by brute-force pairwise distances. Every
+    entry is the d_H of an actual orthogonal map, so it bounds d_R of the
+    prefix from above."""
+    C = np.atleast_2d(np.asarray(C, float))
+    D = np.atleast_2d(np.asarray(D, float))
+    quat = np.random.default_rng(seed).normal(size=(n, 4))
+    rots = _quaternion_matrices(quat / np.linalg.norm(quat, axis=1)[:, None])
+    maps = np.concatenate([np.eye(3)[None], rots, rots * [1.0, 1.0, -1.0]])
+    best = np.full(len(C), np.inf)
+    for chunk in np.array_split(maps, -(-len(maps) // 500)):
+        moved = np.einsum("tij,kj->tki", chunk, C)
+        near = np.sqrt(((moved[:, :, None, :] - D[None, None]) ** 2).sum(-1)).min(2)
+        best = np.minimum(best, np.maximum.accumulate(near, axis=1).min(axis=0))
+    return best
+
+
+def dr_sample_3d(C, D, n: int, seed: int = 0) -> float:
+    """Independent upper bound on the 3D d_R: the least d_H over the
+    identity and n seeded random rotations, plain and mirrored. It needs
+    no certificate, so it referees the branch-and-bound's lower bound."""
+    return float(prefix_sample_3d(C, D, n, seed)[-1])
+
+
 def dm_prefix_loop(C, D, alpha: float, engine: str) -> float:
     """The one-sided d_M computed prefix by prefix, as its definition reads:
     the max over length-sorted prefixes {p_1..p_i} with positive gain

@@ -225,6 +225,20 @@ class TestExitCodes:
         assert main(["amd", path, "-k", "1000000000"]) == 2
         assert "limit" in capsys.readouterr().err
 
+    def test_isotree_near_tie_is_two(self, tmp_path, capsys):
+        # a near-symmetric set whose partitions stop refining (see
+        # TestIsotree.test_near_tie_raises_data_error) ends in an error line
+        cell = pg.UnitCell(2 * np.eye(2))
+        motif = np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]])
+        Q, _ = jitter_set(np.random.default_rng(0), pg.PeriodicSet(cell, motif),
+                          1e-7)
+        path = tmp_path / "near.txt"
+        path.write_text(write_set_text(Q), encoding="utf-8")
+        assert main(["isotree", str(path), "--alpha-max", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha-partitions failed to refine")
+        assert "near-tie" in err
+
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)
         assert main(["amd", path, "-k", "3"]) == 0
@@ -310,6 +324,13 @@ class TestCommands:
         ]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["d_cluster"] >= 0
+        # the default engine is reported as the one that ran
+        assert data["engine"] == "exact"
+        assert main([
+            "dcluster", a, b, "--points", "0", "1", "--alpha", "2.0",
+            "--dr", "approx",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["engine"] == "approx"
 
     def test_emd_stable_uses_larger_minimum_stable_radius(self, tmp_path, capsys):
         rng = np.random.default_rng(71)

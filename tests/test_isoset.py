@@ -277,6 +277,19 @@ class TestIsotree:
         assert len(at_bridge) == 2
         assert sorted(len(b) for b in at_bridge) == [1, 4]
 
+    def test_near_tie_raises_data_error(self):
+        # criterion 9's supercell jittered by 1e-7, inside the 1e-6 alpha
+        # match tolerance: critical radii near 1 lie closer than that
+        # tolerance, and the partitions stop refining there
+        cell = pg.UnitCell(2 * np.eye(2))
+        motif = np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]])
+        S = pg.PeriodicSet(cell, motif)
+        for seed in range(3):
+            Q, _ = jitter_set(np.random.default_rng(seed), S, 1e-7)
+            with pytest.raises(pg.DataError, match="near-tie") as info:
+                pg.isotree(Q, 4.0)
+            assert "at radius 0.9999999" in str(info.value)
+
 
 class TestStableRadius:
     def test_s4(self, s4):

@@ -4,10 +4,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import perigeo as pg
+from perigeo import metric
 from perigeo.metric import (
+    BNB_MAX_CUBES_3D,
+    BNB_REL_TOL_3D,
     TransportPlan,
     _approx_maps,
     _dr_bnb_2d,
+    _max_min,
     _min_cost_transport,
     approx_factor_bound,
 )
@@ -18,6 +22,7 @@ from helpers import (
     dm_scan_2d,
     dr_scan_2d,
     jitter_set,
+    prefix_sample_3d,
     random_orthogonal,
     random_periodic_set,
     rot2,
@@ -311,6 +316,129 @@ class TestDm3d:
             D = C @ random_orthogonal(rng, 3).T
             for engine in ("exact", "approx"):
                 assert pg.d_C(C, D, self.ALPHA, engine=engine) <= 1e-9
+
+
+def lattice_cluster(motif, alpha):
+    """The alpha-cluster of the origin in the unit-cube cell with `motif`."""
+    S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.array(motif, dtype=float))
+    return pg.alpha_cluster(S, 0, alpha).points
+
+
+CUBIC = lattice_cluster([[0, 0, 0]], 1.0)                       # 7 points
+BCC = lattice_cluster([[0, 0, 0], [0.5, 0.5, 0.5]], 0.9)        # 9 points
+FCC = lattice_cluster([[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5],
+                       [0, 0.5, 0.5]], 0.8)                     # 13 points
+
+
+class TestDr3dCertificate:
+    ALPHA = TestDm3d.ALPHA
+
+    @classmethod
+    def corpus(cls):
+        """(C, D, alpha): 17 random pairs, 17 rotated copies jittered by
+        1e-3 to 0.03, and 6 pairs of cubic, bcc and fcc lattice clusters,
+        across classes and against rotated jittered copies."""
+        rng = np.random.default_rng(4242)
+        pairs = [(TestDm3d._cluster(rng), TestDm3d._cluster(rng), cls.ALPHA)
+                 for _ in range(17)]
+        for j in range(17):
+            C = TestDm3d._cluster(rng)
+            eps = (1e-3, 3e-3, 0.01, 0.03)[j % 4]
+            D = C @ random_orthogonal(rng, 3).T + eps * rng.normal(size=C.shape)
+            pairs.append((C, D, cls.ALPHA))
+        pairs += [(CUBIC, BCC, 1.0), (BCC, FCC, 1.0), (FCC, CUBIC, 1.0)]
+        for C, eps in ((CUBIC, 0.02), (BCC, 3e-3), (FCC, 0.02)):
+            D = C @ random_orthogonal(rng, 3).T + eps * rng.normal(size=C.shape)
+            pairs.append((C, D, 1.0))
+        return pairs
+
+    def test_certificate_on_corpus(self, monkeypatch):
+        # pairs alternate between a whole-set d_R and a one-sided d_M: the
+        # gap is within tolerance unless the cube budget stopped the
+        # search, the certified lower bound never exceeds a seeded rotation
+        # sample, and the returned map attains the value
+        evaluated = []
+        cubes = metric._RotationProfile3D.cubes
+
+        def counting(self, maps, theta, thr):
+            evaluated[-1] += len(maps)
+            return cubes(self, maps, theta, thr)
+
+        monkeypatch.setattr(metric._RotationProfile3D, "cubes", counting)
+        pairs = self.corpus()
+        assert len(pairs) >= 40
+        capped = 0
+        for pair, (C, D, alpha) in enumerate(pairs):
+            lengths = np.linalg.norm(C, axis=1)
+            order = np.argsort(lengths, kind="stable")
+            P = C[order]
+            if pair % 2:
+                gains = alpha - lengths[order]
+                P, gains = P[gains > 0], gains[gains > 0]
+            else:
+                gains = np.full(len(P), -np.inf)
+                gains[-1] = np.inf
+            evaluated.append(0)
+            value, M, lower = _max_min(P, D, gains, exact=True)
+            sample = prefix_sample_3d(P, D, 1000)
+            oracle = float(np.max(np.minimum(gains, sample)))
+            assert lower <= oracle + 1e-9, (pair, lower, oracle)
+            tol = max(1e-9 * max(1.0, lengths.max()), BNB_REL_TOL_3D * value)
+            if value - lower > tol:
+                # the budget stopped it: a batch split eight ways would have
+                # passed the budget, so more than a ninth of it was spent
+                assert evaluated[-1] > BNB_MAX_CUBES_3D // 9, pair
+                capped += 1
+            # the map attains the value on the prefix that sets it
+            near = np.maximum.accumulate(
+                np.linalg.norm((P @ M.T)[:, None] - D[None], axis=2).min(1))
+            assert np.any(np.abs(np.minimum(gains, near) - value) <= 1e-9), pair
+        # small clusters (flat optima), lattices across classes and the
+        # symmetric copies (48 equivalent optima each) may meet the budget
+        assert capped <= 4, capped
+
+    def test_overshoot_regression(self):
+        # TestDm3d's seed-3131 pair 2: a rotation sample and a pattern
+        # search returned 0.4332238, 1.6% above the certified optimum
+        rng = np.random.default_rng(3131)
+        for pair in range(3):
+            C = TestDm3d._cluster(rng)
+            if pair % 2:
+                D = (C @ random_orthogonal(rng, 3).T
+                     + 0.03 * rng.normal(size=C.shape))
+            else:
+                D = TestDm3d._cluster(rng)
+        value = pg.d_M(C, D, self.ALPHA, engine="exact")
+        assert value == pytest.approx(0.42653, abs=1e-4)
+        lengths = np.linalg.norm(C, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        gains = self.ALPHA - lengths[order]
+        keep = gains > 0
+        _, _, lower = _max_min(C[order][keep], D, gains[keep], exact=True)
+        assert value - lower <= BNB_REL_TOL_3D * value
+        assert 0.4332238 - value > 0.006
+
+    def test_bounded_cost_on_symmetric_lattices(self):
+        # d_C at sqrt(3) of cubic at 1.8 against bcc at 1.5, 27 points
+        # each: the search stops at the cube budget and returns its
+        # incumbent, at most the value a rotation sample and pattern search
+        # gave (0.5586585)
+        cubic = lattice_cluster([[0, 0, 0]], 1.8)
+        bcc = lattice_cluster([[0, 0, 0], [0.5, 0.5, 0.5]], 1.5)
+        assert len(cubic) == len(bcc) == 27
+        # d_C is the max of the one-sided d_M; cubic -> bcc is 0, as every
+        # cubic point is a bcc point, and bcc -> cubic is the search here
+        alpha = np.sqrt(3)
+        assert pg.d_M(cubic, bcc, alpha, engine="exact") == 0.0
+        gains = alpha - np.linalg.norm(bcc, axis=1)
+        P, gains = bcc[gains > 0], gains[gains > 0]
+        value, _, lower = _max_min(P, cubic, gains, exact=True)
+        assert value <= 0.5586585
+        # its lower bound keeps the bounds of the cubes it set aside, so the
+        # gap it states is wide
+        assert value - lower > 0.05
+        assert lower <= float(np.max(np.minimum(
+            gains, prefix_sample_3d(P, cubic, 1000))))
 
 
 class TestDc:
