@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,7 +52,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance_override():
     value = os.environ.get("PERIGEO_TOL")
-    return float(value) if value else None
+    if not value:
+        return None
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise DataError(
+            f"PERIGEO_TOL must be a positive finite number, got {value!r}")
+    return tol
 
 
 def _emit(data, fmt: str = "json", csv_text: str = ""):
@@ -263,6 +273,10 @@ def _cmd_dcluster(args):
     A = parse_set_file(args.file_a)
     B = parse_set_file(args.file_b)
     ia, ib = args.points
+    for path, S, index in ((args.file_a, A, ia), (args.file_b, B, ib)):
+        if not 0 <= index < S.m:
+            raise DataError(f"{path}: point index {index} is not in "
+                            f"0..{S.m - 1}")
     ca = alpha_cluster(A, ia, args.alpha)
     cb = alpha_cluster(B, ib, args.alpha)
     value = d_C(ca, cb, args.alpha, engine=args.dr)
@@ -281,8 +295,10 @@ def _cmd_dcluster(args):
 def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto"):
     """Pairwise comparison matrix over a list of set files.
 
-    Per-file parse failures are reported and the run continues with the
-    valid subset.  Returns (names, matrix, failures)."""
+    Mode emd takes every EMD at one radius, the largest max{2b, d} of the
+    sets, on one isoset per set.  Per-file parse failures are reported and
+    the run continues with the valid subset.  Returns (names, matrix,
+    failures)."""
     sets, names, failures = [], [], []
     for path in paths:
         try:
@@ -306,14 +322,12 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto"):
                 same = isosets_equal(sets[i], sets[j], tol)
                 matrix[i, j] = matrix[j, i] = 1.0 if same else 0.0
     elif mode == "emd":
+        # one radius stable for every set, so that all entries are one metric
+        alpha = max((easy_stable_radius(S) for S in sets), default=0.0)
+        isosets = [isoset(S, alpha, tol) for S in sets]
         for i in range(size):
             for j in range(i + 1, size):
-                alpha = common_stable_alpha(sets[i], sets[j])
-                cost, _ = emd(
-                    isoset(sets[i], alpha, tol),
-                    isoset(sets[j], alpha, tol),
-                    engine=dr,
-                )
+                cost, _ = emd(isosets[i], isosets[j], engine=dr)
                 matrix[i, j] = matrix[j, i] = cost
     else:
         raise DataError(f"unknown batch mode {mode!r}")

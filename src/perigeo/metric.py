@@ -4,21 +4,18 @@ Every distance here is one max-min over the length-sorted prefixes of a
 cluster, max_i min(gain_i, d_R_i), computed by _max_min: d_M takes the
 gains alpha - |p_i|, and d_R of a whole set the gains under which only
 the last prefix counts.  Two d_R engines are provided.  The exact-small
-engine is exact in 1D.  In 2D and 3D it is a branch-and-bound over the
-orthogonal maps, rotations and reflections alike, whose nearest-point
-distances come from one matrix product per batch of maps.  In 2D it
-splits angle intervals: distances are evaluated only at interval ends,
-and each point's least distance over an interval is known exactly,
-because |R(t)p - q| is smallest at an end unless the angle that aligns p
-with q lies inside, where it is ||p| - |q||.  In 3D it splits cubes of
-rotation vectors, plain and mirrored: distances are evaluated at cube
-centres, and a cube turns p by at most an angle theta (Hartley & Kahl),
-so each point's least distance over a cube is at least that from the
-cap of half-angle theta to the nearest point.  The running max of those
-per-point values bounds every prefix from below, so a value is certified
-to within 1e-9 max(1, |p|max) in 2D, and in 3D to within that or the
-relative gap BNB_REL_TOL_3D, or else the search stopped at
-BNB_MAX_CUBES_3D cubes and returns its certified lower bound with it.
+engine is exact in 1D.  In 2D and 3D it is one branch-and-bound over the
+orthogonal maps, rotations and reflections alike, whose regions are cubes
+of rotation parameters, angle intervals in 2D and cubes of rotation
+vectors in 3D.  Distances are evaluated at region centres, one matrix
+product per batch of maps, and a region turns p by at most an angle theta
+(Hartley & Kahl), so each point's least distance over it is at least
+that from the cap of half-angle theta to the nearest point; in 2D the cap
+is the arc the interval sweeps, and the bound is exact.  The running max
+of those per-point values bounds every prefix from below, so a value is
+certified to within 1e-9 max(1, |p|max) in 2D, and in 3D to within that
+or the relative gap BNB_REL_TOL_3D, or else the search stopped at
+BNB_MAX_REGIONS regions and returns its certified lower bound with it.
 Those distances come from inner products, whose float floor is about
 1e-8 |p|max; near zero the best map is polished by least squares and
 evaluated by coordinate differences, so isometric copies read about
@@ -49,17 +46,14 @@ from .isoset import Cluster, IsometryClass, Isoset
 
 EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
 DEFAULT_DELTA = 0.1
-BNB_INTERVALS_2D = 64  # initial angle intervals of the 2D branch-and-bound
-# narrowest 2D interval (about 2.6e-9 rad): |P|max times it lies below the
-# float floor of the inner-product distances, about 1e-8 |P|max, so
-# narrower intervals would resolve nothing
-BNB_MIN_WIDTH_2D = 2 * math.pi / 512 / 3 ** 14
-BNB_CUBES_3D = 4       # initial cubes per axis of the 3D branch-and-bound
-# smallest 3D cube half-side (about 5.9e-9 rad): its cap angle times
-# |P|max lies below the float floor, as for BNB_MIN_WIDTH_2D
-BNB_MIN_HALF_SIDE_3D = math.pi / BNB_CUBES_3D / 2 ** 27
+BNB_REGIONS = 64  # starting regions per map family of the branch-and-bound
+# halvings after which the branch-and-bound stops.  The least half-side,
+# pi/64/2^27 (about 3.7e-10 rad) in 2D, resolves a max-min to the 2D
+# certificate 1e-9 |P|max; in 3D, pi/4/2^27 (about 5.9e-9 rad) gives caps
+# that move P by about the inner-product float floor, 1e-8 |P|max
+BNB_HALVINGS = 27
 BNB_REL_TOL_3D = 1e-3  # relative certificate gap of the 3D search
-BNB_MAX_CUBES_3D = 2 ** 16  # cube evaluations after which 3D stops
+BNB_MAX_REGIONS = 2 ** 16  # region evaluations after which the search stops
 
 
 def _points(obj) -> np.ndarray:
@@ -109,227 +103,45 @@ def _nearest(P: np.ndarray, tree: cKDTree, maps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rotation machinery (2D)
+# the exact branch-and-bound (2D and 3D)
 
 
-class _RotationProfile2D:
-    """Nearest-point distances of one pair (P, Q) over the maps R(t) F,
-    F the identity or the reflection diag(1, -1).
+class _RotationProfile:
+    """Nearest-point distances of one pair (P, Q), in 2D or 3D, over
+    orthogonal maps M, and their least values over regions of maps.
 
-    Uses |R(t)Fp - q|^2 = |p|^2 + |q|^2 - 2(cos t (Fp.q) + sin t (Fp x q));
-    both products are sums of the four tables x qx, y qy, x qy, y qx, so
-    every batch of maps costs one matrix product.  Over an angle interval
-    each pair distance is smallest at an endpoint, unless the pair's
-    alignment angle (the t that points R(t)Fp along q) lies inside, where
-    it is ||p| - |q||; those angles are kept sorted per point and map
-    family for `aligned_gaps`.
+    Uses |Mp - q|^2 = |p|^2 + |q|^2 - 2 sum_ij M_ij p_j q_i: the n^2 tables
+    p_j q_i make every batch of maps one (T, n^2) x (n^2, k m) product.
+    Every map of a region turns p by at most an angle theta away from its
+    image under the centre's map, into the cap (in 2D the arc) of
+    half-angle theta around it.  The least distance from that cap to q is
+    ||p| - |q|| when the angle phi between the centre image and q is at
+    most theta, and otherwise sqrt(|p|^2 + |q|^2 - 2 |p||q| cos(phi -
+    theta)); the same product gives |p||q| cos(phi), and |p||q| sin(phi)
+    follows from it.
     """
+
+    POINTS = 8  # points per evaluation step of `regions`
 
     def __init__(self, P: np.ndarray, Q: np.ndarray):
-        self.k, self.m = len(P), len(Q)
-        x, y = P[:, 0, None], P[:, 1, None]
-        self.terms = np.stack([
-            (P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :],
-            x * Q[:, 0], y * Q[:, 1], x * Q[:, 1], y * Q[:, 0],
-        ]).reshape(5, -1)
-        self.chunk = max(1, int(2e6 / max(self.k * self.m, 1)))
-        ap = np.arctan2(P[:, 1], P[:, 0])
-        aq = np.arctan2(Q[:, 1], Q[:, 0])
-        phi = np.mod(aq - np.stack([ap, -ap])[:, :, None], 2 * math.pi)
-        phi = phi.reshape(2 * self.k, self.m)
-        gap = np.abs(np.linalg.norm(P, axis=1)[:, None]
-                     - np.linalg.norm(Q, axis=1)[None, :])
-        order = np.argsort(phi, axis=1)
-        # row r = (family, point) is shifted by 4 pi r, so one sorted array
-        # serves every row and no query in [0, 2 pi] reaches the next row
-        self.shift = 4 * math.pi * np.arange(2 * self.k).reshape(2, self.k)
-        self.phi = (np.take_along_axis(phi, order, 1)
-                    + self.shift.reshape(-1, 1)).ravel()
-        gap = np.take_along_axis(np.tile(gap, (2, 1)), order, 1)
-        self.gap = np.append(gap, np.inf)
-
-    def profiles(self, thetas: np.ndarray, reflect: np.ndarray) -> np.ndarray:
-        """(T, k): entry [t, j] = distance from R(theta_t) F_t P[j] to Q, F_t
-        the reflection where reflect[t] is true."""
-        T = len(thetas)
-        out = np.empty((T, self.k))
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        sign = np.where(reflect, 2.0, -2.0)
-        coef = np.stack([np.ones(T), -2.0 * cos, sign * cos, -2.0 * sin,
-                         -sign * sin], axis=1)
-        for a in range(0, T, self.chunk):
-            b = min(a + self.chunk, T)
-            d2 = coef[a:b] @ self.terms
-            out[a:b] = np.sqrt(np.maximum(
-                d2.reshape(b - a, self.k, self.m).min(axis=2), 0.0))
-        return out
-
-    def aligned_gaps(self, lo: np.ndarray, hi: np.ndarray,
-                     reflect: np.ndarray) -> np.ndarray:
-        """(N, k): entry [s, j] = min of ||P[j]| - |q|| over the q whose
-        alignment angle with F_s P[j] lies in [lo_s, hi_s] (inf when none)."""
-        shift = self.shift[reflect.astype(int)]
-        start = np.searchsorted(self.phi, lo[:, None] + shift)
-        stop = np.searchsorted(self.phi, hi[:, None] + shift, side="right")
-        out = np.full(start.shape, np.inf)
-        hit = stop > start
-        if hit.any():
-            bounds = np.stack([start[hit], stop[hit]], -1).ravel()
-            out[hit] = np.minimum.reduceat(self.gap, bounds)[::2]
-        return out
-
-
-def _bnb_rule(gains, upper, lower, bound, tol):
-    """(irrelevant, done, drop) of one branch-and-bound step.  upper and
-    lower bracket every prefix's d_R, bound[s] holds region s's prefix
-    bounds, and tol is the certificate gap, one value or one per prefix.
-
-    Prefix i cannot set the max-min when even its upper bound is within
-    tol of the certified d_lo, or when the next gain exceeds d_up: then
-    d_R_i <= d_R_{i+1} <= d_up < gains[i+1].  The search is done when
-    every other prefix is resolved to tol, and a region is dropped once no
-    prefix that can still set the max gains more than tol in it."""
-    d_lo = np.max(np.minimum(gains, lower))
-    irrelevant = np.minimum(gains, upper) <= d_lo + tol
-    irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
-    done = bool(np.all(irrelevant | (upper - lower <= tol)))
-    drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
-    return irrelevant, done, drop
-
-
-def _keep_best(upper, maps, near, candidates):
-    """Lower upper[i] to the least d_H of prefix i over the maps whose
-    nearest distances are the rows of near, and keep the first map that
-    attains it in maps[i]."""
-    if len(near):
-        prof = np.maximum.accumulate(near, axis=1)
-        t = np.argmin(prof, axis=0)
-        vals = prof[t, np.arange(prof.shape[1])]
-        better = vals < upper
-        upper[better] = vals[better]
-        maps[better] = candidates[t[better]]
-
-
-def _polish(P, Q, gains, upper, maps):
-    """The float floor: inner-product distances err by about 1e-15
-    scale^2 / d on a distance d, below the search tolerance once d exceeds
-    1e-6 scale.  So when the prefix i that sets the max has upper[i] <=
-    1e-6 scale, its map is polished: the orthogonal map of the same
-    determinant that best fits P, by least squares, to the points of Q
-    nearest that map's image is evaluated by coordinate differences, and
-    replaces the incumbent of every prefix whose d_H it lowers.  For an
-    isometric copy it is the exact map, which reads about 1e-15."""
-    i = int(np.argmax(np.minimum(gains, upper)))
-    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
-    if upper[i] <= 1e-6 * scale:
-        tree = cKDTree(Q)
-        U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
-        U[:, -1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
-        polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
-        better = polished < upper
-        upper[better] = polished[better]
-        maps[better] = U @ Vt
-
-
-def _dr_bnb_2d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
-    """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
-    max_i min(gains[i], d_R_i), by interval branch-and-bound over the angle.
-
-    Rotations R(t) and reflections R(t) diag(1, -1) start from a uniform
-    grid of BNB_INTERVALS_2D angle intervals each.  Per-point distances are
-    evaluated only at interval ends; the incumbent upper[i] of prefix
-    P[:i+1] is its least d_H over the maps evaluated, and maps[i] the first
-    map that attains it.  An interval's bound for a point is the point's
-    exact least distance there (see _RotationProfile2D), a prefix's bound
-    the running max over its points, and lower[i] the least bound of prefix
-    i over all intervals, so d_R_i lies in [lower[i], upper[i]].
-
-    The search resolves the max-min to within tol = 1e-9 max(1, |P|max)
-    (see _bnb_rule).  Intervals halve until it is resolved or they are
-    BNB_MIN_WIDTH_2D wide.  Then _polish lifts the float floor.
-    """
-    k = len(P)
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
-    engine = _RotationProfile2D(P, Q)
-    upper = np.full(k, np.inf)
-    best = np.zeros((k, 2))  # angle and reflection flag of maps[i]
-
-    def evaluate(thetas, reflect):
-        near = engine.profiles(thetas, reflect)
-        _keep_best(upper, best, near, np.stack([thetas, reflect], axis=1))
-        return near
-
-    width = 2 * math.pi / BNB_INTERVALS_2D
-    lo = np.tile(width * np.arange(BNB_INTERVALS_2D), 2)
-    hi = lo + width
-    reflect = np.repeat([False, True], BNB_INTERVALS_2D)
-    near_lo = evaluate(lo, reflect)
-    near_hi = np.roll(near_lo.reshape(2, BNB_INTERVALS_2D, k), -1, axis=1)
-    near_hi = near_hi.reshape(-1, k)
-    floor = np.full(k, np.inf)  # least prefix bounds of dropped intervals
-    while True:
-        bound = np.minimum(np.minimum(near_lo, near_hi),
-                           engine.aligned_gaps(lo, hi, reflect))
-        bound = np.maximum.accumulate(bound, axis=1)
-        lower = np.minimum(floor, bound.min(axis=0, initial=np.inf))
-        _, done, drop = _bnb_rule(gains, upper, lower, bound, tol)
-        if done or len(lo) == 0 or width <= BNB_MIN_WIDTH_2D:
-            break
-        floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
-        reflect, lo, hi, near_lo, near_hi = (
-            x[~drop] for x in (reflect, lo, hi, near_lo, near_hi))
-        mid = 0.5 * (lo + hi)
-        near_mid = evaluate(mid, reflect)
-        reflect = np.concatenate([reflect, reflect])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        near_lo = np.concatenate([near_lo, near_mid])
-        near_hi = np.concatenate([near_mid, near_hi])
-        width /= 2
-    maps = _maps_2d(best[:, 0], best[:, 1] > 0)
-    _polish(P, Q, gains, upper, maps)
-    return upper, lower, maps
-
-
-# ---------------------------------------------------------------------------
-# rotation machinery (3D)
-
-
-class _RotationProfile3D:
-    """Nearest-point distances of one pair (P, Q) over orthogonal maps M,
-    and their least values over cubes of rotation vectors.
-
-    Uses |Mp - q|^2 = |p|^2 + |q|^2 - 2 sum_ij M_ij p_j q_i: the nine
-    tables p_j q_i make every batch of maps one (T, 9) x (9, k m) product.
-    Every rotation vector of a cube of half-side sigma turns p by at most
-    theta = min(sqrt(3) sigma, pi) away from its image under the centre's
-    map (Hartley & Kahl), into the cap of half-angle theta around it.  The
-    least distance from that cap to q is ||p| - |q|| when the angle phi
-    between the centre image and q is at most theta, and otherwise
-    sqrt(|p|^2 + |q|^2 - 2 |p||q| cos(phi - theta)); the same product
-    gives |p||q| cos(phi), and |p||q| sin(phi) follows from it.
-    """
-
-    POINTS = 8  # points per evaluation step of `cubes`
-
-    def __init__(self, P: np.ndarray, Q: np.ndarray):
-        self.k, self.m = len(P), len(Q)
-        # column a m + b belongs to the pair (P[a], Q[b]); row 3 i + j of
+        (self.k, n), self.m = P.shape, len(Q)
+        # column a m + b belongs to the pair (P[a], Q[b]); row n i + j of
         # terms holds P[a, j] Q[b, i]
-        self.terms = np.einsum("aj,bi->ijab", P, Q).reshape(9, -1)
+        self.terms = np.einsum("aj,bi->ijab", P, Q).reshape(n * n, -1)
         self.sq = ((P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :]).ravel()
         lp, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
         self.pq = np.outer(lp, lq).ravel()
         self.pq2 = self.pq ** 2
         self.rows = max(1, int(1e6 / (self.POINTS * self.m)))
 
-    def cubes(self, maps: np.ndarray, theta: float, thr: np.ndarray):
-        """(near, bound) of cubes whose centres have the maps `maps`, each
+    def regions(self, maps: np.ndarray, theta: float, thr: np.ndarray):
+        """(near, bound) of regions whose centres have the maps `maps`, each
         (T, k): near[t, j] is the distance from maps[t] P[j] to Q, and
         bound[t, j] the running max over P[:j+1] of each point's least
-        distance to Q over cube t, whose maps turn P by at most theta.
+        distance to Q over region t, whose maps turn P by at most theta.
 
         Points are taken in order, POINTS at a time, up to the last prefix
-        i with a finite thr[i].  A cube stops once bound[t, i] >= thr[i]
+        i with a finite thr[i].  A region stops once bound[t, i] >= thr[i]
         for every prefix i, the prefixes not yet evaluated included (their
         bounds are at least the running max so far).  Beyond the points it
         evaluated, near is inf and bound the running max."""
@@ -340,7 +152,7 @@ class _RotationProfile3D:
         stop = int(live[-1]) + 1 if len(live) else 0
         # after[j]: the largest threshold of the prefixes after j
         after = np.append(np.maximum.accumulate(thr[::-1])[::-1][1:], -np.inf)
-        coef = maps.reshape(T, 9)
+        coef = maps.reshape(T, -1)
         c, s = math.cos(theta), math.sin(theta)
         for a in range(0, T, self.rows):
             rows = np.arange(a, min(a + self.rows, T))
@@ -380,80 +192,162 @@ class _RotationProfile3D:
         return near, bound
 
 
-_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
+def _bnb_rule(gains, upper, lower, bound, tol):
+    """(irrelevant, done, drop) of one branch-and-bound step.  upper and
+    lower bracket every prefix's d_R, bound[s] holds region s's prefix
+    bounds, and tol is the certificate gap of each prefix.
+
+    Prefix i cannot set the max-min when even its upper bound is within
+    tol of the certified d_lo, or when the next gain exceeds d_up: then
+    d_R_i <= d_R_{i+1} <= d_up < gains[i+1].  The search is done when
+    every other prefix is resolved to tol, and a region is dropped once no
+    prefix that can still set the max gains more than tol in it."""
+    d_lo = np.max(np.minimum(gains, lower))
+    irrelevant = np.minimum(gains, upper) <= d_lo + tol
+    irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
+    done = bool(np.all(irrelevant | (upper - lower <= tol)))
+    drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
+    return irrelevant, done, drop
 
 
-def _dr_bnb_3d(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
+def _keep_best(upper, maps, near, candidates):
+    """Lower upper[i] to the least d_H of prefix i over the maps whose
+    nearest distances are the rows of near, and keep the first map that
+    attains it in maps[i]."""
+    if len(near):
+        prof = np.maximum.accumulate(near, axis=1)
+        t = np.argmin(prof, axis=0)
+        vals = prof[t, np.arange(prof.shape[1])]
+        better = vals < upper
+        upper[better] = vals[better]
+        maps[better] = candidates[t[better]]
+
+
+def _polish(P, Q, gains, upper, maps, limit) -> bool:
+    """Whether the prefix i that sets the max has upper[i] <= limit; if so
+    its map is polished: the orthogonal map of the same determinant that
+    best fits P, by least squares, to the points of Q nearest that map's
+    image is evaluated by coordinate differences, and replaces the
+    incumbent of every prefix whose d_H it lowers.  For an isometric copy
+    it is the exact map, which reads about 1e-15.
+
+    This is also the float floor: inner-product distances err by about
+    1e-15 scale^2 / d on a distance d, scale = max(1, |P|max, |Q|max), below
+    the search tolerance once d exceeds 1e-6 scale, so a limit of 1e-6
+    scale corrects every value below it."""
+    i = int(np.argmax(np.minimum(gains, upper)))
+    if upper[i] > limit:
+        return False
+    tree = cKDTree(Q)
+    U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
+    U[:, -1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
+    polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
+    better = polished < upper
+    upper[better] = polished[better]
+    maps[better] = U @ Vt
+    return True
+
+
+def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
-    max_i min(gains[i], d_R_i), by branch-and-bound over rotation vectors.
+    max_i min(gains[i], d_R_i), by branch-and-bound over the orthogonal
+    maps of the plane or of space.
 
-    Rotations R(r) and mirrored maps R(r) diag(1, 1, -1) start from
-    BNB_CUBES_3D^3 cubes each over [-pi, pi]^3; a child cube wholly
-    outside the pi-ball, which holds every rotation, is dropped.  The incumbent starts
-    from the identity and the approximation construction's maps of all of
-    P; then every cube is evaluated at its centre map (see
-    _RotationProfile3D) and, unless dropped (see _bnb_rule), split into
-    eight.  upper, lower and maps are as in _dr_bnb_2d; lower starts from
-    the length gaps ||p| - |q||, which no map can close, and only grows:
-    every step's least bound is a certified one.
+    A region is a cube of rotation parameters of dimension d = n(n-1)/2,
+    an angle interval in 2D and a cube of rotation vectors in 3D, of one of
+    two families: rotations R and mirrored maps R diag(1, .., 1, -1).  Each
+    family starts from BNB_REGIONS cubes over [-pi, pi]^d; a child cube
+    wholly outside the pi-ball, which holds every rotation, is dropped.
+    Every map of a cube of half-side sigma turns each point by at most
+    theta = min(sqrt(d) sigma, pi) from the centre's map (Hartley & Kahl),
+    so each point's least distance over the cube is at least that from
+    the cap of half-angle theta (see _RotationProfile).  In 2D the cap is
+    the arc the interval's maps sweep, so that bound is exact.
 
-    The search resolves the max-min to within tol_i = max(1e-9 max(1,
-    |P|max), BNB_REL_TOL_3D min(gains[i], upper[i])), or stops when the
-    cubes reach BNB_MIN_HALF_SIDE_3D.  Its cube evaluations never pass
-    BNB_MAX_CUBES_3D: when a split would, only the cubes whose centre maps
-    give the least max-min are split, into half the room left, and the
-    bounds of the others join the floor.  So a capped search still
-    improves its incumbent, and its lower bound stays certified; the gap
-    is then wider than tol.  Then _polish lifts the float floor.
+    The incumbent upper[i] of prefix P[:i+1] is its least d_H over the
+    maps evaluated, and maps[i] the first map that attains it: the
+    identity, in 3D also the approximation construction's maps of all of
+    P, and then every cube's centre map.  A cube's bound for a prefix is
+    the running max over its points, and lower[i] starts from the length
+    gaps ||p| - |q||, which no map can close, and only grows: every step's
+    least bound is a certified one.  So d_R_i lies in [lower[i], upper[i]].
+    Unless dropped (see _bnb_rule), a cube is split 2^d ways.
+
+    The search resolves the max-min to within tol_i = 1e-9 max(1, |P|max)
+    in 2D, and in 3D to within that or BNB_REL_TOL_3D min(gains[i],
+    upper[i]), or stops after BNB_HALVINGS halvings.  Its cube evaluations
+    never pass BNB_MAX_REGIONS: when a split would, only the cubes whose
+    centre maps give the least max-min are split, into half the room left,
+    and the bounds of the others join the floor.  So a capped search still
+    improves its incumbent, and its lower bound stays certified; the gap is
+    then wider than tol.  The first time the incumbent that sets the max is
+    within 1e-2 scale, _polish fits its map, so an isometric copy stops at
+    once; a last _polish lifts the float floor.
     """
-    k = len(P)
+    k, n = P.shape
+    d = n * (n - 1) // 2
     abs_tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
-    engine = _RotationProfile3D(P, Q)
+    rel_tol = BNB_REL_TOL_3D if n == 3 else 0.0
+    scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+    engine = _RotationProfile(P, Q)
     upper = np.full(k, np.inf)
-    maps = np.zeros((k, 3, 3))
-    seeds = np.concatenate([np.eye(3)[None], _approx_maps(P, Q)])
+    maps = np.zeros((k, n, n))
+    seeds = np.eye(n)[None]
+    if n == 3:
+        seeds = np.concatenate([seeds, _approx_maps(P, Q)])
     _keep_best(upper, maps, _nearest(P, cKDTree(Q), seeds), seeds)
 
-    sigma = math.pi / BNB_CUBES_3D
-    axis = sigma * (2 * np.arange(BNB_CUBES_3D) + 1) - math.pi
-    centres = np.array(list(product(axis, repeat=3)))
-    centres = np.tile(centres, (2, 1))
+    def certificate():
+        # clamped at 0: a gain of -inf would make 0 * -inf
+        return np.maximum(abs_tol, rel_tol * np.maximum(
+            np.minimum(gains, upper), 0.0))
+
+    per_axis = round(BNB_REGIONS ** (1 / d))
+    sigma = math.pi / per_axis
+    min_sigma = sigma / 2 ** BNB_HALVINGS
+    axis = sigma * (2 * np.arange(per_axis) + 1) - math.pi
+    centres = np.tile(np.array(list(product(axis, repeat=d))), (2, 1))
     mirror = np.repeat([False, True], len(centres) // 2)
+    corners = np.array(list(product((-1.0, 1.0), repeat=d)))
+    flip = np.append(np.ones(n - 1), -1.0)
     floor = np.full(k, np.inf)  # least prefix bounds of dropped cubes
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
     lower = np.maximum.accumulate(np.abs(np.subtract.outer(
         np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
-    evaluated = 0
-    tol = np.maximum(abs_tol, BNB_REL_TOL_3D * np.minimum(gains, upper))
+    evaluated, polished = 0, False
+    tol = certificate()
     irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol)
-    while not done and len(centres) and sigma >= BNB_MIN_HALF_SIDE_3D:
-        batch = Rotation.from_rotvec(centres).as_matrix()
-        batch[mirror] *= [1.0, 1.0, -1.0]
+    while not done and len(centres) and sigma >= min_sigma:
+        batch = (Rotation.from_rotvec(centres).as_matrix() if n == 3
+                 else _maps_2d(centres[:, 0], False))
+        batch[mirror] *= flip
         thr = np.where(irrelevant, -np.inf, upper - tol)
-        near, bound = engine.cubes(batch, min(math.sqrt(3) * sigma, math.pi),
-                                   thr)
+        near, bound = engine.regions(batch, min(math.sqrt(d) * sigma, math.pi),
+                                     thr)
         evaluated += len(batch)
         _keep_best(upper, maps, near, batch)
-        tol = np.maximum(abs_tol, BNB_REL_TOL_3D * np.minimum(gains, upper))
+        polished = polished or _polish(P, Q, gains, upper, maps, 1e-2 * scale)
+        tol = certificate()
         lower = np.maximum(lower, np.minimum(floor, bound.min(axis=0)))
         irrelevant, done, drop = _bnb_rule(gains, upper, lower, bound, tol)
-        room = BNB_MAX_CUBES_3D - evaluated
-        if 8 * np.count_nonzero(~drop) > room:
+        room = BNB_MAX_REGIONS - evaluated
+        if len(corners) * np.count_nonzero(~drop) > room:
             # the budget would run out: split only the best cubes, their
             # children taking half the room left
             prof = np.maximum.accumulate(near, axis=1)
             score = np.max(np.where(np.isfinite(prof),
                                     np.minimum(gains, prof), -np.inf), axis=1)
             score[drop] = np.inf
-            drop[np.argsort(score, kind="stable")[room // 16:]] = True
+            drop[np.argsort(score, kind="stable")[
+                room // (2 * len(corners)):]] = True
         floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
         sigma /= 2
-        centres = (centres[~drop, None] + sigma * _CORNERS).reshape(-1, 3)
-        mirror = np.repeat(mirror[~drop], 8)
+        centres = (centres[~drop, None] + sigma * corners).reshape(-1, d)
+        mirror = np.repeat(mirror[~drop], len(corners))
         keep = np.linalg.norm(np.maximum(np.abs(centres) - sigma, 0.0),
                               axis=1) <= math.pi
         centres, mirror = centres[keep], mirror[keep]
-    _polish(P, Q, gains, upper, maps)
+    _polish(P, Q, gains, upper, maps, 1e-6 * scale)
     return upper, lower, maps
 
 
@@ -576,13 +470,13 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
 def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool):
     """(value, map, lower): max over prefixes P[:i+1] of min(gains[i],
     d_R_i), a map attaining d_R_i for the prefix that sets it, and a
-    certified lower bound on the max-min.  The exact engine is the
-    branch-and-bound in 2D and 3D; the approximation engine, and 1D, use
+    certified lower bound on the max-min.  The exact engine is _dr_bnb
+    in 2D and 3D; the approximation engine, and 1D, use
     the max-min search on the construction's maps alone, whose lower bound
     is the value over the construction's factor."""
     n = P.shape[1]
     if exact and n > 1:
-        upper, lower, maps = (_dr_bnb_2d if n == 2 else _dr_bnb_3d)(P, Q, gains)
+        upper, lower, maps = _dr_bnb(P, Q, gains)
         value = np.minimum(gains, upper)
         i = int(np.argmax(value))
         # near zero the float floor can put the bound above the polished value
@@ -605,8 +499,9 @@ def _whole_set(C, D):
 
 def d_R_exact_small(C, D):
     """(value, map): min over all orthogonal maps of d_H(f(C), D) (n <= 3):
-    exact in 1D, and the certified branch-and-bound in 2D and 3D (in 3D to
-    the relative gap BNB_REL_TOL_3D, or its certified gap when capped).
+    exact in 1D, and in 2D and 3D the one branch-and-bound over regions of
+    maps (_dr_bnb), certified to 1e-9 max(1, |C|max) in 2D and in 3D to
+    that or the relative gap BNB_REL_TOL_3D, unless it met BNB_MAX_REGIONS.
     The value is the returned map's own d_H, by coordinate differences,
     and never exceeds d_R_approx."""
     P, Q, gains = _whole_set(C, D)

@@ -239,6 +239,28 @@ class TestExitCodes:
         assert err.startswith("error: alpha-partitions failed to refine")
         assert "near-tie" in err
 
+    def test_dcluster_point_index_is_two(self, tmp_path, capsys):
+        path = write_1d(tmp_path / "a.txt", [0, 1], 4)
+        for points in (["5", "0"], ["0", "2"], ["0", "-1"]):
+            assert main(["dcluster", path, path, "--points", *points,
+                         "--alpha", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "point index" in err, points
+        assert main(["dcluster", path, path, "--points", "1", "0",
+                     "--alpha", "1"]) == 0
+
+    def test_bad_tolerance_override_is_two(self, tmp_path, capsys,
+                                           monkeypatch):
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        for value in ("-1", "0", "nan", "inf", "tight"):
+            monkeypatch.setenv("PERIGEO_TOL", value)
+            assert main(["compare", path, path]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "PERIGEO_TOL" in err, value
+        monkeypatch.setenv("PERIGEO_TOL", "1e-6")
+        assert main(["compare", path, path]) == 0
+        assert json.loads(capsys.readouterr().out)["isometric"] is True
+
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)
         assert main(["amd", path, "-k", "3"]) == 0
@@ -373,6 +395,37 @@ class TestCommands:
         m = np.array(data["matrix"])
         assert m[0, 2] == pytest.approx(0.0, abs=1e-9)
         assert m[0, 1] > 1e-3 and m[1, 2] > 1e-3
+
+    def test_batch_emd_at_one_radius(self, tmp_path, capsys):
+        # three random 2D sets and jittered copies of two of them, whose
+        # cells give different max{2b, d}: every entry is the EMD of one
+        # isoset per set at the largest of them, so the matrix is a metric
+        rng = np.random.default_rng(81)
+        sets = [random_periodic_set(rng, 2, m) for m in (1, 2, 2)]
+        sets += [jitter_set(rng, sets[0], 0.02)[0],
+                 jitter_set(rng, sets[1], 0.02)[0]]
+        paths = []
+        for i, S in enumerate(sets):
+            path = tmp_path / f"s{i}.txt"
+            path.write_text(write_set_text(S), encoding="utf-8")
+            paths.append(str(path))
+        assert main(["batch", *paths, "--mode", "emd", "--dr", "exact"]) == 0
+        m = np.array(json.loads(capsys.readouterr().out)["matrix"])
+        parsed = [parse_set_file(path) for path in paths]
+        radii = [pg.easy_stable_radius(S) for S in parsed]
+        assert len(set(radii)) > 1
+        alpha = max(radii)
+        tol = 1e-9 * alpha
+        assert np.array_equal(m, m.T)
+        assert np.all(np.diag(m) == 0.0)
+        for i in range(len(sets)):
+            for j in range(len(sets)):
+                assert np.all(m[i] <= m[i, j] + m[j] + 2 * tol), (i, j)
+        isosets = [pg.isoset(S, alpha) for S in parsed]
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                cost, _ = pg.emd(isosets[i], isosets[j], engine="exact")
+                assert m[i, j] == pytest.approx(cost, abs=1e-12), (i, j)
 
     def test_batch_isoset_mode(self, tmp_path, capsys):
         a = write_1d(tmp_path / "a.txt", [0, 1, 3], 5)

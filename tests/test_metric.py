@@ -6,11 +6,11 @@ from scipy.optimize import linear_sum_assignment
 import perigeo as pg
 from perigeo import metric
 from perigeo.metric import (
-    BNB_MAX_CUBES_3D,
+    BNB_MAX_REGIONS,
     BNB_REL_TOL_3D,
     TransportPlan,
     _approx_maps,
-    _dr_bnb_2d,
+    _dr_bnb,
     _max_min,
     _min_cost_transport,
     approx_factor_bound,
@@ -39,8 +39,8 @@ def certified_dm_2d(C, D, alpha):
     order = np.argsort(lengths, kind="stable")
     gains = alpha - lengths[order]
     keep = gains > 0
-    upper, lower, _ = _dr_bnb_2d(C[order][keep], np.asarray(D, float),
-                                 gains[keep])
+    upper, lower, _ = _dr_bnb(C[order][keep], np.asarray(D, float),
+                              gains[keep])
     tol = 1e-9 * max(1.0, lengths[order][keep].max())
     return (float(np.max(np.minimum(gains[keep], upper))),
             float(np.max(np.minimum(gains[keep], lower))), tol)
@@ -358,13 +358,13 @@ class TestDr3dCertificate:
         # search, the certified lower bound never exceeds a seeded rotation
         # sample, and the returned map attains the value
         evaluated = []
-        cubes = metric._RotationProfile3D.cubes
+        regions = metric._RotationProfile.regions
 
         def counting(self, maps, theta, thr):
             evaluated[-1] += len(maps)
-            return cubes(self, maps, theta, thr)
+            return regions(self, maps, theta, thr)
 
-        monkeypatch.setattr(metric._RotationProfile3D, "cubes", counting)
+        monkeypatch.setattr(metric._RotationProfile, "regions", counting)
         pairs = self.corpus()
         assert len(pairs) >= 40
         capped = 0
@@ -387,7 +387,7 @@ class TestDr3dCertificate:
             if value - lower > tol:
                 # the budget stopped it: a batch split eight ways would have
                 # passed the budget, so more than a ninth of it was spent
-                assert evaluated[-1] > BNB_MAX_CUBES_3D // 9, pair
+                assert evaluated[-1] > BNB_MAX_REGIONS // 9, pair
                 capped += 1
             # the map attains the value on the prefix that sets it
             near = np.maximum.accumulate(
@@ -439,6 +439,50 @@ class TestDr3dCertificate:
         assert value - lower > 0.05
         assert lower <= float(np.max(np.minimum(
             gains, prefix_sample_3d(P, cubic, 1000))))
+
+
+class TestIsometricCopyExit:
+    """An isometric copy ends the exact search early: in 2D the incumbent's
+    map is polished once it is within 1e-2 scale, in 3D the approximation
+    construction's maps are exact before any region is evaluated."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        count = [0]
+        regions = metric._RotationProfile.regions
+
+        def counting(self, maps, theta, thr):
+            count[0] += len(maps)
+            return regions(self, maps, theta, thr)
+
+        monkeypatch.setattr(metric._RotationProfile, "regions", counting)
+        return count
+
+    def test_2d_supercell_copies(self, evaluated):
+        # criterion 9's 2x2 supercell of the square lattice at alpha 4
+        S = pg.PeriodicSet(pg.UnitCell(2 * np.eye(2)),
+                           np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]))
+        C = pg.alpha_cluster(S, 0, 4.0).points
+        rng = np.random.default_rng(909)
+        for j in range(6):
+            M = rot2(rng.uniform(0, 2 * np.pi))
+            if j % 2:
+                M = M @ np.diag([1.0, -1.0])
+            D = C @ M.T
+            for A, B in ((C, D), (D, C)):
+                evaluated[0] = 0
+                assert pg.d_M(A, B, 4.0, engine="exact") <= 1e-12, j
+                assert evaluated[0] <= 256, (j, evaluated[0])
+
+    def test_3d_cubic_copies(self, evaluated):
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
+        C = pg.alpha_cluster(S, 0, 1.8).points
+        rng = np.random.default_rng(919)
+        for j in range(4):
+            D = C @ random_orthogonal(rng, 3).T
+            for A, B in ((C, D), (D, C)):
+                assert pg.d_M(A, B, 1.8, engine="exact") <= 1e-12, j
+        assert evaluated[0] == 0
 
 
 class TestDc:
