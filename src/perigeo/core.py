@@ -168,26 +168,39 @@ class RadiusReport:
 # neighbor_arrays and neighbor_cloud build; above it they raise DataError
 # before allocating.  In 3D one slot costs about 115 bytes at the peak of
 # neighbor_arrays (measured on the cubic lattice), so the cap keeps one
-# call near 230 MB.  Measured largest enumerations: 16,065 slots in the
-# perfbench workloads (AMD's cloud at k = 400), 19,380 in the test suite
-# apart from the skewed random cells drawn for the covering-radius corpus,
-# which reach 326,340.
+# call near 230 MB.  Measured largest enumerations: 11,115 slots in the
+# perfbench workloads (AMD's cloud at k = 400), 13,260 in the test suite
+# apart from skewed random cells: the bottleneck-matrix test's cloud
+# reaches 233,306 and a thin cell drawn for the covering-radius corpus
+# 1,979,208 (in neighbor_arrays, on the cell as given).
 MAX_ENUMERATION = 2_000_000
+
+
+def _fractional_window(cell: UnitCell, frac_lo, frac_hi, reach: float):
+    """Per axis, the fractional interval [a, b] holding every point within
+    Cartesian distance `reach` of the box [frac_lo, frac_hi]: a point that
+    far moves by at most reach * |inv_basis[:, i]| along fractional axis i.
+    Both ends carry a rounding slack of REL_TOL relative."""
+    if not math.isfinite(reach):
+        raise DataError("radius must be a finite number")
+    dual = np.linalg.norm(cell.inv_basis, axis=0)  # fractional reach per unit length
+    a = np.asarray(frac_lo, dtype=float) - reach * dual
+    b = np.asarray(frac_hi, dtype=float) + reach * dual
+    slack = REL_TOL * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    return a - slack, b + slack
 
 
 def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
                      m: int) -> np.ndarray:
-    """Integer cell offsets whose cells can meet the fractional window
-    [frac_lo, frac_hi] fattened by a Cartesian distance `reach`.
+    """Integer cell offsets o whose shifted cells o + [0, 1)^n can hold a
+    point of the window of _fractional_window: floor(a) .. floor(b) per
+    axis.
 
     Raises DataError when offsets x m would pass MAX_ENUMERATION; the
     count is estimated in floats before anything is allocated.
     """
-    if not math.isfinite(reach):
-        raise DataError("radius must be a finite number")
-    dual = np.linalg.norm(cell.inv_basis, axis=0)  # fractional reach per unit length
-    lo = np.floor(np.asarray(frac_lo) - reach * dual) - 1
-    hi = np.floor(np.asarray(frac_hi) + reach * dual) + 1
+    a, b = _fractional_window(cell, frac_lo, frac_hi, reach)
+    lo, hi = np.floor(a), np.floor(b)
     size = float(np.prod(hi - lo + 1)) * m
     if size > MAX_ENUMERATION:
         raise DataError(
@@ -211,12 +224,12 @@ def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
     cell = S.cell
     p_frac = S.motif[p_index]
     p_cart = p_frac @ cell.basis
-    offsets = _lattice_offsets(cell, p_frac, p_frac, alpha, S.m)
+    bound = alpha + REL_TOL * (alpha + cell.diameter)
+    offsets = _lattice_offsets(cell, p_frac, p_frac, bound, S.m)
     cart_off = offsets @ cell.basis
     vecs = (S.cartesian_motif[None, :, :] + cart_off[:, None, :]) - p_cart
     dist = np.linalg.norm(vecs, axis=-1)
-    atol = REL_TOL * (alpha + cell.diameter)
-    cells, idx = np.nonzero(dist <= alpha + atol)
+    cells, idx = np.nonzero(dist <= bound)
     vecs = vecs[cells, idx]
     shifts = offsets[cells]
     dist = dist[cells, idx]
@@ -269,18 +282,32 @@ def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
 
 
 def neighbor_cloud(S: PeriodicSet, reach: float):
-    """All points of S within Cartesian distance `reach` of the unit cell.
+    """The points of S in the reach slab of the unit cell: those whose
+    fractional coordinates lie in [-reach |inv_basis[:, i]|,
+    1 + reach |inv_basis[:, i]|] on every axis i, up to a rounding slack
+    of REL_TOL relative.
 
-    Returns (points, motif_indices); used for covering-radius, AMD and
-    sampling queries against arbitrary positions inside the cell.
+    Returns (points, motif_indices).  A point within Cartesian distance
+    `reach` of the cell moves by at most reach |inv_basis[:, i]| along
+    axis i, so the slab holds every such point, and that is all that its
+    consumers use: the covering radius needs the points within d/2 of the
+    cell (packing_covering_radii), AMD the k+1 nearest points of each
+    motif point, which lie within its certified reach of the cell
+    (amd.nearest_neighbor_distances), sampled density the points within
+    the largest t of a sample in the cell (psi_k_sampled), and the
+    bottleneck distance the nearest copy of each motif point, within the
+    cell diameter of a point in the cell.
     """
     cell = S.cell
+    lo, hi = _fractional_window(cell, np.zeros(cell.dim), np.ones(cell.dim), reach)
     offsets = _lattice_offsets(cell, np.zeros(cell.dim), np.ones(cell.dim),
                                reach, S.m)
+    frac = S.motif[None, :, :] + offsets[:, None, :]
+    keep = np.all((frac >= lo) & (frac <= hi), axis=-1)
     cart_off = offsets @ cell.basis
-    pts = (S.cartesian_motif[None, :, :] + cart_off[:, None, :]).reshape(-1, cell.dim)
-    idx = np.tile(np.arange(S.m), offsets.shape[0])
-    return pts, idx
+    pts = S.cartesian_motif[None, :, :] + cart_off[:, None, :]
+    cells, idx = np.nonzero(keep)
+    return pts[cells, idx], idx
 
 
 def min_interpoint_distance(S: PeriodicSet) -> float:
@@ -300,15 +327,18 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     distance computed from Voronoi vertices of a periodic patch (analytic
     in 1D).
 
-    The patch holds every point of S within d/2 of the unit cell, for the
-    set re-expressed on the basis of reduce_basis (whose patch is the
-    smallest) and d the diameter of that cell.  That reach is enough.  A
-    point x = sum t_i v_i lies within |sum s_i v_i| <= d/2 (|s_i| <= 1/2)
-    of the lattice point found by rounding each t_i, so every x is within
-    d/2 of a copy of each motif point and R <= d/2.  A vertex of the
-    Voronoi diagram of S inside the cell therefore has all of its nearest
-    points in the patch, and no patch point closer, so it is a vertex of
-    the patch's diagram too.  For any vertex v of the patch's diagram
+    The patch is neighbor_cloud's reach slab at d/2, for the set
+    re-expressed on the short, near-orthogonal basis of reduce_basis and
+    d the diameter of that cell: the points whose fractional coordinates
+    lie in [-d/2 |inv_basis[:, i]|, 1 + d/2 |inv_basis[:, i]|].  It holds
+    every point of S within d/2 of the cell (on a cubic lattice, the 8
+    cell corners), and that reach is enough.  A point x = sum t_i v_i
+    lies within |sum s_i v_i| <= d/2 (|s_i| <= 1/2) of the lattice point
+    found by rounding each t_i, so every x is within d/2 of a copy of
+    each motif point and R <= d/2.  A vertex of the Voronoi diagram of S
+    inside the cell therefore has all of its nearest points in the patch,
+    and no patch point closer, so it is a vertex of the patch's diagram
+    too.  For any vertex v of the patch's diagram
     inside the cell, the nearest patch point is the nearest point of S, so
     the KD-tree query returns the true distance from v to S, at most R.
     The largest query distance over the vertices in the cell is thus R.

@@ -138,11 +138,15 @@ def alpha_cluster(S: PeriodicSet, p_index: int, alpha: float) -> Cluster:
 
 
 def _rank_and_frame(points: np.ndarray, scale: float):
-    """(rank, frame): orthonormal rows, the first `rank` spanning the hull."""
-    n = points.shape[1]
-    if points.shape[0] == 1:
+    """(rank, frame): orthonormal rows, the first `rank` spanning the hull.
+
+    Only the n x n V^T is used, so the k x k U of a full SVD is built only
+    when the k points are fewer than the n dimensions and the thin V^T
+    would lack rows."""
+    k, n = points.shape
+    if k == 1:
         return 0, np.eye(n)
-    _, sv, vt = np.linalg.svd(points, full_matrices=True)
+    _, sv, vt = np.linalg.svd(points, full_matrices=k < n)
     thresh = RANK_TOL * max(scale, 1e-30)
     rank = int(np.sum(sv > thresh))
     return rank, vt

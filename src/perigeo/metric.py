@@ -652,9 +652,9 @@ def _periodic_distance_matrix(S, Q) -> np.ndarray:
     """Entry [i, j]: distance from motif point i of S to the nearest copy
     of motif point j of Q.  Both lie in the unit cell, so that copy is
     within the cell diameter of it, inside Q's neighbor cloud."""
-    pts, _ = neighbor_cloud(Q, S.cell.diameter)
+    pts, idx = neighbor_cloud(Q, S.cell.diameter)
     dist = np.linalg.norm(S.cartesian_motif[:, None, :] - pts[None, :, :], axis=-1)
-    return dist.reshape(S.m, -1, Q.m).min(axis=1)
+    return np.stack([dist[:, idx == j].min(axis=1) for j in range(Q.m)], axis=1)
 
 
 def bottleneck_distance_common_cell(S, Q) -> float:

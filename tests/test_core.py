@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import perigeo as pg
 from perigeo import core
@@ -137,6 +140,100 @@ class TestNeighborsWithin:
             assert np.allclose(a, b, atol=1e-9)
 
 
+def _offset_cube(S, reach):
+    """Every integer offset within a generous cube: two cells beyond what
+    the dual norms allow around the unit cell."""
+    dual = np.linalg.norm(S.cell.inv_basis, axis=0)
+    k = int(np.ceil(reach * dual.max())) + 2
+    return np.array(list(itertools.product(range(-k, k + 2), repeat=S.dim)))
+
+
+def _cube_points(S, reach):
+    """(points, motif indices, offsets) of S over _offset_cube."""
+    offsets = _offset_cube(S, reach)
+    pts = S.cartesian_motif[None, :, :] + (offsets @ S.cell.basis)[:, None, :]
+    idx = np.tile(np.arange(S.m), len(offsets))
+    return pts.reshape(-1, S.dim), idx, np.repeat(offsets, S.m, axis=0)
+
+
+def _brute_neighbors(S, p, alpha, cube):
+    """neighbor_arrays from its definition: every point of the offset cube
+    (from _cube_points at a reach of at least alpha) within the inclusion
+    bound, in the documented order."""
+    pts, idx, shifts = cube
+    vecs = pts - S.cartesian_motif[p]
+    dist = np.linalg.norm(vecs, axis=1)
+    inside = dist <= alpha + core.REL_TOL * (alpha + S.cell.diameter)
+    vecs, idx, shifts, dist = vecs[inside], idx[inside], shifts[inside], dist[inside]
+    order = np.lexsort([idx] + [vecs[:, c] for c in range(S.dim - 1, -1, -1)] + [dist])
+    return vecs[order], idx[order], shifts[order]
+
+
+def _contract_sets():
+    """Skewed 2D and 3D cells (skew up to 0.4) with m = 1..3, every other
+    one re-celled by a unimodular matrix."""
+    rng = np.random.default_rng(1212)
+    out = []
+    for n in (2, 3):
+        for skew in (0.1, 0.25, 0.4):
+            for m in (1, 2, 3):
+                try:
+                    S = random_periodic_set(rng, n, m, skew=skew)
+                except pg.DataError:  # a thin cell passed the enumeration cap
+                    continue
+                if len(out) % 2:
+                    S = pg.change_cell(S, UNIMODULAR[n][1 + len(out) % 3])
+                out.append(S)
+    return out
+
+
+class TestEnumerationContract:
+    """neighbor_arrays and neighbor_cloud against enumerations over a cube
+    of offsets wider than any window they visit."""
+
+    def test_neighbor_arrays_equals_brute_force(self):
+        for S in _contract_sets():
+            d = S.cell.diameter
+            cube = _cube_points(S, d)
+            for p in range(S.m):
+                lengths = np.unique(
+                    np.linalg.norm(_brute_neighbors(S, p, d, cube)[0], axis=1))
+                # radii equal to pair distances put points on the inclusion
+                # bound; radii between them do not
+                ties = list(lengths[1::8])
+                between = list(0.5 * (lengths[1:-1:8] + lengths[2::8]))
+                for alpha in ties + between + [0.0]:
+                    got = neighbor_arrays(S, p, alpha)
+                    want = _brute_neighbors(S, p, alpha, cube)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+
+    def test_neighbor_cloud_holds_every_point_within_reach(self):
+        rng = np.random.default_rng(1313)
+        for S in _contract_sets():
+            n, d = S.dim, S.cell.diameter
+            corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+            probes = np.vstack([corners, rng.random((16, n))]) @ S.cell.basis
+            for reach in (0.3 * d, 0.5 * d, d):
+                cloud, cloud_idx = neighbor_cloud(S, reach)
+                pts, idx, _ = _cube_points(S, reach)
+                near = np.linalg.norm(pts[None] - probes[:, None], axis=-1) <= reach
+                wanted = np.any(near, axis=0)
+                dist, at = cKDTree(cloud).query(pts[wanted])
+                assert dist.max() <= 1e-12 * d
+                assert np.array_equal(cloud_idx[at], idx[wanted])
+
+    def test_neighbor_cloud_stays_in_the_reach_slab(self):
+        for S in _contract_sets():
+            dual = np.linalg.norm(S.cell.inv_basis, axis=0)
+            for reach in (0.3, 0.5, 1.0):
+                reach *= S.cell.diameter
+                cloud, _ = neighbor_cloud(S, reach)
+                frac = cloud @ S.cell.inv_basis
+                assert np.all(frac >= -reach * dual - 1e-8)
+                assert np.all(frac <= 1 + reach * dual + 1e-8)
+
+
 class TestEnumerationCap:
     """The cap is tested by its estimate: every refused call raises before
     it allocates, and the boundary is probed on a small enumeration."""
@@ -169,6 +266,16 @@ class TestEnumerationCap:
         monkeypatch.setattr(core, "MAX_ENUMERATION", len(offsets) * s2.m - 1)
         with pytest.raises(pg.DataError):
             neighbor_arrays(s2, 0, 7.0)
+
+
+# lattice bases (rows) and the covering radius of the one-point lattice
+SMALL_PATCH_LATTICES = {
+    "square": (np.eye(2), np.sqrt(2) / 2),
+    "hexagonal": (np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]), 1 / np.sqrt(3)),
+    "cubic": (np.eye(3), np.sqrt(3) / 2),
+    "bcc": (0.5 * np.array([[-1.0, 1, 1], [1, -1, 1], [1, 1, -1]]), np.sqrt(5) / 4),
+    "fcc": (0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]]), 0.5),
+}
 
 
 class TestRadii:
@@ -226,6 +333,26 @@ class TestRadii:
         assert reach_2d_patch_size(T) > 1e7
         _, R = pg.packing_covering_radii(T)
         assert abs(R - covering_radius_reach_2d(S)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SMALL_PATCH_LATTICES))
+    @pytest.mark.parametrize("fractions", [(0.0,), (0.5,), (0.0, 0.5), (0.25, 0.75)])
+    def test_covering_on_the_smallest_patches(self, name, fractions):
+        # the reach-d/2 slab of a lattice holds 4 to a few hundred points,
+        # many of them co-spherical about the Voronoi vertex that sets R
+        basis, closed_form = SMALL_PATCH_LATTICES[name]
+        n = len(basis)
+        S = pg.PeriodicSet(pg.UnitCell(basis), np.array([[f] * n for f in fractions]))
+        _, R = pg.packing_covering_radii(S)
+        expected = closed_form if len(fractions) == 1 else covering_radius_reach_2d(S)
+        assert abs(R - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_covering_on_a_20_to_1_cell(self, n):
+        # the deepest hole of a box lattice is the box centre
+        S = pg.PeriodicSet(pg.UnitCell(np.diag([20.0] + [1.0] * (n - 1))),
+                           np.zeros((1, n)))
+        _, R = pg.packing_covering_radii(S)
+        assert abs(R - np.sqrt(400 + n - 1) / 2) <= 1e-12
 
     def test_packing_is_half_min_nn(self):
         rng = np.random.default_rng(9)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -220,6 +221,82 @@ class TestSymmetryGroup:
                 g = pg.symmetry_group(S, p, a)
                 orders.append(math.inf if g.continuous else g.order)
             assert all(x >= y for x, y in zip(orders, orders[1:]))
+
+
+# the module, which the package's isoset function shadows as an attribute
+isoset_module = importlib.import_module("perigeo.isoset")
+
+
+def _full_svd_frame(points, scale):
+    """_rank_and_frame from a full SVD, the k x k U included."""
+    k, n = points.shape
+    if k == 1:
+        return 0, np.eye(n)
+    _, sv, vt = np.linalg.svd(points, full_matrices=True)
+    return int(np.sum(sv > isoset_module.RANK_TOL * max(scale, 1e-30))), vt
+
+
+def _same_elements(a, b):
+    return len(a) == len(b) and all(
+        sum(np.abs(x - y).max() <= 1e-9 for y in b) == 1 for x in a)
+
+
+def _frame_clusters():
+    """Clusters by name, centre first: fewer points than dimensions,
+    rank-deficient and full-rank."""
+    rng = np.random.default_rng(1515)
+    z3 = np.zeros((1, 3))
+    line = np.outer([0.0, 1.0, -1.0, 2.5], rng.normal(size=3))
+    plane = np.vstack([z3, rng.normal(size=(5, 2)) @ rng.normal(size=(2, 3))])
+    square = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0.0]])
+    return {
+        "one point, 2D": np.zeros((1, 2)),
+        "one point, 3D": z3,
+        "two points, 3D": np.vstack([z3, rng.normal(size=(1, 3))]),
+        "two points, 2D": np.array([[0.0, 0.0], [0.3, -0.8]]),
+        "collinear, 3D": line,
+        "planar, 3D": plane,
+        "planar square, 3D": square @ random_orthogonal(rng, 3).T,
+        "solid, 3D": np.vstack([z3, rng.normal(size=(6, 3))]),
+        "cubic shell, 3D": np.vstack([z3, np.eye(3), -np.eye(3)]),
+    }
+
+
+class TestRankAndFrame:
+    """The thin SVD frame (k >= n points) and the full one (k < n) give the
+    ranks, groups and maps of a frame from a full SVD."""
+
+    @pytest.mark.parametrize("name", sorted(_frame_clusters()))
+    def test_groups_and_maps_match_a_full_svd_frame(self, name, monkeypatch):
+        points = _frame_clusters()[name]
+        n = points.shape[1]
+        rng = np.random.default_rng(1616)
+        C = pg.Cluster(0, 3.0, points)
+        D = pg.Cluster(0, 3.0, points @ random_orthogonal(rng, n).T)
+        scale = max(float(C.lengths.max()), 1e-30)
+        rank, frame = isoset_module._rank_and_frame(points, scale)
+        full_rank, full_frame = _full_svd_frame(points, scale)
+        assert rank == full_rank and frame.shape == (n, n)
+        assert np.allclose(frame @ frame.T, np.eye(n), atol=1e-12)
+        # the first `rank` rows span the same hull
+        assert np.allclose(frame[:rank].T @ frame[:rank],
+                           full_frame[:rank].T @ full_frame[:rank], atol=1e-12)
+        thin = (cluster_symmetry_group(C), pg.clusters_isometric(C, D),
+                pg.clusters_isometric(C, pg.Cluster(0, 3.0, 1.01 * D.points)))
+        monkeypatch.setattr(isoset_module, "_rank_and_frame", _full_svd_frame)
+        full = (cluster_symmetry_group(C), pg.clusters_isometric(C, D),
+                pg.clusters_isometric(C, pg.Cluster(0, 3.0, 1.01 * D.points)))
+        (g, found, scaled), (g_full, found_full, scaled_full) = thin, full
+        assert (g.continuous, g.rank, g.reduced_order, g.order) == (
+            g_full.continuous, g_full.rank, g_full.reduced_order, g_full.order)
+        assert g.rank == rank
+        if not g.continuous:
+            assert _same_elements(g.elements, g_full.elements)
+        assert found is not None and found_full is not None
+        for m in (found, found_full):
+            mapped = m(C.points)
+            assert np.abs(mapped[:, None] - D.points[None]).max(axis=-1).min(axis=1).max() <= 1e-9
+        assert (scaled is None) == (scaled_full is None) == (rank > 0)
 
 
 class TestPartitions:

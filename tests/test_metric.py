@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -677,6 +679,38 @@ class TestBottleneck:
         Q, moved = jitter_set(rng, S, 0.5 * r)
         d = pg.bottleneck_distance_common_cell(S, Q)
         assert d <= moved + 1e-9
+
+    def test_distance_matrix_is_nearest_copies(self):
+        # skewed cells, motif points 0.003 from a cell face and copies
+        # jittered by 0.05, so that many copies fold across the wrap;
+        # oracle: the nearest copy over a cube of offsets
+        rng = np.random.default_rng(1414)
+        crossed = 0
+        for n in (2, 3):
+            for skew in (0.2, 0.4):
+                for m in (2, 3, 4):
+                    try:
+                        cell = pg.UnitCell(np.eye(n) + skew * rng.normal(size=(n, n)))
+                        motif = rng.random((m, n))
+                        motif[:, 0] = rng.choice([0.003, 0.997], size=m)
+                        S = pg.PeriodicSet(cell, motif)
+                    except pg.DataError:
+                        continue
+                    Q, _ = jitter_set(rng, S, 0.05)
+                    crossed += int(np.sum(np.abs(Q.motif - S.motif) > 0.5))
+                    dual = np.linalg.norm(cell.inv_basis, axis=0).max()
+                    k = int(np.ceil(cell.diameter * dual)) + 2
+                    offsets = np.array(list(itertools.product(range(-k, k + 1), repeat=n)))
+                    copies = Q.cartesian_motif[None] + (offsets @ cell.basis)[:, None]
+                    brute = np.linalg.norm(S.cartesian_motif[:, None, None] - copies[None],
+                                           axis=-1).min(axis=1)
+                    got = metric._periodic_distance_matrix(S, Q)
+                    assert np.allclose(got, brute, rtol=0.0, atol=1e-12)
+                    best = min(max(brute[i, j] for i, j in enumerate(perm))
+                               for perm in itertools.permutations(range(m)))
+                    assert pg.bottleneck_distance_common_cell(S, Q) == pytest.approx(
+                        best, abs=1e-12)
+        assert crossed >= 10
 
     def test_requires_common_cell(self, square, hexagonal):
         with pytest.raises(ValueError):
