@@ -8,6 +8,7 @@ variable PERIGEO_TOL overrides the default cluster-match tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -366,6 +367,7 @@ def _cmd_batch(args):
     return 0
 
 
+@functools.cache  # one parser per process, built at first use and not at import
 def build_parser() -> _Parser:
     parser = _Parser(prog="perigeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -96,6 +96,16 @@ class UnitCell:
         inv.flags.writeable = False
         return inv
 
+    @cached_property
+    def _reduction(self) -> tuple:
+        """(U, U^-1, reduced cell): the integer unimodular U whose U @ basis
+        is the short, near-orthogonal basis of reduce_basis, its integer
+        inverse, and the cell of U @ basis.  Fractional coordinates f on
+        this cell are f @ U^-1 on the reduced one."""
+        U = np.rint(reduce_basis(self.basis) @ self.inv_basis).astype(int)
+        U_inv = np.rint(np.linalg.inv(U)).astype(int)
+        return U, U_inv, UnitCell(U @ self.basis)
+
 
 @dataclass(frozen=True)
 class PeriodicSet:
@@ -169,10 +179,9 @@ class RadiusReport:
 # before allocating.  In 3D one slot costs about 115 bytes at the peak of
 # neighbor_arrays (measured on the cubic lattice), so the cap keeps one
 # call near 230 MB.  Measured largest enumerations: 11,115 slots in the
-# perfbench workloads (AMD's cloud at k = 400), 13,260 in the test suite
-# apart from skewed random cells: the bottleneck-matrix test's cloud
-# reaches 233,306 and a thin cell drawn for the covering-radius corpus
-# 1,979,208 (in neighbor_arrays, on the cell as given).
+# perfbench workloads (AMD's cloud at k = 400) and 13,260 in the test
+# suite, apart from the stable-radius scan of a 3D cell 64 times longer
+# than wide (170,496: its critical radii run to max{2b, d} of that cell).
 MAX_ENUMERATION = 2_000_000
 
 
@@ -216,22 +225,29 @@ def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
     """All points q of S with |q - p| <= alpha, p the motif point p_index
     (itself included), as (vectors q - p, motif indices of q, integer
     lattice coordinates of q's cell), sorted by (length, coordinates,
-    index).  Only the shifted cells that can meet the ball are visited."""
+    index).  Only the cells of the reduced cell (UnitCell._reduction) that
+    can meet the ball are visited: there motif point j sits at f_j @ U^-1
+    + folds_j, in [0, 1) up to a rounding that _fractional_window's slack
+    covers, and the window is centred on p's unfolded f_p @ U^-1.  Reduced
+    cell o is the given cell's shift (o + folds_j) @ U for point j."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     if not 0 <= p_index < S.m:
         raise IndexError("motif index out of range")
     cell = S.cell
-    p_frac = S.motif[p_index]
-    p_cart = p_frac @ cell.basis
+    U, U_inv, reduced = cell._reduction
+    p_cart = S.motif[p_index] @ cell.basis
     bound = alpha + REL_TOL * (alpha + cell.diameter)
-    offsets = _lattice_offsets(cell, p_frac, p_frac, bound, S.m)
-    cart_off = offsets @ cell.basis
-    vecs = (S.cartesian_motif[None, :, :] + cart_off[:, None, :]) - p_cart
+    frac = S.motif @ U_inv
+    folds = -np.floor(frac).astype(int)
+    offsets = _lattice_offsets(reduced, frac[p_index], frac[p_index], bound, S.m)
+    slots = (offsets[:, None, :] + folds[None, :, :]) @ U
+    cart_off = (slots.reshape(-1, S.dim) @ cell.basis).reshape(slots.shape)
+    vecs = (S.cartesian_motif[None, :, :] + cart_off) - p_cart
     dist = np.linalg.norm(vecs, axis=-1)
     cells, idx = np.nonzero(dist <= bound)
     vecs = vecs[cells, idx]
-    shifts = offsets[cells]
+    shifts = slots[cells, idx]
     dist = dist[cells, idx]
     keys = [idx] + [vecs[:, c] for c in range(cell.dim - 1, -1, -1)] + [dist]
     order = np.lexsort(keys)
@@ -311,8 +327,10 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
 
 
 def min_interpoint_distance(S: PeriodicSet) -> float:
-    """Minimum distance between distinct points of the infinite set."""
-    probe = float(np.linalg.norm(S.cell.basis, axis=1).min()) * (1 + 1e-9)
+    """Minimum distance between distinct points of the infinite set, at
+    most the shortest vector of any basis: the reduced cell's is probed."""
+    reduced = S.cell._reduction[2].basis
+    probe = float(np.linalg.norm(reduced, axis=1).min()) * (1 + 1e-9)
     best = math.inf
     for i in range(S.m):
         dist = neighbor_stack(S, i, probe).lengths
@@ -351,8 +369,7 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
         gaps = np.diff(np.concatenate([xs, [xs[0] + period]]))
         R = 0.5 * float(gaps.max())
         return r, R
-    U = np.rint(reduce_basis(S.cell.basis) @ S.cell.inv_basis).astype(int)
-    S = change_cell(S, U)
+    S = change_cell(S, S.cell._reduction[0])
     pts, _ = neighbor_cloud(S, 0.5 * S.cell.diameter)
     vor = Voronoi(pts)
     frac = vor.vertices @ S.cell.inv_basis
@@ -364,44 +381,6 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     dist, _ = tree.query(verts)
     R = float(dist.max())
     return r, R
-
-
-def _generates_full_lattice(vectors: Sequence[Sequence[int]], n: int) -> bool:
-    """True iff the integer row span of `vectors` is all of Z^n.
-
-    Row-style Hermite reduction; the span is Z^n exactly when there are n
-    pivots with |product| = 1.
-    """
-    mat = [[int(x) for x in v] for v in vectors if any(int(x) for x in v)]
-    if n == 0:
-        return True
-    pivots = []
-    row = 0
-    for col in range(n):
-        while True:
-            nz = [r for r in range(row, len(mat)) if mat[r][col] != 0]
-            if not nz:
-                break
-            r_min = min(nz, key=lambda r: abs(mat[r][col]))
-            mat[row], mat[r_min] = mat[r_min], mat[row]
-            done = True
-            for r in range(row + 1, len(mat)):
-                if mat[r][col] != 0:
-                    q = mat[r][col] // mat[row][col]
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[row])]
-                    if mat[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if row < len(mat) and mat[row][col] != 0:
-            pivots.append(mat[row][col])
-            row += 1
-    if len(pivots) != n:
-        return False
-    prod = 1
-    for p in pivots:
-        prod *= p
-    return abs(prod) == 1
 
 
 def _quotient_edges(S: PeriodicSet, max_len: float):
@@ -423,60 +402,57 @@ def _quotient_edges(S: PeriodicSet, max_len: float):
     return edges
 
 
-def _bridge_feasible(edges, m: int, n: int, threshold: float) -> bool:
-    """Connectivity of the quotient graph plus full-lattice generation by the
-    translation vectors of its closed walks (the finite form of chaining
-    through the infinite set)."""
-    adj = [[] for _ in range(m)]
-    for i, j, shift, length in edges:
-        if length <= threshold:
-            adj[i].append((j, shift))
-            adj[j].append((i, tuple(-c for c in shift)))
-    phi = [None] * m
-    phi[0] = tuple(0 for _ in range(n))
-    stack = [0]
-    cycles = []
-    while stack:
-        u = stack.pop()
-        for v, shift in adj[u]:
-            cand = tuple(a + b for a, b in zip(phi[u], shift))
-            if phi[v] is None:
-                phi[v] = cand
-                stack.append(v)
-            else:
-                cyc = tuple(a - b for a, b in zip(cand, phi[v]))
-                if any(cyc):
-                    cycles.append(cyc)
-    if any(p is None for p in phi):
-        return False
-    return _generates_full_lattice(cycles, n)
-
-
 def bridge_length(S: PeriodicSet) -> float:
     """Exact bridge length: the smallest hop length whose hop graph connects
     the whole infinite set.
 
-    Candidates are the pairwise distances up to max{b, d/2}, which is always
-    feasible; the smallest feasible candidate is located by binary search.
+    The quotient edges up to max{b, d/2} of the reduced cell, which is
+    always feasible, are walked once by length.  A union-find over the
+    motif points keeps each point's lattice offset from its root; an edge
+    inside a component closes a cycle of translation off_i + shift - off_j,
+    which joins an integer echelon basis by Hermite (Euclid) steps.  The
+    set is connected once there is one component and the cycles span Z^n:
+    n pivots of product +-1.  Lengths within tol of a group's first length
+    form one group, and the first length of the group that completes this
+    is returned.
     """
-    bound = max(S.cell.longest_edge, 0.5 * S.cell.diameter)
+    n = S.dim
+    reduced = S.cell._reduction[2]
+    bound = max(reduced.longest_edge, 0.5 * reduced.diameter)
     tol = REL_TOL * S.cell.diameter
-    edges = _quotient_edges(S, bound * (1 + 1e-9) + tol)
-    lengths = sorted(e[3] for e in edges)
-    candidates = []
-    for length in lengths:
-        if not candidates or length - candidates[-1] > tol:
-            candidates.append(length)
-    lo, hi = 0, len(candidates) - 1
-    if not _bridge_feasible(edges, S.m, S.dim, candidates[hi] + tol):
-        raise RuntimeError("no feasible bridge threshold below max{b, d/2}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _bridge_feasible(edges, S.m, S.dim, candidates[mid] + tol):
-            hi = mid
+    edges = sorted(_quotient_edges(S, bound * (1 + 1e-9) + tol),
+                   key=lambda e: e[3])
+    parent = list(range(S.m))
+    offset = [(0,) * n] * S.m  # lattice offset of a point from its parent
+
+    def find(u):
+        off = (0,) * n
+        while parent[u] != u:
+            off = tuple(a + b for a, b in zip(off, offset[u]))
+            u = parent[u]
+        return u, off
+
+    components, rows, start = S.m, {}, -math.inf  # rows: pivot column -> row
+    for i, j, shift, length in edges:
+        if length - start > tol:
+            start = length
+        (root_i, off_i), (root_j, off_j) = find(i), find(j)
+        cycle = [a + s - b for a, s, b in zip(off_i, shift, off_j)]
+        if root_i != root_j:
+            parent[root_j], offset[root_j] = root_i, cycle
+            components -= 1
         else:
-            lo = mid + 1
-    return candidates[lo]
+            for c in range(n):
+                if cycle[c] and c not in rows:
+                    rows[c] = cycle
+                    break
+                while cycle[c]:  # leaves the gcd in the pivot row, 0 in cycle
+                    q = rows[c][c] // cycle[c]
+                    rows[c], cycle = cycle, [a - q * b for a, b in zip(rows[c], cycle)]
+        if (components == 1 and len(rows) == n
+                and abs(math.prod(r[c] for c, r in rows.items())) == 1):
+            return start
+    raise RuntimeError("no feasible bridge threshold below max{b, d/2}")
 
 
 def easy_stable_radius(S: PeriodicSet) -> float:

@@ -41,7 +41,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import neighbor_cloud
+from .core import change_cell, neighbor_cloud
 from .isoset import Cluster, IsometryClass, Isoset
 
 EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
@@ -650,8 +650,12 @@ def emd(A: Isoset, B: Isoset, engine: str = "auto"):
 
 def _periodic_distance_matrix(S, Q) -> np.ndarray:
     """Entry [i, j]: distance from motif point i of S to the nearest copy
-    of motif point j of Q.  Both lie in the unit cell, so that copy is
-    within the cell diameter of it, inside Q's neighbor cloud."""
+    of motif point j of Q.  Both sets are re-expressed, motif order kept,
+    on the reduced cell of the cell they share; there both points lie in
+    the cell, so that copy is within its diameter, inside Q's neighbor
+    cloud, which does not grow with a skewed cell's 1/width."""
+    U = S.cell._reduction[0]
+    S, Q = change_cell(S, U), change_cell(Q, U)
     pts, idx = neighbor_cloud(Q, S.cell.diameter)
     dist = np.linalg.norm(S.cartesian_motif[:, None, :] - pts[None, :, :], axis=-1)
     return np.stack([dist[:, idx == j].min(axis=1) for j in range(Q.m)], axis=1)

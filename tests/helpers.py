@@ -86,6 +86,13 @@ UNIMODULAR = {
 }
 
 
+def skew_unimodular(n: int, c: int) -> np.ndarray:
+    """The unimodular matrix with ones on the diagonal and c just above it,
+    [[1, c, 0], [0, 1, c], [0, 0, 1]] in 3D: re-expressed with it, a
+    near-cubic cell is about c^(n-1) times longer than it is wide."""
+    return np.eye(n, dtype=int) + c * np.eye(n, k=1, dtype=int)
+
+
 def coverage_multiplicity_1d(points, t: float, samples: int = 10 ** 6):
     """Multiplicity of radius-t interval coverage at midpoint samples of the
     unit period (brute-force density oracle)."""
@@ -342,6 +349,50 @@ def covering_radius_reach_2d(S: pg.PeriodicSet) -> float:
     inside = np.all((frac >= -1e-9) & (frac <= 1 + 1e-9), axis=1)
     dist, _ = cKDTree(pts).query(vertices[inside])
     return float(dist.max())
+
+
+def bridge_length_patch(S: pg.PeriodicSet, cells: int = 5) -> float:
+    """Bridge length from its definition on a finite patch: the points of
+    S in the offsets [-cells, cells]^n of its cell, joined when at most t
+    apart.  The infinite hop graph at t is connected iff every motif point
+    of the central cell is joined to motif point 0 there and to its own
+    translates by each basis vector; the patch's components
+    (scipy.sparse.csgraph) decide that, and the least such t among the
+    patch's pair distances is found by bisection.  A path the patch cuts
+    off can only make t larger, so cells must be generous for thin or
+    skewed cells (3 was too few for a 3D cell of skew 0.4)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, m = S.dim, S.m
+    offsets = np.array(list(itertools.product(range(-cells, cells + 1), repeat=n)))
+    pts = (S.motif[None, :, :] + offsets[:, None, :]).reshape(-1, n) @ S.cell.basis
+    slot = {tuple(o): k * m for k, o in enumerate(offsets)}
+    centre = slot[(0,) * n]
+    reach = max(S.cell.longest_edge, 0.5 * S.cell.diameter) * (1 + 1e-9)
+    pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+    dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    ends = [(centre + i, centre) for i in range(m)] + [
+        (centre + i, slot[tuple(np.eye(n, dtype=int)[a])] + i)
+        for i in range(m) for a in range(n)]
+
+    def connected(t):
+        keep = dist <= t
+        graph = coo_matrix((np.ones(keep.sum()), tuple(pairs[keep].T)),
+                           shape=(len(pts), len(pts)))
+        label = connected_components(graph, directed=False)[1]
+        return all(label[a] == label[b] for a, b in ends)
+
+    values = np.unique(dist)
+    lo, hi = 0, len(values) - 1
+    assert connected(values[hi]), "patch too small for the bridge length"
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connected(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
 
 
 def transport_bruteforce(costs, supply, demand):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
-from perigeo.cli import main
+from perigeo.cli import build_parser, main
 from perigeo.io import (
     ParseError,
     parse_set_file,
@@ -264,6 +264,26 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)
         assert main(["amd", path, "-k", "3"]) == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the process builds one parser; a command with non-default
+        # options, a usage error and a data error before a command leave
+        # its output equal to a fresh parser's
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("dim 1\n1\nmotif 0\n", encoding="utf-8")
+        build_parser.cache_clear()
+        assert main(["amd", path, "-k", "3", "--format", "csv"]) == 0
+        assert main(["amd", path, "-k"]) == 1
+        assert main(["amd", str(bad), "-k", "4"]) == 2
+        capsys.readouterr()
+        assert main(["amd", path, "-k", "5"]) == 0
+        reused = capsys.readouterr()
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        assert main(["amd", path, "-k", "5"]) == 0
+        assert capsys.readouterr() == reused
+        assert json.loads(reused.out)["k"] == 5
 
 
 class TestCommands:

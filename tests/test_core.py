@@ -10,10 +10,13 @@ from perigeo.core import min_interpoint_distance, neighbor_arrays, neighbor_clou
 
 from helpers import (
     UNIMODULAR,
+    bridge_length_patch,
     covering_radius_reach_2d,
+    jitter_set,
     random_orthogonal,
     random_periodic_set,
     reach_2d_patch_size,
+    skew_unimodular,
 )
 
 
@@ -171,7 +174,9 @@ def _brute_neighbors(S, p, alpha, cube):
 
 def _contract_sets():
     """Skewed 2D and 3D cells (skew up to 0.4) with m = 1..3, every other
-    one re-celled by a unimodular matrix."""
+    one re-celled by a unimodular matrix, and sets re-expressed in cells
+    about 5 (2D) and 2 (3D) times longer than wide, whose reduced cells
+    differ from the given ones."""
     rng = np.random.default_rng(1212)
     out = []
     for n in (2, 3):
@@ -184,6 +189,10 @@ def _contract_sets():
                 if len(out) % 2:
                     S = pg.change_cell(S, UNIMODULAR[n][1 + len(out) % 3])
                 out.append(S)
+    for n, c in ((2, 5), (3, 1)):
+        for m in (1, 2):
+            S = random_periodic_set(rng, n, m)
+            out.append(pg.change_cell(S, skew_unimodular(n, c)))
     return out
 
 
@@ -380,6 +389,34 @@ class TestRadii:
             expected = np.linalg.norm(reduced, axis=1).max()
             assert pg.bridge_length(S) == pytest.approx(expected, rel=1e-9)
 
+    def test_bridge_equals_patch_oracle(self, s1, s2, s4, s15, s32, square,
+                                        hexagonal):
+        # seeded corpus: random 1D, 2D and 3D sets and one-point lattices on
+        # cells of skew 0.05-0.4, the 2D and 3D ones also re-expressed in
+        # cells 2-3 times longer than wide (the oracle reads the base cell)
+        rng = np.random.default_rng(4242)
+        cases = [(S, S) for S in (s1, s2, s4, s15, s32, square, hexagonal)]
+        for k in range(30):
+            n, m = 1 + k % 3, 1 + (k // 3) % 5
+            S = random_periodic_set(rng, n, m, skew=(0.05, 0.2, 0.4)[k % 3])
+            cases.append((S, S))
+            if n > 1:
+                cases.append((pg.change_cell(S, skew_unimodular(n, 1 + k % 2)), S))
+        for S, base in cases:
+            tol = core.REL_TOL * S.cell.diameter
+            assert abs(pg.bridge_length(S) - bridge_length_patch(base)) <= tol
+
+    def test_bridge_of_interpenetrating_frames(self):
+        # the edges of the cubes of side 2 in steps of 0.5, and a copy moved
+        # by (1, 1, 1), one unit away: at 0.5 the quotient graph is connected
+        # and its cycles span the index-2 sublattice 2Z^3 of the bcc lattice,
+        # so the two frames join only at 1
+        basis = np.array([[2.0, 0, 0], [0, 2, 0], [1, 1, 1]])
+        frame = [np.zeros(3)] + [0.5 * k * e for e in np.eye(3) for k in (1, 2, 3)]
+        frac = core.fold_fractions(np.array(frame) @ np.linalg.inv(basis))
+        S = pg.PeriodicSet(pg.UnitCell(basis), frac)
+        assert pg.bridge_length(S) == bridge_length_patch(S, cells=3) == 1.0
+
     def test_easy_stable_radius(self, square, hexagonal, integer_lattice):
         assert pg.easy_stable_radius(square) == pytest.approx(2.0)
         assert pg.easy_stable_radius(integer_lattice) == pytest.approx(2.0)
@@ -393,6 +430,36 @@ class TestRadii:
         ) + 1e-9
         assert rep.easy_stable_radius == pytest.approx(20.0)
         assert rep.covering_method == "voronoi"
+
+
+class TestSkewedCells:
+    """One random 3D set with m = 4 re-expressed in cells about 25 and 64
+    times longer than wide: every radius, the minimum stable radius, the
+    isoset and the bottleneck distance are computed on the reduced cell
+    and agree with the set on its own cell."""
+
+    def test_skewed_copies_agree_with_the_set(self):
+        rng = np.random.default_rng(0)
+        S = random_periodic_set(rng, 3, 4)
+        Q, _ = jitter_set(rng, S, 0.01)
+        rep, stable = pg.radius_report(S), pg.minimum_stable_radius(S)
+        weights = sorted(pg.isoset(S, stable.alpha).weights)
+        d_B = pg.bottleneck_distance_common_cell(S, Q)
+        for c in (5, 8):
+            U = skew_unimodular(3, c)
+            T = pg.change_cell(S, U)
+            got, got_stable = pg.radius_report(T), pg.minimum_stable_radius(T)
+            pairs = [(got.packing_radius, rep.packing_radius),
+                     (got.covering_radius, rep.covering_radius),
+                     (got.bridge_length, rep.bridge_length),
+                     (got_stable.alpha, stable.alpha),
+                     (got_stable.beta, stable.beta),
+                     (pg.bottleneck_distance_common_cell(T, pg.change_cell(Q, U)), d_B)]
+            for a, b in pairs:
+                assert abs(a - b) <= 1e-9 * b
+            assert got_stable.fallback == stable.fallback
+            assert sorted(pg.isoset(T, got_stable.alpha).weights) == weights
+            assert pg.isosets_equal(S, T, alpha=stable.alpha)
 
 
 class TestReduction:

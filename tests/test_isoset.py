@@ -25,6 +25,7 @@ from helpers import (
     random_orthogonal,
     random_periodic_set,
     rot2,
+    skew_unimodular,
 )
 
 
@@ -114,6 +115,7 @@ class TestNeighborStack:
             U = UNIMODULAR[n][1]
             M = random_orthogonal(rng, n)
             for T in (S, pg.change_cell(S, U),
+                      pg.change_cell(S, skew_unimodular(n, 5)),
                       pg.apply_isometry(S, M, rng.random(n))):
                 self.assert_prefixes_exact(T, alpha_max)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import perigeo as pg
-from perigeo import metric
+from perigeo import core, metric
 from perigeo.metric import (
     BNB_MAX_REGIONS,
     BNB_REL_TOL_3D,
@@ -680,10 +680,13 @@ class TestBottleneck:
         d = pg.bottleneck_distance_common_cell(S, Q)
         assert d <= moved + 1e-9
 
-    def test_distance_matrix_is_nearest_copies(self):
+    def test_distance_matrix_is_nearest_copies(self, monkeypatch):
         # skewed cells, motif points 0.003 from a cell face and copies
         # jittered by 0.05, so that many copies fold across the wrap;
-        # oracle: the nearest copy over a cube of offsets
+        # oracle: the nearest copy over a cube of offsets.  Q's cloud is
+        # taken on the reduced cell, so it stays under 5,000 slots (on the
+        # cells as given, two skew-0.4 draws needed 233,306 and 42,735)
+        monkeypatch.setattr(core, "MAX_ENUMERATION", 5_000)
         rng = np.random.default_rng(1414)
         crossed = 0
         for n in (2, 3):
