@@ -31,13 +31,7 @@ from .isoset import (
     minimum_stable_radius,
     stable_alpha,
 )
-from .metric import (
-    DEFAULT_DELTA,
-    _resolve_engine,
-    approx_factor_bound,
-    d_C,
-    emd,
-)
+from .metric import DEFAULT_DELTA, approx_factor_bound, d_C, emd
 
 SCHEMA = 1
 
@@ -127,6 +121,8 @@ def _parse_grid(spec: str):
 
 
 def _cmd_density(args):
+    if args.k < 0:
+        raise DataError(f"-k must be at least 0, got {args.k}")
     S = parse_set_file(args.file)
     data = {
         "schema": SCHEMA,
@@ -243,6 +239,9 @@ def _cmd_compare(args):
 
 
 def _cmd_emd(args):
+    if not 0.0 <= args.delta < math.inf:
+        raise DataError(
+            f"--delta must be a finite number >= 0, got {args.delta!r}")
     A = parse_set_file(args.file_a)
     B = parse_set_file(args.file_b)
     tol = _tolerance_override()
@@ -256,11 +255,6 @@ def _cmd_emd(args):
     iso_a = isoset(A, alpha, tol)
     iso_b = isoset(B, alpha, tol)
     cost, plan = emd(iso_a, iso_b, engine=args.dr)
-    engine_used = _resolve_engine(
-        args.dr,
-        max(c.representative.size for c in iso_a.classes),
-        max(c.representative.size for c in iso_b.classes),
-    )
     data = {
         "schema": SCHEMA,
         "command": "emd",
@@ -268,10 +262,10 @@ def _cmd_emd(args):
         "alpha": alpha,
         "cost": cost,
         "plan": plan.flows.tolist(),
-        "engine": engine_used,
+        "engine": args.dr,
         "delta": args.delta,
         "factor_bound": approx_factor_bound(A.dim, args.delta)
-        if engine_used == "approx" else 1.0,
+        if args.dr == "approx" else 1.0,
     }
     if fallback is not None:
         data["fallback"] = fallback
@@ -296,13 +290,13 @@ def _cmd_dcluster(args):
         "files": [str(args.file_a), str(args.file_b)],
         "points": [ia, ib],
         "alpha": args.alpha,
-        "engine": _resolve_engine(args.dr, ca.size, cb.size),
+        "engine": args.dr,
         "d_cluster": value,
     })
     return 0
 
 
-def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "auto"):
+def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
     """Pairwise comparison matrix over a list of set files.
 
     Mode emd takes every EMD at one radius, the largest max{2b, d} of the
@@ -415,7 +409,7 @@ def build_parser() -> _Parser:
     group.add_argument("--stable", action="store_true",
                        help="use the larger of the two minimum stable radii "
                        "(default: the larger of the two max{2b, d})")
-    p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
+    p.add_argument("--dr", choices=("exact", "approx"), default="exact")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="cushion of the reported factor_bound only")
     p.set_defaults(func=_cmd_emd)
@@ -425,14 +419,14 @@ def build_parser() -> _Parser:
     p.add_argument("file_b")
     p.add_argument("--points", type=int, nargs=2, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
+    p.add_argument("--dr", choices=("exact", "approx"), default="exact")
     p.set_defaults(func=_cmd_dcluster)
 
     p = sub.add_parser("batch", help="pairwise comparison matrix")
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=("amd", "isoset", "emd"), required=True)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--dr", choices=("exact", "approx", "auto"), default="auto")
+    p.add_argument("--dr", choices=("exact", "approx"), default="exact")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_batch)
 

@@ -459,7 +459,11 @@ class _StableScan:
 
     def __init__(self, S: PeriodicSet, tol: Optional[float]):
         self.S, self.tol = S, tol
-        self.upper = easy_stable_radius(S)
+        # max{2b, d} bounds the stable radius on every cell of the lattice,
+        # and the reduced cell's is the smaller on a skewed cell
+        reduced = S.cell._reduction[2]
+        self.upper = min(easy_stable_radius(S),
+                         max(2.0 * reduced.longest_edge, reduced.diameter))
         self.snap_tol = REL_TOL * S.cell.diameter
         # the largest radius first: every later cluster is a prefix of its stack
         self.crit = [0.0] + critical_radii(S, self.upper + self.snap_tol)

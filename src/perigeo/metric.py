@@ -3,7 +3,7 @@
 Every distance here is one max-min over the length-sorted prefixes of a
 cluster, max_i min(gain_i, d_R_i), computed by _max_min: d_M takes the
 gains alpha - |p_i|, and d_R of a whole set the gains under which only
-the last prefix counts.  Two d_R engines are provided.  The exact-small
+the last prefix counts.  Two d_R engines are provided.  The exact
 engine is exact in 1D.  In 2D and 3D it is one branch-and-bound over the
 orthogonal maps, rotations and reflections alike, whose regions are cubes
 of rotation parameters, angle intervals in 2D and cubes of rotation
@@ -27,7 +27,8 @@ guaranteed within a factor 2(n-1) of the optimum (reported with a
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
 isosets is solved exactly as a transportation linear program (HiGHS) on
-integer-scaled weights.
+integer-scaled weights.  d_M, d_C and emd run the d_R engine they name,
+"exact" by default or "approx", at every cluster size.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from scipy.spatial.transform import Rotation
 from .core import change_cell, neighbor_cloud
 from .isoset import Cluster, IsometryClass, Isoset
 
-EXACT_SMALL_MAX = 60   # cluster-size cutoff for the exact-small engine
 DEFAULT_DELTA = 0.1
 BNB_REGIONS = 64  # starting regions per map family of the branch-and-bound
 # halvings after which the branch-and-bound stops.  The least half-side,
@@ -526,20 +526,15 @@ def approx_factor_bound(n: int, delta: float = DEFAULT_DELTA) -> float:
 # boundary-tolerant distances
 
 
-def _resolve_engine(engine: str, size_c: int, size_d: int) -> str:
-    if engine == "auto":
-        return "exact" if max(size_c, size_d) <= EXACT_SMALL_MAX else "approx"
-    if engine not in ("exact", "approx"):
-        raise ValueError(f"unknown d_R engine {engine!r}")
-    return engine
-
-
-def d_M(C, D, alpha: float, engine: str = "auto") -> float:
+def d_M(C, D, alpha: float, engine: str = "exact") -> float:
     """One-sided boundary-tolerant distance: the max over length-sorted
-    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)).
+    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)), d_R from
+    the engine named, "exact" or "approx".
 
     One search serves all prefixes (see _max_min): it finds a prefix's d_R
     only while that prefix might still set the max."""
+    if engine not in ("exact", "approx"):
+        raise ValueError(f"unknown d_R engine {engine!r}")
     P, Q = _points(C), _points(D)
     lengths = np.linalg.norm(P, axis=1)
     order = np.argsort(lengths, kind="stable")
@@ -547,15 +542,14 @@ def d_M(C, D, alpha: float, engine: str = "auto") -> float:
     if alpha < lengths[-1] - 1e-9 * max(1.0, alpha):
         raise ValueError("alpha is smaller than the cluster radius")
     gains = alpha - lengths
-    exact = _resolve_engine(engine, len(P), len(Q)) == "exact"
     # trailing zero-gain points cannot raise the max-min
     keep = int(np.searchsorted(-gains, 0.0, side="left"))
     if keep == 0:
         return 0.0
-    return _max_min(P[:keep], Q, gains[:keep], exact)[0]
+    return _max_min(P[:keep], Q, gains[:keep], engine == "exact")[0]
 
 
-def d_C(sigma, xi, alpha: float, engine: str = "auto") -> float:
+def d_C(sigma, xi, alpha: float, engine: str = "exact") -> float:
     """Boundary-tolerant cluster distance: max of the two one-sided d_M."""
     return max(d_M(sigma, xi, alpha, engine), d_M(xi, sigma, alpha, engine))
 
@@ -613,7 +607,7 @@ def _min_cost_transport(costs: np.ndarray, supply, demand):
     return flow
 
 
-def emd(A: Isoset, B: Isoset, engine: str = "auto"):
+def emd(A: Isoset, B: Isoset, engine: str = "exact"):
     """(cost, TransportPlan): exact Earth Mover's Distance between two
     isosets at the same radius, ground cost d_C."""
     if abs(A.alpha - B.alpha) > 1e-9 * max(1.0, A.alpha):

@@ -261,6 +261,30 @@ class TestExitCodes:
         assert main(["compare", path, path]) == 0
         assert json.loads(capsys.readouterr().out)["isometric"] is True
 
+    def test_negative_density_k_is_two(self, tmp_path, capsys):
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        for extra in ([], ["--samples", "10"]):  # exact and sampled mode
+            assert main(["density", path, "-k", "-1", *extra]) == 2, extra
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "-k" in err, extra
+
+    def test_bad_delta_is_two(self, tmp_path, capsys):
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        for value in ("nan", "inf", "-inf", "-3"):
+            assert main(["emd", path, path, f"--delta={value}"]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--delta" in err, value
+            assert value.lstrip("-") in err, value
+        assert main(["emd", path, path, "--delta", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == 0.0
+
+    def test_retired_auto_engine_is_one(self, tmp_path, capsys):
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        for argv in (["emd", path, path],
+                     ["dcluster", path, path, "--points", "0", "0", "--alpha", "1"],
+                     ["batch", path, path, "--mode", "emd"]):
+            assert main([*argv, "--dr", "auto"]) == 1, argv[0]
+
     def test_success_is_zero(self, tmp_path, capsys):
         path = write_1d(tmp_path / "z.txt", [0], 1)
         assert main(["amd", path, "-k", "3"]) == 0
@@ -373,6 +397,23 @@ class TestCommands:
             "--dr", "approx",
         ]) == 0
         assert json.loads(capsys.readouterr().out)["engine"] == "approx"
+
+    def test_emd_reports_the_engine_it_was_given(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        S = random_periodic_set(rng, 2, 2)
+        paths = []
+        for name, T in (("s.txt", S), ("q.txt", jitter_set(rng, S, 0.01)[0])):
+            path = tmp_path / name
+            path.write_text(write_set_text(T), encoding="utf-8")
+            paths.append(str(path))
+        assert main(["emd", *paths]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["engine"], data["factor_bound"]) == ("exact", 1.0)
+        for delta in ("0.1", "0.5"):
+            assert main(["emd", *paths, "--dr", "approx", "--delta", delta]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["engine"] == "approx"
+            assert data["factor_bound"] == pytest.approx(2 * (1 + float(delta)))
 
     def test_emd_stable_uses_larger_minimum_stable_radius(self, tmp_path, capsys):
         rng = np.random.default_rng(71)

@@ -458,6 +458,10 @@ class TestSkewedCells:
             for a, b in pairs:
                 assert abs(a - b) <= 1e-9 * b
             assert got_stable.fallback == stable.fallback
+            # the scan's critical radii stop at max{2b, d} of the reduced
+            # cell, not at the skewed cell's (9.8 and 15.3 here)
+            assert max(r for r, _ in T._stacks.values()) <= \
+                1.01 * pg.easy_stable_radius(S)
             assert sorted(pg.isoset(T, got_stable.alpha).weights) == weights
             assert pg.isosets_equal(S, T, alpha=stable.alpha)
 

@@ -544,6 +544,27 @@ class TestDc:
             dac = pg.d_C(a, c, alpha, engine="exact")
             assert dac <= dab + dbc + 2 * tol
 
+    def test_default_engine_is_exact_on_large_clusters(self):
+        # 63-point clusters of a random 2D set against a jittered copy and
+        # against another draw (84 points): whatever the size, a call that
+        # names no engine runs the exact one, which is never above approx
+        rng = np.random.default_rng(0)
+        A = random_periodic_set(rng, 2, 2)
+        lengths = pg.alpha_cluster(A, 0, 6.0).lengths
+        alpha = 0.5 * (lengths[61] + lengths[62])
+        C = pg.alpha_cluster(A, 0, alpha)
+        for B in (jitter_set(rng, A, 0.01)[0], random_periodic_set(rng, 2, 2)):
+            D = pg.alpha_cluster(B, 0, alpha)
+            assert min(C.size, D.size) > 60
+            exact = pg.d_C(C, D, alpha, engine="exact")
+            assert pg.d_C(C, D, alpha) == exact
+            assert exact <= pg.d_C(C, D, alpha, engine="approx")
+
+    def test_unknown_engine_rejected(self, square):
+        C = pg.alpha_cluster(square, 0, 2.0)
+        with pytest.raises(ValueError, match="unknown d_R engine"):
+            pg.d_M(C, C, 2.0, engine="auto")
+
 
 class TestEmd:
     def test_identical_isosets(self, s2):
