@@ -1,8 +1,11 @@
 """Average Minimum Distances of a periodic point set.
 
 AMD_j is the motif average of the distance from each motif point to its
-j-th nearest neighbor in the infinite set, found by one KD-tree query on
-a neighbor cloud whose reach certifies the k-th distance.
+j-th nearest neighbor in the infinite set.  The distances come from one
+distance block per neighbor cloud, on the reduced cell, at a tight reach
+that each motif point's row checks after the fact: the rows it does not
+certify are retried at a doubled reach, capped at a reach that certifies
+every row.
 """
 
 from __future__ import annotations
@@ -11,9 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
-from .core import PeriodicSet, neighbor_cloud
+from .core import PeriodicSet, change_cell, neighbor_cloud
+
+# first reach, relative to the radius r_k of a ball of k+1 points' volume
+REACH_START = 1.1
+# most entries of one (rows, cloud points) distance block
+BLOCK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -29,26 +37,57 @@ class AmdVector:
         )
 
 
+def _smallest(points: np.ndarray, cloud: np.ndarray, count: int) -> np.ndarray:
+    """(len(points), count) sorted smallest distances from each point to
+    the cloud (count <= len(cloud)), in row blocks of at most
+    BLOCK_ENTRIES distances.  Only the selected squares get a square
+    root, which is the Euclidean cdist bit for bit."""
+    out = np.empty((len(points), count))
+    rows = max(1, BLOCK_ENTRIES // len(cloud))
+    for start in range(0, len(points), rows):
+        sq = cdist(points[start:start + rows], cloud, "sqeuclidean")
+        sq = np.partition(sq, count - 1, axis=1)[:, :count]
+        out[start:start + rows] = np.sqrt(np.sort(sq, axis=1))
+    return out
+
+
 def nearest_neighbor_distances(S: PeriodicSet, k: int) -> np.ndarray:
     """(m, k) matrix of the distances to the k nearest neighbors of each
     motif point (the point itself excluded).
 
-    One neighbor_cloud of reach rho = ((k+1) V / (m omega_n))^(1/n) + d
-    serves every motif point p, V being the cell volume, omega_n that of
-    the unit ball and d the cell diameter.  The cells that meet
-    B(p, rho - d) cover that ball, so there are at least (k+1)/m of them,
-    and they lie inside B(p, rho): the cloud holds the k+1 nearest points.
-    A k too large for MAX_ENUMERATION raises DataError.
+    S is re-expressed on its reduced cell, of volume V and diameter d, and
+    r_k = ((k+1) V / (m omega_n))^(1/n), omega_n the unit-ball volume.
+    The neighbor_cloud at reach rho, first REACH_START * r_k, holds every
+    point within rho of the cell, so a motif point whose (k+1)-th nearest
+    cloud distance (itself first) is at most rho has its k+1 nearest
+    points in the cloud: its row is final.  The other rows are retried at
+    twice the reach, capped at r_k + d, which certifies every row: the
+    cells that meet B(p, r_k) cover that ball, so there are at least
+    (k+1)/m of them, and they lie inside B(p, r_k + d).  A k whose cloud
+    would pass MAX_ENUMERATION raises DataError.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    S = change_cell(S, S.cell._reduction[0])
     cell = S.cell
     n = cell.dim
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    reach = ((k + 1) * cell.volume / (S.m * ball)) ** (1 / n) + cell.diameter
-    cloud, _ = neighbor_cloud(S, reach)
-    dist, _ = cKDTree(cloud).query(S.cartesian_motif, k=k + 1)
-    return dist[:, 1:]
+    r_k = ((k + 1) * cell.volume / (S.m * ball)) ** (1 / n)
+    cap = r_k + cell.diameter
+    motif = S.cartesian_motif
+    out = np.empty((S.m, k))
+    rows = np.arange(S.m)
+    reach = min(REACH_START * r_k, cap)
+    while True:
+        cloud, _ = neighbor_cloud(S, reach)
+        if len(cloud) > k:
+            dist = _smallest(motif[rows], cloud, k + 1)
+            final = (dist[:, k] <= reach) | (reach == cap)
+            out[rows[final]] = dist[final, 1:]
+            rows = rows[~final]
+            if not rows.size:
+                return out
+        reach = min(2.0 * reach, cap)
 
 
 def amd(S: PeriodicSet, k: int) -> AmdVector:

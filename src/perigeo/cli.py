@@ -13,10 +13,12 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .amd import amd
 from .core import DataError, bridge_length, easy_stable_radius
@@ -49,6 +51,16 @@ class _UsageError(SystemExit):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with exit code 1 for usage errors, and every float
+    spelling with a leading minus (-1e5, -inf, -nan) read as a value, so
+    that `--delta -inf` reaches the data-error check instead of being
+    taken for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(1)
@@ -313,12 +325,9 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
     size = len(sets)
     matrix = np.zeros((size, size))
     if mode == "amd":
-        vecs = [amd(S, k).values for S in sets]
-        for i in range(size):
-            for j in range(i + 1, size):
-                matrix[i, j] = matrix[j, i] = float(
-                    np.max(np.abs(vecs[i] - vecs[j]))
-                )
+        if size:
+            vecs = np.array([amd(S, k).values for S in sets])
+            matrix = cdist(vecs, vecs, "chebyshev")
     elif mode == "isoset":
         for i in range(size):
             matrix[i, i] = 1.0

@@ -178,10 +178,9 @@ class RadiusReport:
 # neighbor_arrays and neighbor_cloud build; above it they raise DataError
 # before allocating.  In 3D one slot costs about 115 bytes at the peak of
 # neighbor_arrays (measured on the cubic lattice), so the cap keeps one
-# call near 230 MB.  Measured largest enumerations: 11,115 slots in the
-# perfbench workloads (AMD's cloud at k = 400) and 13,260 in the test
-# suite, apart from the stable-radius scan of a 3D cell 64 times longer
-# than wide (170,496: its critical radii run to max{2b, d} of that cell).
+# call near 230 MB.  Measured largest enumerations (seed 1 of each
+# perfbench workload, and the test suite): 2,673 slots in the workloads
+# (screen) and 8,658 in the tests (a neighbor_cloud contract test).
 MAX_ENUMERATION = 2_000_000
 
 
@@ -308,7 +307,7 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
     axis i, so the slab holds every such point, and that is all that its
     consumers use: the covering radius needs the points within d/2 of the
     cell (packing_covering_radii), AMD the k+1 nearest points of each
-    motif point, which lie within its certified reach of the cell
+    motif point, certified when they lie within the reach
     (amd.nearest_neighbor_distances), sampled density the points within
     the largest t of a sample in the cell (psi_k_sampled), and the
     bottleneck distance the nearest copy of each motif point, within the

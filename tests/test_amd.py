@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from helpers import (
     random_orthogonal,
     random_periodic_set,
 )
+
+# the module, which the package's amd function shadows as an attribute
+amd_module = importlib.import_module("perigeo.amd")
 
 
 class TestAmdTables:
@@ -52,6 +57,40 @@ class TestAmdTables:
                         got = pg.amd(S, k).per_point_matrix
                         ref = amd_bruteforce(S, k)
                         assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (n, skew, m, k)
+
+    def test_reach_retries_match_bruteforce(self, monkeypatch):
+        # at k = 1 and 5 the first reach, 1.1 r_k, leaves some rows
+        # unfinished on these draws; their retry at a doubled reach must
+        # still give the exact nearest distances
+        reaches = []
+        cloud = amd_module.neighbor_cloud
+
+        def spy(S, reach):
+            reaches.append(reach)
+            return cloud(S, reach)
+
+        monkeypatch.setattr(amd_module, "neighbor_cloud", spy)
+        rng = np.random.default_rng(2024)
+        retried = 0
+        for draw in range(30):
+            S = random_periodic_set(rng, 1 + draw % 3, 1 + draw % 5, skew=0.3)
+            for k in (1, 5):
+                reaches.clear()
+                got = pg.amd(S, k).per_point_matrix
+                ref = amd_bruteforce(S, k)
+                assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (draw, k)
+                retried += len(reaches) > 1
+        assert retried >= 5
+
+    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        sets = [random_periodic_set(rng, n, 7) for n in (2, 3)]
+        refs = [pg.amd(S, 60).per_point_matrix for S in sets]
+        # a budget below one cloud row still takes one row per block
+        for budget in (1, 500, 3000):
+            monkeypatch.setattr(amd_module, "BLOCK_ENTRIES", budget)
+            for S, ref in zip(sets, refs):
+                assert np.array_equal(pg.amd(S, 60).per_point_matrix, ref), budget
 
     def test_k_must_be_positive(self, square):
         with pytest.raises(ValueError):

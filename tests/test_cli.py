@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
-from perigeo.cli import build_parser, main
+from perigeo.cli import batch_compare, build_parser, main
 from perigeo.io import (
     ParseError,
     parse_set_file,
@@ -278,6 +278,17 @@ class TestExitCodes:
         assert main(["emd", path, path, "--delta", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["delta"] == 0.0
 
+    def test_negative_delta_apart_is_two(self, tmp_path, capsys):
+        # every float spelling with a leading minus is read as the value of
+        # --delta, not as an option, and reaches the data-error check
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        for value in ("-inf", "-Infinity", "-nan", "-1e5", "-1E+5", "-.5", "-3"):
+            assert main(["emd", path, path, "--delta", value]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--delta" in err, value
+        # an unknown option is still a usage error
+        assert main(["emd", path, path, "-x"]) == 1
+
     def test_retired_auto_engine_is_one(self, tmp_path, capsys):
         path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
         for argv in (["emd", path, path],
@@ -456,6 +467,15 @@ class TestCommands:
         m = np.array(data["matrix"])
         assert m[0, 2] == pytest.approx(0.0, abs=1e-9)
         assert m[0, 1] > 1e-3 and m[1, 2] > 1e-3
+
+    def test_batch_amd_empty_and_one_file(self, tmp_path, capsys):
+        path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("not a set\n")
+        names, matrix, failures = batch_compare([bad], "amd", k=3)
+        assert names == [] and matrix.shape == (0, 0) and len(failures) == 1
+        assert main(["batch", path, "--mode", "amd", "-k", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["matrix"] == [[0.0]]
 
     def test_batch_emd_at_one_radius(self, tmp_path, capsys):
         # three random 2D sets and jittered copies of two of them, whose

@@ -435,8 +435,8 @@ class TestRadii:
 class TestSkewedCells:
     """One random 3D set with m = 4 re-expressed in cells about 25 and 64
     times longer than wide: every radius, the minimum stable radius, the
-    isoset and the bottleneck distance are computed on the reduced cell
-    and agree with the set on its own cell."""
+    isoset, the bottleneck distance and AMD are computed on the reduced
+    cell and agree with the set on its own cell."""
 
     def test_skewed_copies_agree_with_the_set(self):
         rng = np.random.default_rng(0)
@@ -445,6 +445,7 @@ class TestSkewedCells:
         rep, stable = pg.radius_report(S), pg.minimum_stable_radius(S)
         weights = sorted(pg.isoset(S, stable.alpha).weights)
         d_B = pg.bottleneck_distance_common_cell(S, Q)
+        amds = {k: pg.amd(S, k).per_point_matrix for k in (10, 400)}
         for c in (5, 8):
             U = skew_unimodular(3, c)
             T = pg.change_cell(S, U)
@@ -464,6 +465,10 @@ class TestSkewedCells:
                 1.01 * pg.easy_stable_radius(S)
             assert sorted(pg.isoset(T, got_stable.alpha).weights) == weights
             assert pg.isosets_equal(S, T, alpha=stable.alpha)
+            # AMD's clouds are built on the reduced cell as well
+            for k, ref in amds.items():
+                got = pg.amd(T, k).per_point_matrix
+                assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (c, k)
 
 
 class TestReduction:
@@ -508,6 +513,16 @@ class TestTransforms:
         assert min_interpoint_distance(S) == pytest.approx(
             min_interpoint_distance(T), rel=1e-9
         )
+
+    def test_change_cell_checks_coincidence_on_the_new_cell(self):
+        # two points 2e-9 apart pass on the unit square (tolerance
+        # REL_TOL * sqrt(2)), but a skewed cell of diameter 6.08 widens the
+        # tolerance past their distance: the new set is refused, not built
+        # with a pair that its own distances would drop
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(2)),
+                           np.array([[0.3, 0.4], [0.3 + 2e-9, 0.4]]))
+        with pytest.raises(pg.DataError, match="coincident"):
+            pg.change_cell(S, np.array([[1, 5], [0, 1]]))
 
     def test_change_cell_requires_unimodular(self, square):
         with pytest.raises(ValueError):
