@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import PeriodicSet, change_cell, neighbor_cloud
+from .core import BLOCK_ENTRIES, PeriodicSet, change_cell, neighbor_cloud
 
 # first reach, relative to the radius r_k of a ball of k+1 points' volume
 REACH_START = 1.1
-# most entries of one (rows, cloud points) distance block
-BLOCK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ MAX_BASIS_ENTRY = 1e100
 MIN_BASIS_LENGTH = 1e-100
 # relative tolerance for distance comparisons and deduplication
 REL_TOL = 1e-9
+# most entries of one block of pairwise distances or differences (the
+# coincidence check here, the neighbor distances in amd)
+BLOCK_ENTRIES = 2_000_000
 
 
 class DataError(ValueError):
@@ -138,12 +141,17 @@ class PeriodicSet:
         # two points coincide when their difference is a lattice vector up
         # to tol, which is under half a cell per axis unless the cell is
         # 5e8 times longer than wide, so that vector is their fractional
-        # difference rounded
-        diff = motif[:, None, :] - motif[None, :, :]
-        dist = np.linalg.norm((diff - np.rint(diff)) @ self.cell.basis, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= REL_TOL * self.cell.diameter:
-            raise DataError("motif contains coincident points")
+        # difference rounded.  Rows of pairs are taken in blocks of at most
+        # BLOCK_ENTRIES differences, each pair with the same arithmetic
+        m, n = motif.shape
+        rows = max(1, BLOCK_ENTRIES // (m * n))
+        for a in range(0, m, rows):
+            diff = motif[a:a + rows, None, :] - motif[None, :, :]
+            dist = np.linalg.norm((diff - np.rint(diff)) @ self.cell.basis,
+                                  axis=-1)
+            dist[np.arange(len(dist)), a + np.arange(len(dist))] = np.inf
+            if dist.min() <= REL_TOL * self.cell.diameter:
+                raise DataError("motif contains coincident points")
 
     @property
     def m(self) -> int:

@@ -19,16 +19,22 @@ BNB_MAX_REGIONS regions and returns its certified lower bound with it.
 Those distances come from inner products, whose float floor is about
 1e-8 |p|max; near zero the best map is polished by least squares and
 evaluated by coordinate differences, so isometric copies read about
-1e-15.  That polish is the only float-floor correction.  The
-approximation engine implements the anchor construction whose value is
-guaranteed within a factor 2(n-1) of the optimum (reported with a
-(1+delta) cushion), through a lazy max-min search over the prefixes.
+1e-15.  That polish is the only float-floor correction of the exact
+engine.  The approximation engine implements the anchor construction
+whose value is guaranteed within a factor 2(n-1) of the optimum
+(reported with a (1+delta) cushion), through a lazy max-min search over
+the prefixes: a block of prefixes has its maps built in one batch and
+evaluated by the same matrix product, and the maps within the product's
+float floor of a prefix's least are evaluated again by coordinate
+differences, so its value is the construction's to about 1e-15.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes, and EMD on
 isosets is solved exactly as a transportation linear program (HiGHS) on
-integer-scaled weights.  d_M, d_C and emd run the d_R engine they name,
-"exact" by default or "approx", at every cluster size.
+integer-scaled weights; when one isoset has a single class, the other's
+weights are the one feasible flow, and no LP is solved.  d_M, d_C and
+emd run the d_R engine they name, "exact" by default or "approx", at
+every cluster size.
 """
 
 from __future__ import annotations
@@ -111,7 +117,8 @@ class _RotationProfile:
     orthogonal maps M, and their least values over regions of maps.
 
     Uses |Mp - q|^2 = |p|^2 + |q|^2 - 2 sum_ij M_ij p_j q_i: the n^2 tables
-    p_j q_i make every batch of maps one (T, n^2) x (n^2, k m) product.
+    p_j q_i make every batch of maps one (T, n^2) x (n^2, k m) product
+    (near_sq: its transpose, with the table |q|^2 as one more row).
     Every map of a region turns p by at most an angle theta away from its
     image under the centre's map, into the cap (in 2D the arc) of
     half-angle theta around it.  The least distance from that cap to q is
@@ -122,17 +129,54 @@ class _RotationProfile:
     """
 
     POINTS = 8  # points per evaluation step of `regions`
+    ENTRIES = 1_000_000  # most entries of a `regions` product or a search block
+    BUFFER = 2 ** 17  # most entries of one product of `near_sq` (1 MB)...
+    WIDE = 256  # ...unless it takes fewer maps than this
 
     def __init__(self, P: np.ndarray, Q: np.ndarray):
         (self.k, n), self.m = P.shape, len(Q)
         # column a m + b belongs to the pair (P[a], Q[b]); row n i + j of
-        # terms holds P[a, j] Q[b, i]
-        self.terms = np.einsum("aj,bi->ijab", P, Q).reshape(n * n, -1)
-        self.sq = ((P * P).sum(1)[:, None] + (Q * Q).sum(1)[None, :]).ravel()
+        # terms holds P[a, j] Q[b, i], and the last row |Q[b]|^2
+        pp, qq = (P * P).sum(1), (Q * Q).sum(1)
+        self.terms = np.empty((n * n + 1, self.k * self.m))
+        self.terms[:-1] = np.einsum("aj,bi->ijab", P, Q).reshape(n * n, -1)
+        self.terms[-1] = np.tile(qq, self.k)
+        self.pp = pp
+        self.sq = (pp[:, None] + qq[None, :]).ravel()
         lp, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
         self.pq = np.outer(lp, lq).ravel()
         self.pq2 = self.pq ** 2
-        self.rows = max(1, int(1e6 / (self.POINTS * self.m)))
+        self.rows = max(1, self.ENTRIES // (self.POINTS * self.m))
+        # a bound on the float error of near_sq's squared distances, whose
+        # products sum n^2 + 1 terms of size at most 3 |p||q| or |q|^2
+        self.floor = 1e-13 * (pp.max(initial=0.0) + qq.max(initial=0.0))
+
+    def near_sq(self, maps: np.ndarray, end: int) -> np.ndarray:
+        """(end, T): entry [j, t] = squared distance from maps[t] P[j] to Q,
+        j < end, within self.floor.
+
+        One product |q|^2 - 2 (M p).q per map, point and q, into one buffer
+        of at most BUFFER entries (more only to take WIDE maps or one point
+        at a time), with the maps on its contiguous axis and the min over Q
+        on a leading one."""
+        T, m = len(maps), self.m
+        coef = np.empty((self.terms.shape[0], T))
+        coef[:-1] = maps.reshape(T, -1).T
+        coef[:-1] *= -2.0
+        coef[-1] = 1.0
+        step = min(T, max(self.WIDE, self.BUFFER // (end * m)))
+        rows = min(end, max(1, self.BUFFER // (m * step)))
+        buf = np.empty(rows * m * step)
+        out = np.empty((end, T))
+        for a in range(0, T, step):
+            b = min(a + step, T)
+            for j0 in range(0, end, rows):
+                j1 = min(j0 + rows, end)
+                prod = buf[:(j1 - j0) * m * (b - a)].reshape(-1, b - a)
+                np.matmul(self.terms[:, j0 * m:j1 * m].T, coef[:, a:b], out=prod)
+                np.min(prod.reshape(j1 - j0, m, b - a), axis=1, out=out[j0:j1, a:b])
+        out += self.pp[:end, None]
+        return out
 
     def regions(self, maps: np.ndarray, theta: float, thr: np.ndarray):
         """(near, bound) of regions whose centres have the maps `maps`, each
@@ -161,7 +205,7 @@ class _RotationProfile:
             for j0 in range(0, stop, self.POINTS):
                 j1 = min(j0 + self.POINTS, stop)
                 cols = slice(j0 * m, j1 * m)
-                dot = coef[rows] @ self.terms[:, cols]
+                dot = coef[rows] @ self.terms[:-1, cols]
                 sq, pq = self.sq[cols], self.pq[cols]
                 shape = (len(rows), j1 - j0, m)
                 near[rows, j0:j1] = np.sqrt(np.maximum(
@@ -265,9 +309,11 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     the arc the interval's maps sweep, so that bound is exact.
 
     The incumbent upper[i] of prefix P[:i+1] is its least d_H over the
-    maps evaluated, and maps[i] the first map that attains it: the
-    identity, in 3D also the approximation construction's maps of all of
-    P, and then every cube's centre map.  A cube's bound for a prefix is
+    maps evaluated, and maps[i] the first map that attains it: the seeds,
+    which are the identity and in 3D also the approximation construction's
+    maps of all of P, and then every cube's centre map, all by the same
+    matrix product (the seeds by _RotationProfile.near_sq, in chunks of
+    ENTRIES distances).  A cube's bound for a prefix is
     the running max over its points, and lower[i] starts from the length
     gaps ||p| - |q||, which no map can close, and only grows: every step's
     least bound is a certified one.  So d_R_i lies in [lower[i], upper[i]].
@@ -281,8 +327,9 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     and the bounds of the others join the floor.  So a capped search still
     improves its incumbent, and its lower bound stays certified; the gap is
     then wider than tol.  The first time the incumbent that sets the max is
-    within 1e-2 scale, _polish fits its map, so an isometric copy stops at
-    once; a last _polish lifts the float floor.
+    within 1e-2 scale, after the seeds or a batch of cubes, _polish fits
+    its map, so an isometric copy stops before any cube; a last _polish
+    lifts the float floor.
     """
     k, n = P.shape
     d = n * (n - 1) // 2
@@ -295,7 +342,11 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     seeds = np.eye(n)[None]
     if n == 3:
         seeds = np.concatenate([seeds, _approx_maps(P, Q)])
-    _keep_best(upper, maps, _nearest(P, cKDTree(Q), seeds), seeds)
+    step = max(1, engine.ENTRIES // k)
+    for a in range(0, len(seeds), step):
+        near = np.sqrt(np.maximum(engine.near_sq(seeds[a:a + step], k), 0.0))
+        _keep_best(upper, maps, near.T, seeds[a:a + step])
+    polished = _polish(P, Q, gains, upper, maps, 1e-2 * scale)
 
     def certificate():
         # clamped at 0: a gain of -inf would make 0 * -inf
@@ -314,7 +365,7 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
     lower = np.maximum.accumulate(np.abs(np.subtract.outer(
         np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
-    evaluated, polished = 0, False
+    evaluated = 0
     tol = certificate()
     irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol)
     while not done and len(centres) and sigma >= min_sigma:
@@ -374,67 +425,104 @@ def _anchor_maps_2d(p_ang, q_ang) -> np.ndarray:
     return _maps_2d(theta, np.array([False, False, True, True]))
 
 
-def _approx_anchor_indices(P: np.ndarray, n: int):
-    """Farthest-point anchors of the approximation construction;
-    lexicographic tie-break; up to n-1 indices (fewer when degenerate)."""
+def _approx_anchors(P: np.ndarray, ends) -> np.ndarray:
+    """(E, 2): the farthest-point anchors of the construction for every
+    prefix P[:e], e in ends: the point of greatest length, and in 3D the
+    point farthest from its line; ties go to the lexicographically least
+    point, and -1 marks an anchor a prefix lacks (every point at the
+    origin, or on the first anchor's line; in 1D, where none is used)."""
+    k, n = P.shape
+    anchors = np.full((len(ends), 2), -1)
+    if n == 1:
+        return anchors
+    rank = np.empty(k, dtype=int)
+    rank[np.lexsort(P.T[::-1])] = np.arange(k)
+    inside = np.arange(k) < np.asarray(ends)[:, None]
+
+    def farthest(values, inside):
+        top = np.max(np.where(inside, values, -np.inf), axis=1)
+        ties = inside & (values >= (top - 1e-12 * np.maximum(1.0, top))[:, None])
+        return top, np.argmin(np.where(ties, rank, k), axis=1)
+
     lengths = np.linalg.norm(P, axis=1)
-    if lengths.max() < 1e-14:
-        return []
-    ties = np.nonzero(lengths >= lengths.max() - 1e-12 * max(1.0, lengths.max()))[0]
-    i1 = min(ties, key=lambda j: tuple(P[j]))
-    anchors = [int(i1)]
-    if n == 3:
-        u = P[i1] / lengths[i1]
-        perp = P - np.outer(P @ u, u)
-        pl = np.linalg.norm(perp, axis=1)
-        if pl.max() > 1e-12 * max(1.0, lengths.max()):
-            ties = np.nonzero(pl >= pl.max() - 1e-12 * max(1.0, pl.max()))[0]
-            anchors.append(int(min(ties, key=lambda j: tuple(P[j]))))
+    top, first = farthest(lengths, inside)
+    live = top >= 1e-14
+    anchors[live, 0] = first[live]
+    if n == 3 and live.any():
+        lines, row = np.unique(first[live], return_inverse=True)
+        u = P[lines] / lengths[lines, None]
+        perp = np.linalg.norm(P[None] - (P @ u.T).T[..., None] * u[:, None],
+                              axis=2)
+        far, second = farthest(perp[row], inside[live])
+        two = far > 1e-12 * np.maximum(1.0, top[live])
+        anchors[np.flatnonzero(live)[two], 1] = second[two]
     return anchors
 
 
-def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(T, n, n): the candidate orthogonal maps of the factor-2(n-1)
-    construction.  Each sends the first anchor onto the line through a
-    point of Q; in 3D each is then turned about that line so that the
-    second anchor's azimuth meets that of a point of Q or its opposite."""
+def _anchor_maps(P: np.ndarray, Q: np.ndarray, anchors: np.ndarray) -> list:
+    """(T, n, n) per row of anchors (see _approx_anchors): the candidate
+    orthogonal maps of the factor-2(n-1) construction.  Each sends the
+    first anchor onto the line through a point of Q; in 3D each is then
+    turned about that line so that the second anchor's azimuth meets that of
+    a point of Q or its opposite.  The level-1 maps are built once per first
+    anchor, and the frames and turns of all rows in one batch."""
     n = P.shape[1]
     if n == 1:
-        return np.array([[[1.0]], [[-1.0]]])
-    anchors = _approx_anchor_indices(P, n)
+        return [np.array([[[1.0]], [[-1.0]]])] * len(anchors)
+    out = [np.eye(n)[None]] * len(anchors)
     Qnz = Q[np.linalg.norm(Q, axis=1) > 1e-14]
-    if not anchors or Qnz.shape[0] == 0:
-        return np.eye(n)[None]
-    p1 = P[anchors[0]]
+    live = np.flatnonzero(anchors[:, 0] >= 0) if len(Qnz) else []
+    if not len(live):
+        return out
+    firsts, line = np.unique(anchors[live, 0], return_inverse=True)
+    p1 = P[firsts]
     if n == 2:
-        return _anchor_maps_2d(math.atan2(p1[1], p1[0]),
-                               np.arctan2(Qnz[:, 1], Qnz[:, 0])).reshape(-1, 2, 2)
-    u1 = p1 / np.linalg.norm(p1)
+        maps = _anchor_maps_2d(np.arctan2(p1[:, 1], p1[:, 0])[:, None],
+                               np.arctan2(Qnz[:, 1], Qnz[:, 0]))
+        for v, f in zip(live, line):
+            out[v] = maps[f].reshape(-1, 2, 2)
+        return out
+    u1 = p1 / np.linalg.norm(p1, axis=1)[:, None]
     units = Qnz / np.linalg.norm(Qnz, axis=1)[:, None]
     # the least rotations taking u1 to +q and -q: about u1 x q by the angle
     # between them, or by pi about a fixed perpendicular when q = -u1
     targets = np.stack([units, -units], axis=1).reshape(-1, 3)
-    axes = np.cross(u1, targets)
-    sines = np.linalg.norm(axes, axis=1)
-    axes[sines < 1e-14] = _axis_frames(u1[None])[0, :, 1]
-    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    axes = np.cross(u1[:, None], targets[None])
+    sines = np.linalg.norm(axes, axis=2)
+    axes = np.where((sines < 1e-14)[..., None], _axis_frames(u1)[:, None, :, 1],
+                    axes)
+    axes /= np.linalg.norm(axes, axis=2)[..., None]
     level1 = Rotation.from_rotvec(
-        np.arctan2(sines, targets @ u1)[:, None] * axes).as_matrix()
-    if len(anchors) == 1:
-        return level1
-    E = _axis_frames(level1 @ u1)
-    p2 = np.einsum("lji,lj->li", E, level1 @ P[anchors[1]])
-    q = np.einsum("lji,qj->lqi", E, Qnz)
-    turns = _anchor_maps_2d(np.arctan2(p2[:, 2], p2[:, 1])[:, None],
+        (np.arctan2(sines, u1 @ targets.T)[..., None] * axes).reshape(-1, 3)
+    ).as_matrix().reshape(len(firsts), -1, 3, 3)
+    two = anchors[live, 1] >= 0
+    for v, f in zip(live[~two], line[~two]):
+        out[v] = level1[f]
+    if not two.any():
+        return out
+    L1 = level1[line[two]]
+    E = _axis_frames(np.einsum("vlij,vj->vli", L1, u1[line[two]])
+                     .reshape(-1, 3)).reshape(L1.shape)
+    p2 = np.einsum("vlji,vlj->vli", E,
+                   np.einsum("vlij,vj->vli", L1, P[anchors[live[two], 1]]))
+    q = np.einsum("vlji,qj->vlqi", E, Qnz)
+    turns = _anchor_maps_2d(np.arctan2(p2[..., 2], p2[..., 1])[..., None],
                             np.arctan2(q[..., 2], q[..., 1]))
     block = np.zeros(turns.shape[:-2] + (3, 3))
     block[..., 0, 0] = 1.0
     block[..., 1:, 1:] = turns
-    maps = (E[:, None, None] @ block @ np.swapaxes(E, 1, 2)[:, None, None]
-            @ level1[:, None, None])
+    maps = (E[:, :, None, None] @ block @ np.swapaxes(E, 2, 3)[:, :, None, None]
+            @ L1[:, :, None, None])
     # a point of Q on the axis has no azimuth
-    maps = maps[np.hypot(q[..., 1], q[..., 2]) >= 1e-12].reshape(-1, 3, 3)
-    return maps if len(maps) else level1
+    keep = np.hypot(q[..., 1], q[..., 2]) >= 1e-12
+    for j, v in enumerate(live[two]):
+        out[v] = maps[j][keep[j]].reshape(-1, 3, 3) if keep[j].any() else L1[j]
+    return out
+
+
+def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(T, n, n): the construction's candidate maps for all of P."""
+    return _anchor_maps(P, Q, _approx_anchors(P, [len(P)]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +535,52 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     the prefix that sets the max.  In 1D the engine's maps are +1 and -1,
     all of O(1), so its value is exact there.
 
-    Prefixes are refined lazily, the largest gain first, until that is at
-    most the refined max: the rest cannot raise it.  Refining evaluates
-    the prefix's _approx_maps, so the max-min is the construction's."""
+    Prefixes are refined lazily, the largest gain first, in blocks of as
+    many as one product of _RotationProfile.ENTRIES entries evaluates,
+    until the next gain is at most the refined max: the rest cannot raise
+    it.  A block builds its prefixes' _approx_maps in one batch and
+    evaluates them up to its last point by the product, each read at its
+    own prefix's end; the maps within the product's float floor of a
+    prefix's least are evaluated again by coordinate differences, and the
+    least of those is the construction's value."""
+    k, n = P.shape
+    engine = _RotationProfile(P, Q)
     tree = cKDTree(Q)
-    refined = np.zeros(len(P), dtype=bool)
+    lines = int(np.count_nonzero(np.linalg.norm(Q, axis=1) > 1e-14))
+    most = max(1, (2, 4 * lines, 8 * lines ** 2)[n - 1])  # maps of a prefix
+    order = np.argsort(-gains, kind="stable")
     best, best_map = -np.inf, None
-    while True:
-        value = np.where(refined, -np.inf, gains)
-        i = int(np.argmax(value))
-        if not value[i] > best:
-            return float(best), best_map
-        refined[i] = True
-        prefix = P[:i + 1]
-        maps = _approx_maps(prefix, Q)
-        vals = _nearest(prefix, tree, maps).max(axis=1)
-        t = int(np.argmin(vals))
-        if min(gains[i], vals[t]) > best:
-            best, best_map = min(float(gains[i]), float(vals[t])), maps[t]
+    pos = 0
+    while pos < k and gains[order[pos]] > best:
+        # the next prefixes whose gains can raise the max, as many as fit
+        stop, end = pos + 1, order[pos] + 1
+        while stop < k and gains[order[stop]] > best:
+            wider = max(end, order[stop] + 1)
+            if (stop + 1 - pos) * most * wider * engine.m > engine.ENTRIES:
+                break
+            stop, end = stop + 1, wider
+        ends, pos = order[pos:stop] + 1, stop
+        built = _anchor_maps(P, Q, _approx_anchors(P, ends))
+        maps = np.concatenate(built)
+        sizes = np.array([len(b) for b in built])
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(len(ends)), sizes)
+        run = engine.near_sq(maps, end)
+        np.maximum.accumulate(run, axis=0, out=run)
+        # every map read at its own prefix's end; those within the float
+        # floor of their prefix's least, by coordinate differences again
+        vals = run[ends[owner] - 1, np.arange(len(maps))]
+        close = np.flatnonzero(
+            vals <= np.minimum.reduceat(vals, starts)[owner] + engine.floor)
+        exact = np.maximum.accumulate(_nearest(P[:end], tree, maps[close]), axis=1)
+        vals[:] = np.inf
+        vals[close] = exact[np.arange(len(close)), ends[owner[close]] - 1]
+        value = np.minimum(gains[ends - 1], np.minimum.reduceat(vals, starts))
+        j = int(np.argmax(value))
+        if value[j] > best:
+            t = starts[j] + int(np.argmin(vals[starts[j]:starts[j] + sizes[j]]))
+            best, best_map = float(value[j]), maps[t]
+    return float(best), best_map
 
 
 def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool):
@@ -536,6 +652,8 @@ def d_M(C, D, alpha: float, engine: str = "exact") -> float:
     if engine not in ("exact", "approx"):
         raise ValueError(f"unknown d_R engine {engine!r}")
     P, Q = _points(C), _points(D)
+    if P.shape[0] == 0 or Q.shape[0] == 0:
+        raise ValueError("empty point set")
     lengths = np.linalg.norm(P, axis=1)
     order = np.argsort(lengths, kind="stable")
     P, lengths = P[order], lengths[order]
@@ -581,25 +699,31 @@ class TransportPlan:
 def _min_cost_transport(costs: np.ndarray, supply, demand):
     """Exact transportation optimum for integer supplies and demands of
     equal total, as a linear program solved by HiGHS.  The optimum is a
-    vertex of the transportation polytope, whose flows are integers."""
-    # imported here: scipy.optimize adds about 0.1 s to every start-up,
-    # and only EMD needs it
-    from scipy.optimize import linprog
-
+    vertex of the transportation polytope, whose flows are integers.  When
+    one side has a single class, the other side's marginal is the one
+    feasible flow, and no LP is solved."""
     costs = np.asarray(costs, dtype=float)
     na, nb = costs.shape
     supply = np.asarray(supply, dtype=np.int64)
     demand = np.asarray(demand, dtype=np.int64)
-    cells = np.arange(na * nb)
-    # row i sums the flows out of source i, row na + j those into sink j
-    rows = np.concatenate([cells // nb, na + cells % nb])
-    A_eq = coo_matrix((np.ones(2 * na * nb), (rows, np.tile(cells, 2))),
-                      shape=(na + nb, na * nb))
-    res = linprog(costs.ravel(), A_eq=A_eq,
-                  b_eq=np.concatenate([supply, demand]), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transportation problem not solved: {res.message}")
-    flow = np.rint(res.x).astype(np.int64).reshape(na, nb)
+    if na == 1 or nb == 1:
+        flow = demand[None, :] if na == 1 else supply[:, None]
+    else:
+        # imported here: scipy.optimize adds about 0.1 s to every start-up,
+        # and only EMD between two multi-class isosets needs it
+        from scipy.optimize import linprog
+
+        cells = np.arange(na * nb)
+        # row i sums the flows out of source i, row na + j those into sink j
+        rows = np.concatenate([cells // nb, na + cells % nb])
+        A_eq = coo_matrix((np.ones(2 * na * nb), (rows, np.tile(cells, 2))),
+                          shape=(na + nb, na * nb))
+        res = linprog(costs.ravel(), A_eq=A_eq,
+                      b_eq=np.concatenate([supply, demand]), method="highs")
+        if res.status != 0:
+            raise RuntimeError(
+                f"transportation problem not solved: {res.message}")
+        flow = np.rint(res.x).astype(np.int64).reshape(na, nb)
     if (np.any(flow < 0) or not np.array_equal(flow.sum(axis=1), supply)
             or not np.array_equal(flow.sum(axis=0), demand)):
         raise RuntimeError(

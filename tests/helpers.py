@@ -280,16 +280,37 @@ def _least_rotation(u, v) -> np.ndarray:
     return np.eye(3) + s * K + (1 - c) * (K @ K)
 
 
+def approx_anchors_loop(P) -> list:
+    """Farthest-point anchors of the approximation construction, one prefix
+    at a time: the point of greatest length, then in 3D the point farthest
+    from its line; lexicographic tie-break; fewer when degenerate."""
+    n = P.shape[1]
+    lengths = np.linalg.norm(P, axis=1)
+    if n == 1 or lengths.max() < 1e-14:
+        return []
+    ties = np.nonzero(lengths >= lengths.max() - 1e-12 * max(1.0, lengths.max()))[0]
+    i1 = min(ties, key=lambda j: tuple(P[j]))
+    anchors = [int(i1)]
+    if n == 3:
+        u = P[i1] / lengths[i1]
+        perp = P - np.outer(P @ u, u)
+        pl = np.linalg.norm(perp, axis=1)
+        if pl.max() > 1e-12 * max(1.0, lengths.max()):
+            ties = np.nonzero(pl >= pl.max() - 1e-12 * max(1.0, pl.max()))[0]
+            anchors.append(int(min(ties, key=lambda j: tuple(P[j]))))
+    return anchors
+
+
 def approx_maps_loop(P, Q) -> np.ndarray:
     """Reference for perigeo.metric._approx_maps, one map at a time: the
     first anchor is turned onto the line of every point of Q (in 3D by the
     least rotations to +q and -q), and in 3D every such map is then turned
     about that line in the four ways that take the second anchor's azimuth
     to that of a point of Q or its opposite."""
-    from perigeo.metric import _approx_anchor_indices
-
     n = P.shape[1]
-    anchors = _approx_anchor_indices(P, n)
+    if n == 1:
+        return np.array([[[1.0]], [[-1.0]]])
+    anchors = approx_anchors_loop(P)
     Qnz = Q[np.linalg.norm(Q, axis=1) > 1e-14]
     if not anchors or len(Qnz) == 0:
         return np.eye(n)[None]
@@ -321,6 +342,26 @@ def approx_maps_loop(P, Q) -> np.ndarray:
                 block[1:, 1:] = m2
                 maps.append(E @ block @ E.T @ M1)
     return np.array(maps or level1)
+
+
+def dm_approx_loop(C, D, alpha: float) -> float:
+    """The approximation engine's one-sided d_M, prefix by prefix and
+    without laziness: the max over length-sorted prefixes with positive
+    gain of min(gain, least d_H over approx_maps_loop of the prefix), each
+    d_H by coordinate differences against every point of D."""
+    C = np.atleast_2d(np.asarray(C, float))
+    D = np.atleast_2d(np.asarray(D, float))
+    lengths = np.linalg.norm(C, axis=1)
+    order = np.argsort(lengths, kind="stable")
+    best = 0.0
+    for i, gain in enumerate(alpha - lengths[order]):
+        if gain <= 0:
+            break
+        prefix = C[order][: i + 1]
+        moved = np.einsum("tij,kj->tki", approx_maps_loop(prefix, D), prefix)
+        near = np.linalg.norm(moved[:, :, None] - D[None, None], axis=3).min(axis=2)
+        best = max(best, min(float(gain), float(near.max(axis=1).min())))
+    return best
 
 
 def _reach_2d_ranges(S: pg.PeriodicSet):

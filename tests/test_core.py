@@ -78,6 +78,44 @@ class TestPeriodicSet:
                 pg.UnitCell(np.eye(1)), np.array([[0.0], [1.0 - 1e-13]])
             )
 
+    def test_coincidence_blocks_keep_verdicts(self, monkeypatch):
+        # a pair moved apart by 0.5 to 1.5 times the tolerance, in some
+        # draws across the cell boundary: the verdicts in blocks of one or a
+        # few rows equal those of one block and of the unblocked comparison
+        rng = np.random.default_rng(2718)
+        draws = []
+        for draw in range(60):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+            cell = pg.UnitCell(np.eye(n) + 0.3 * rng.normal(size=(n, n)))
+            motif = rng.random((m, n))
+            i, j = rng.choice(m, 2, replace=False)
+            if draw % 3 == 0:
+                motif[i, 0] = 1e-12
+            step = rng.normal(size=n)
+            step *= rng.uniform(0.5, 1.5) * core.REL_TOL * cell.diameter / np.linalg.norm(step)
+            motif[j] = (motif[i] + step @ cell.inv_basis) % 1.0
+            diff = motif[:, None] - motif[None]
+            dist = np.linalg.norm((diff - np.rint(diff)) @ cell.basis, axis=-1)
+            np.fill_diagonal(dist, np.inf)
+            draws.append((cell, motif, dist.min() <= core.REL_TOL * cell.diameter))
+
+        def verdicts():
+            out = []
+            for cell, motif, _ in draws:
+                try:
+                    pg.PeriodicSet(cell, motif)
+                    out.append(False)
+                except pg.DataError:
+                    out.append(True)
+            return out
+
+        unblocked = [ref for _, _, ref in draws]
+        assert 10 <= sum(unblocked) <= 50
+        assert verdicts() == unblocked
+        for budget in (1, 7, 30):
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", budget)
+            assert verdicts() == unblocked, budget
+
     def test_labels_pass_through(self):
         S = pg.PeriodicSet(
             pg.UnitCell(np.eye(2)), np.array([[0.1, 0.2]]), labels=("C",)

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from perigeo.metric import (
     BNB_MAX_REGIONS,
     BNB_REL_TOL_3D,
     TransportPlan,
+    _anchor_maps,
+    _approx_anchors,
     _approx_maps,
     _dr_bnb,
     _max_min,
@@ -19,7 +23,9 @@ from perigeo.metric import (
 )
 
 from helpers import (
+    approx_anchors_loop,
     approx_maps_loop,
+    dm_approx_loop,
     dm_prefix_loop,
     dm_scan_2d,
     dr_scan_2d,
@@ -187,6 +193,34 @@ class TestDrApprox:
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
+    def test_batched_prefix_maps_match_loop(self):
+        # every prefix's maps from one batch over all prefixes, against the
+        # loop on that prefix alone: 1-point prefixes (the origin first),
+        # prefixes on a line through the origin (one anchor), a point of Q
+        # at the origin and a point of Q on a level-1 map's turning axis
+        rng = np.random.default_rng(1717)
+        cases = [(rng.normal(size=(int(rng.integers(2, 10)), n)),
+                  rng.normal(size=(int(rng.integers(1, 8)), n)))
+                 for n in (1, 2, 3) for _ in range(4)]
+        Q = rng.normal(size=(5, 3))
+        Q[1], Q[2] = 2.0 * Q[0], 0.0
+        P = np.concatenate([np.zeros((1, 3)),
+                            np.outer([0.5, -1.0, 1.5], rng.normal(size=3)),
+                            rng.normal(size=(4, 3))])
+        cases += [(P, Q), (P, Q[:3]), (P[:4], Q), (np.zeros((3, 3)), Q)]
+        square = CUBIC[np.argsort(np.linalg.norm(CUBIC, axis=1), kind="stable")]
+        cases.append((square, BCC))
+        for P, Q in cases:
+            ends = np.arange(1, len(P) + 1)
+            anchors = _approx_anchors(P, ends)
+            built = _anchor_maps(P, Q, anchors)
+            for e in ends:
+                ref_anchors = approx_anchors_loop(P[:e])
+                assert [a for a in anchors[e - 1] if a >= 0] == ref_anchors
+                got, ref = built[e - 1], approx_maps_loop(P[:e], Q)
+                assert got.shape == ref.shape, (len(P), e)
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-12), (len(P), e)
+
 
 class TestDm:
     def test_identical_clusters(self, square):
@@ -197,6 +231,13 @@ class TestDm:
         C = pg.alpha_cluster(square, 0, 2.0)
         with pytest.raises(ValueError):
             pg.d_M(C, C, 1.0)
+
+    def test_empty_rejected(self):
+        C = np.array([[0.0, 0.0], [0.5, 0.0]])
+        for engine in ("exact", "approx"):
+            for A, B in ((C, np.zeros((0, 2))), (np.zeros((0, 2)), C)):
+                with pytest.raises(ValueError, match="empty"):
+                    pg.d_M(A, B, 1.0, engine=engine)
 
     def test_matches_definition_on_eps_grid(self):
         # direct minimization of the truncation condition on a fine eps grid
@@ -282,6 +323,87 @@ class TestDm:
             assert lower <= oracle + 1e-9
             resolution = np.linalg.norm(P, axis=1).max() * np.pi / n_angles
             assert value >= oracle - resolution
+
+
+class TestDmApprox:
+    """The approximation engine's d_M: a lazy search over blocks of
+    prefixes whose maps are built in one batch and evaluated by one
+    product, against the construction prefix by prefix."""
+
+    ALPHA = 1.5
+
+    @classmethod
+    def pairs(cls):
+        """(C, D, alpha): random pairs, jittered, exact isometric and
+        lattice copies in 2D and 3D."""
+        rng = np.random.default_rng(5353)
+        out = []
+        for n in (2, 3):
+            for j in range(12):
+                C = rng.normal(size=(int(rng.integers(3, 14)), n))
+                C *= 0.9 * cls.ALPHA / np.linalg.norm(C, axis=1).max()
+                C[0] = 0.0
+                if j % 3 == 0:
+                    D = rng.normal(size=(int(rng.integers(3, 14)), n))
+                    D *= 0.9 * cls.ALPHA / np.linalg.norm(D, axis=1).max()
+                else:
+                    D = C @ random_orthogonal(rng, n).T
+                    if j % 3 == 1:
+                        D = D + (1e-6, 0.01, 0.05)[j % 4 % 3] * rng.normal(size=C.shape)
+                out.append((C, D, cls.ALPHA + 0.2))
+        for C, D in ((CUBIC, BCC), (BCC, FCC), (FCC, FCC @ random_orthogonal(rng, 3).T)):
+            out.append((C, D, 1.0))
+        return out
+
+    def test_matches_prefix_loop(self):
+        for pair, (C, D, alpha) in enumerate(self.pairs()):
+            scale = max(1.0, np.linalg.norm(C, axis=1).max())
+            got = pg.d_M(C, D, alpha, engine="approx")
+            assert abs(got - dm_approx_loop(C, D, alpha)) <= 1e-12 * scale, pair
+
+    def test_isometric_copies_read_zero(self):
+        for C, D, alpha in self.pairs()[2::3]:
+            assert pg.d_M(C, D, alpha, engine="approx") <= 1e-12
+
+    def test_budgets_leave_values_unchanged(self, monkeypatch):
+        # blocks of one prefix and products of a few entries, against the
+        # default budgets, for both engines (the exact one's seeds go
+        # through the same product)
+        pairs = self.pairs()[::2]
+        ref = [(pg.d_M(C, D, a, engine="approx"), pg.d_M(C, D, a, engine="exact"))
+               for C, D, a in pairs]
+        monkeypatch.setattr(metric._RotationProfile, "ENTRIES", 1)
+        monkeypatch.setattr(metric._RotationProfile, "BUFFER", 40)
+        monkeypatch.setattr(metric._RotationProfile, "WIDE", 3)
+        for pair, ((C, D, a), (approx, exact)) in enumerate(zip(pairs, ref)):
+            assert pg.d_M(C, D, a, engine="approx") == approx, pair
+            got = pg.d_M(C, D, a, engine="exact")
+            assert abs(got - exact) <= BNB_REL_TOL_3D * exact + 1e-9, pair
+
+    def test_early_stop_builds_only_evaluated_blocks(self, monkeypatch):
+        # a cross-class pair: prefix 3's d_R already exceeds the gains of
+        # the eight outer points, so with blocks of one prefix the search
+        # builds maps for three prefixes of eleven
+        rng = np.random.default_rng(77)
+        directions = rng.normal(size=(11, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        C = directions * np.array([0.0, 0.2, 0.5] + [1.4] * 8)[:, None]
+        D = np.concatenate([np.zeros((1, 3)), rng.normal(size=(6, 3))])
+        D[1:] /= np.linalg.norm(D[1:], axis=1)[:, None]
+        built = []
+        anchors = metric._approx_anchors
+
+        def counting(P, ends):
+            built.extend(np.asarray(ends).tolist())
+            return anchors(P, ends)
+
+        monkeypatch.setattr(metric, "_approx_anchors", counting)
+        monkeypatch.setattr(metric._RotationProfile, "ENTRIES", 1)
+        value = pg.d_M(C, D, self.ALPHA, engine="approx")
+        assert built == [1, 2, 3]
+        # the third point, 0.5 from the origin, is nearest D's origin
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert value == pytest.approx(dm_approx_loop(C, D, self.ALPHA), abs=1e-12)
 
 
 class TestDm3d:
@@ -616,6 +738,41 @@ class TestEmd:
                 costs, supply / total, demand / total
             )
             assert got == pytest.approx(brute, abs=1e-9)
+
+    def test_one_class_side_needs_no_lp(self):
+        # 1 x n and n x 1 problems: the one feasible flow is the LP's
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(211)
+        for draw in range(20):
+            n = int(rng.integers(1, 7))
+            total = int(rng.integers(1, 50))
+            marginal = rng.multinomial(total, np.ones(n) / n)
+            costs = rng.random((1, n) if draw % 2 else (n, 1))
+            supply, demand = ([total], marginal) if draw % 2 else (marginal, [total])
+            flow = _min_cost_transport(costs, supply, demand)
+            na, nb = costs.shape
+            A_eq = np.zeros((na + nb, na * nb))
+            for i, j in itertools.product(range(na), range(nb)):
+                A_eq[i, i * nb + j] = A_eq[na + j, i * nb + j] = 1.0
+            res = linprog(costs.ravel(), A_eq=A_eq,
+                          b_eq=np.concatenate([supply, demand]), method="highs")
+            assert np.array_equal(flow, np.rint(res.x).reshape(na, nb)), draw
+
+    def test_one_class_isosets_skip_scipy_optimize(self):
+        # the cubic and bcc isosets at 1.5 have one class each
+        code = (
+            "import sys, numpy as np, perigeo as pg\n"
+            "cell = pg.UnitCell(np.eye(3))\n"
+            "A = pg.isoset(pg.PeriodicSet(cell, np.zeros((1, 3))), 1.5)\n"
+            "B = pg.isoset(pg.PeriodicSet(cell, np.array([[0, 0, 0], "
+            "[0.5, 0.5, 0.5]])), 1.5)\n"
+            "assert len(A.classes) == len(B.classes) == 1\n"
+            "cost, plan = pg.emd(A, B)\n"
+            "assert cost > 0 and plan.flows.tolist() == [[1.0]]\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_transport_cycling_instance(self):
         # draw 305 of a default_rng(6161) stream of small instances, on
