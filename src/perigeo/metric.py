@@ -29,12 +29,13 @@ float floor of a prefix's least are evaluated again by coordinate
 differences, so its value is the construction's to about 1e-15.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
-max-min evaluations over length-sorted cluster prefixes, and EMD on
-isosets is solved exactly as a transportation linear program (HiGHS) on
-integer-scaled weights; when one isoset has a single class, the other's
-weights are the one feasible flow, and no LP is solved.  d_M, d_C and
-emd run the d_R engine they name, "exact" by default or "approx", at
-every cluster size.
+max-min evaluations over length-sorted cluster prefixes; the second is
+resolved only above the first one's value, which it must exceed to count,
+so the certificate is unchanged.  EMD on isosets is solved exactly as a
+transportation linear program (HiGHS) on integer-scaled weights; when
+one isoset has a single class, the other's weights are the one feasible
+flow, and no LP is solved.  d_M, d_C and emd run the d_R engine they
+name, "exact" by default or "approx", at every cluster size.
 """
 
 from __future__ import annotations
@@ -236,18 +237,19 @@ class _RotationProfile:
         return near, bound
 
 
-def _bnb_rule(gains, upper, lower, bound, tol):
+def _bnb_rule(gains, upper, lower, bound, tol, floor):
     """(irrelevant, done, drop) of one branch-and-bound step.  upper and
     lower bracket every prefix's d_R, bound[s] holds region s's prefix
-    bounds, and tol is the certificate gap of each prefix.
+    bounds, tol is the certificate gap of each prefix, and the caller needs
+    only the max of floor and the max-min.
 
-    Prefix i cannot set the max-min when even its upper bound is within
-    tol of the certified d_lo, or when the next gain exceeds d_up: then
-    d_R_i <= d_R_{i+1} <= d_up < gains[i+1].  The search is done when
-    every other prefix is resolved to tol, and a region is dropped once no
-    prefix that can still set the max gains more than tol in it."""
+    Prefix i cannot set that max when even its upper bound is within tol of
+    the certified d_lo or at most floor, or when the next gain exceeds
+    d_up: then d_R_i <= d_R_{i+1} <= d_up < gains[i+1].  The search is done
+    when every other prefix is resolved to tol, and a region is dropped
+    once no prefix that can still set the max gains more than tol in it."""
     d_lo = np.max(np.minimum(gains, lower))
-    irrelevant = np.minimum(gains, upper) <= d_lo + tol
+    irrelevant = np.minimum(gains, upper) <= np.maximum(d_lo + tol, floor)
     irrelevant[:-1] |= gains[1:] > np.max(np.minimum(gains, upper))
     done = bool(np.all(irrelevant | (upper - lower <= tol)))
     drop = np.all((bound >= upper - tol) | irrelevant, axis=1)
@@ -292,10 +294,11 @@ def _polish(P, Q, gains, upper, maps, limit) -> bool:
     return True
 
 
-def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
+def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
+            floor: float = -np.inf):
     """(upper, lower, maps) of the prefixes P[:i+1], enough to resolve
-    max_i min(gains[i], d_R_i), by branch-and-bound over the orthogonal
-    maps of the plane or of space.
+    max(floor, max_i min(gains[i], d_R_i)), by branch-and-bound over the
+    orthogonal maps of the plane or of space.
 
     A region is a cube of rotation parameters of dimension d = n(n-1)/2,
     an angle interval in 2D and a cube of rotation vectors in 3D, of one of
@@ -321,15 +324,17 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
 
     The search resolves the max-min to within tol_i = 1e-9 max(1, |P|max)
     in 2D, and in 3D to within that or BNB_REL_TOL_3D min(gains[i],
-    upper[i]), or stops after BNB_HALVINGS halvings.  Its cube evaluations
-    never pass BNB_MAX_REGIONS: when a split would, only the cubes whose
-    centre maps give the least max-min are split, into half the room left,
-    and the bounds of the others join the floor.  So a capped search still
-    improves its incumbent, and its lower bound stays certified; the gap is
-    then wider than tol.  The first time the incumbent that sets the max is
-    within 1e-2 scale, after the seeds or a batch of cubes, _polish fits
-    its map, so an isometric copy stops before any cube; a last _polish
-    lifts the float floor.
+    upper[i]), or stops after BNB_HALVINGS halvings.  A prefix whose
+    min(gains[i], upper[i]) is at most floor is resolved no further, so
+    when the seeds already put every prefix there no cube is evaluated.
+    Its cube evaluations never pass BNB_MAX_REGIONS: when a split would,
+    only the cubes whose centre maps give the least max-min are split,
+    into half the room left, and the bounds of the others join the lower
+    bound.  So a capped search still improves its incumbent, and its lower
+    bound stays certified; the gap is then wider than tol.  The first time
+    the incumbent that sets the max is within 1e-2 scale, after the seeds
+    or a batch of cubes, _polish fits its map, so an isometric copy stops
+    before any cube; a last _polish lifts the float floor.
     """
     k, n = P.shape
     d = n * (n - 1) // 2
@@ -361,13 +366,14 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     mirror = np.repeat([False, True], len(centres) // 2)
     corners = np.array(list(product((-1.0, 1.0), repeat=d)))
     flip = np.append(np.ones(n - 1), -1.0)
-    floor = np.full(k, np.inf)  # least prefix bounds of dropped cubes
+    dropped = np.full(k, np.inf)  # least prefix bounds of dropped cubes
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
     lower = np.maximum.accumulate(np.abs(np.subtract.outer(
         np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
     evaluated = 0
     tol = certificate()
-    irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol)
+    irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol,
+                                    floor)
     while not done and len(centres) and sigma >= min_sigma:
         batch = (Rotation.from_rotvec(centres).as_matrix() if n == 3
                  else _maps_2d(centres[:, 0], False))
@@ -379,8 +385,9 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
         _keep_best(upper, maps, near, batch)
         polished = polished or _polish(P, Q, gains, upper, maps, 1e-2 * scale)
         tol = certificate()
-        lower = np.maximum(lower, np.minimum(floor, bound.min(axis=0)))
-        irrelevant, done, drop = _bnb_rule(gains, upper, lower, bound, tol)
+        lower = np.maximum(lower, np.minimum(dropped, bound.min(axis=0)))
+        irrelevant, done, drop = _bnb_rule(gains, upper, lower, bound, tol,
+                                           floor)
         room = BNB_MAX_REGIONS - evaluated
         if len(corners) * np.count_nonzero(~drop) > room:
             # the budget would run out: split only the best cubes, their
@@ -391,7 +398,7 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
             score[drop] = np.inf
             drop[np.argsort(score, kind="stable")[
                 room // (2 * len(corners)):]] = True
-        floor = np.minimum(floor, bound[drop].min(axis=0, initial=np.inf))
+        dropped = np.minimum(dropped, bound[drop].min(axis=0, initial=np.inf))
         sigma /= 2
         centres = (centres[~drop, None] + sigma * corners).reshape(-1, d)
         mirror = np.repeat(mirror[~drop], len(corners))
@@ -529,27 +536,29 @@ def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # the max-min search and the d_R entry points
 
 
-def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
-    """(value, map): max over prefixes P[:i+1] of min(gains[i], d_R_i),
-    d_R_i being the approximation engine's value; map attains d_R_i for
-    the prefix that sets the max.  In 1D the engine's maps are +1 and -1,
-    all of O(1), so its value is exact there.
+def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
+                    floor: float):
+    """(value, map): max of floor and, over prefixes P[:i+1], of
+    min(gains[i], d_R_i), d_R_i being the approximation engine's value;
+    map attains d_R_i for the prefix that sets the max, and is None when
+    no prefix exceeds floor.  In 1D the engine's maps are +1 and -1, all
+    of O(1), so its value is exact there.
 
     Prefixes are refined lazily, the largest gain first, in blocks of as
     many as one product of _RotationProfile.ENTRIES entries evaluates,
-    until the next gain is at most the refined max: the rest cannot raise
-    it.  A block builds its prefixes' _approx_maps in one batch and
-    evaluates them up to its last point by the product, each read at its
-    own prefix's end; the maps within the product's float floor of a
-    prefix's least are evaluated again by coordinate differences, and the
-    least of those is the construction's value."""
+    until the next gain is at most the max so far, which starts at floor:
+    the rest cannot raise it.  A block builds its prefixes' _approx_maps in
+    one batch and evaluates them up to its last point by the product, each
+    read at its own prefix's end; the distinct maps within the product's
+    float floor of a prefix's least are evaluated again by coordinate
+    differences, and the least of those is the construction's value."""
     k, n = P.shape
     engine = _RotationProfile(P, Q)
     tree = cKDTree(Q)
     lines = int(np.count_nonzero(np.linalg.norm(Q, axis=1) > 1e-14))
     most = max(1, (2, 4 * lines, 8 * lines ** 2)[n - 1])  # maps of a prefix
     order = np.argsort(-gains, kind="stable")
-    best, best_map = -np.inf, None
+    best, best_map = floor, None
     pos = 0
     while pos < k and gains[order[pos]] > best:
         # the next prefixes whose gains can raise the max, as many as fit
@@ -568,13 +577,17 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
         run = engine.near_sq(maps, end)
         np.maximum.accumulate(run, axis=0, out=run)
         # every map read at its own prefix's end; those within the float
-        # floor of their prefix's least, by coordinate differences again
+        # floor of their prefix's least, by coordinate differences again,
+        # each distinct map once (symmetric clusters tie many times over)
         vals = run[ends[owner] - 1, np.arange(len(maps))]
         close = np.flatnonzero(
             vals <= np.minimum.reduceat(vals, starts)[owner] + engine.floor)
-        exact = np.maximum.accumulate(_nearest(P[:end], tree, maps[close]), axis=1)
+        distinct, inverse = np.unique(maps[close].reshape(len(close), -1),
+                                      axis=0, return_inverse=True)
+        exact = np.maximum.accumulate(
+            _nearest(P[:end], tree, distinct.reshape(-1, n, n)), axis=1)
         vals[:] = np.inf
-        vals[close] = exact[np.arange(len(close)), ends[owner[close]] - 1]
+        vals[close] = exact[inverse.ravel(), ends[owner[close]] - 1]
         value = np.minimum(gains[ends - 1], np.minimum.reduceat(vals, starts))
         j = int(np.argmax(value))
         if value[j] > best:
@@ -583,22 +596,28 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray):
     return float(best), best_map
 
 
-def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool):
+def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool,
+             floor: float = -np.inf):
     """(value, map, lower): max over prefixes P[:i+1] of min(gains[i],
     d_R_i), a map attaining d_R_i for the prefix that sets it, and a
     certified lower bound on the max-min.  The exact engine is _dr_bnb
     in 2D and 3D; the approximation engine, and 1D, use
     the max-min search on the construction's maps alone, whose lower bound
-    is the value over the construction's factor."""
+    is the value over the construction's factor.
+
+    A caller that needs only max(floor, max-min) passes floor: no prefix is
+    resolved once its value is at most floor, so max(floor, value) carries
+    the certificate, and is floor itself when no prefix is found above it
+    (the search then returns floor and no map)."""
     n = P.shape[1]
     if exact and n > 1:
-        upper, lower, maps = _dr_bnb(P, Q, gains)
+        upper, lower, maps = _dr_bnb(P, Q, gains, floor)
         value = np.minimum(gains, upper)
         i = int(np.argmax(value))
         # near zero the float floor can put the bound above the polished value
         lower = min(value[i], np.max(np.minimum(gains, lower)))
         return float(value[i]), maps[i], float(lower)
-    value, M = _max_min_search(P, Q, gains)
+    value, M = _max_min_search(P, Q, gains, floor)
     return value, M, value / approx_factor_bound(n)
 
 
@@ -642,13 +661,9 @@ def approx_factor_bound(n: int, delta: float = DEFAULT_DELTA) -> float:
 # boundary-tolerant distances
 
 
-def d_M(C, D, alpha: float, engine: str = "exact") -> float:
-    """One-sided boundary-tolerant distance: the max over length-sorted
-    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)), d_R from
-    the engine named, "exact" or "approx".
-
-    One search serves all prefixes (see _max_min): it finds a prefix's d_R
-    only while that prefix might still set the max."""
+def _one_sided(C, D, alpha: float, engine: str, floor: float) -> float:
+    """d_M(C, D, alpha) resolved only above floor: max(floor, result) is
+    max(floor, d_M) within the engine's certificate (see _max_min)."""
     if engine not in ("exact", "approx"):
         raise ValueError(f"unknown d_R engine {engine!r}")
     P, Q = _points(C), _points(D)
@@ -664,12 +679,25 @@ def d_M(C, D, alpha: float, engine: str = "exact") -> float:
     keep = int(np.searchsorted(-gains, 0.0, side="left"))
     if keep == 0:
         return 0.0
-    return _max_min(P[:keep], Q, gains[:keep], engine == "exact")[0]
+    return _max_min(P[:keep], Q, gains[:keep], engine == "exact", floor)[0]
+
+
+def d_M(C, D, alpha: float, engine: str = "exact") -> float:
+    """One-sided boundary-tolerant distance: the max over length-sorted
+    prefixes {p_1..p_i} of min(alpha - |p_i|, d_R(prefix, D)), d_R from
+    the engine named, "exact" or "approx".
+
+    One search serves all prefixes (see _max_min): it finds a prefix's d_R
+    only while that prefix might still set the max."""
+    return _one_sided(C, D, alpha, engine, -np.inf)
 
 
 def d_C(sigma, xi, alpha: float, engine: str = "exact") -> float:
-    """Boundary-tolerant cluster distance: max of the two one-sided d_M."""
-    return max(d_M(sigma, xi, alpha, engine), d_M(xi, sigma, alpha, engine))
+    """Boundary-tolerant cluster distance: max of the two one-sided d_M.
+    The second is resolved only above the first, which it needs to
+    exceed to count, so the certificate is that of d_M."""
+    first = d_M(sigma, xi, alpha, engine)
+    return max(first, _one_sided(xi, sigma, alpha, engine, first))
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,29 @@ class TestDmApprox:
         assert value == pytest.approx(0.5, abs=1e-12)
         assert value == pytest.approx(dm_approx_loop(C, D, self.ALPHA), abs=1e-12)
 
+    def test_coinciding_maps_evaluated_once(self, monkeypatch):
+        # the cubic 27-point cluster against its 1.02x copy: the cluster's
+        # 48 symmetries make many construction maps tie within the product's
+        # float floor, and many of those coincide; each distinct map goes
+        # to _nearest once (5,361 rows over both sides' blocks, against
+        # 23,258 maps), and the value is unchanged
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
+        C = pg.alpha_cluster(S, 0, 1.8).points
+        assert len(C) == 27
+        received = []
+        nearest = metric._nearest
+
+        def counting(P, tree, maps):
+            received.append(maps.reshape(len(maps), -1))
+            return nearest(P, tree, maps)
+
+        monkeypatch.setattr(metric, "_nearest", counting)
+        # the corner (1, 1, 1) moves by 0.02 sqrt(3)
+        assert pg.d_C(C, 1.02 * C, 1.8, engine="approx") == 0.034641016151376935
+        for rows in received:
+            assert len(np.unique(rows, axis=0)) == len(rows)
+        assert sum(len(rows) for rows in received) <= 5361
+
 
 class TestDm3d:
     ALPHA = 1.5
@@ -686,6 +709,107 @@ class TestDc:
         C = pg.alpha_cluster(square, 0, 2.0)
         with pytest.raises(ValueError, match="unknown d_R engine"):
             pg.d_M(C, C, 2.0, engine="auto")
+
+    def test_unknown_engine_rejected_before_any_work(self, square, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("d_C worked before checking its engine")
+
+        monkeypatch.setattr(metric, "_points", no_work)
+        monkeypatch.setattr(metric, "_max_min", no_work)
+        C = pg.alpha_cluster(square, 0, 2.0)
+        with pytest.raises(ValueError, match="unknown d_R engine"):
+            pg.d_C(C, C, 2.0, engine="auto")
+
+    @staticmethod
+    def floor_corpus():
+        """(C, D, alpha): 66 seeded pairs of 3 to 10 points, 22 in each of
+        1D, 2D and 3D: unrelated clusters, copies rotated and jittered by
+        3e-3 and 0.02, and exact isometric copies."""
+        rng = np.random.default_rng(2024)
+        alpha = 1.5
+        out = []
+        for n in (1, 2, 3):
+            for j in range(22):
+                C = rng.normal(size=(int(rng.integers(3, 11)), n))
+                C *= 0.9 * alpha / np.linalg.norm(C, axis=1).max()
+                C[0] = 0.0
+                if j % 4 == 0:
+                    D = rng.normal(size=(int(rng.integers(3, 11)), n))
+                    D *= 0.9 * alpha / np.linalg.norm(D, axis=1).max()
+                else:
+                    D = C @ random_orthogonal(rng, n).T
+                    if j % 4 < 3:
+                        D += (3e-3, 0.02)[j % 4 - 1] * rng.normal(size=C.shape)
+                D[0] = 0.0
+                out.append((C, D, alpha))
+        return out
+
+    def test_second_side_counts_only_above_the_first(self):
+        # d_C resolves d_M(D, C) only above d_M(C, D): where it is not
+        # larger, d_C is the first side's value bit for bit, and elsewhere
+        # the second side's to its certificate
+        pairs = self.floor_corpus()
+        assert len(pairs) >= 60
+        larger = 0
+        for pair, (C, D, alpha) in enumerate(pairs):
+            for engine in ("exact", "approx"):
+                first = pg.d_M(C, D, alpha, engine)
+                second = pg.d_M(D, C, alpha, engine)
+                got = pg.d_C(C, D, alpha, engine)
+                if second <= first:
+                    assert got == first, (pair, engine)
+                    continue
+                larger += 1
+                tol = 1e-9 * max(1.0, np.linalg.norm(D, axis=1).max())
+                if engine == "exact" and C.shape[1] == 3:
+                    tol = max(tol, BNB_REL_TOL_3D * second)
+                assert abs(got - second) <= tol, (pair, engine, got, second)
+        assert 0 < larger < 2 * len(pairs)
+
+    def test_exactly_symmetric_up_to_12_points(self):
+        rng = np.random.default_rng(4040)
+        alpha = 1.5
+        for draw in range(72):
+            n, engine = draw % 3 + 1, ("exact", "approx")[draw // 3 % 2]
+            kind = draw // 6 % 4
+            a = rng.normal(size=(int(rng.integers(1, 13)), n))
+            if kind == 0:
+                b = rng.normal(size=(int(rng.integers(1, 13)), n))
+            else:
+                b = a @ random_orthogonal(rng, n).T
+                b += (0.0, 1e-3, 0.01)[kind - 1] * rng.normal(size=a.shape)
+            for P in (a, b):
+                P *= 0.9 * alpha / max(np.linalg.norm(P, axis=1).max(), 1e-12)
+                P[0] = 0.0
+            assert pg.d_C(a, b, alpha, engine) == pg.d_C(b, a, alpha, engine), draw
+
+    def test_reverse_side_at_the_first_evaluates_no_region(self, monkeypatch):
+        # a 3D set against a jittered copy, 10-point clusters: each side
+        # alone evaluates regions, but the reverse side's seeds already
+        # sit at the first side's value, so d_C evaluates only the first
+        count = [0]
+        regions = metric._RotationProfile.regions
+
+        def counting(self, maps, theta, thr):
+            count[0] += 1
+            return regions(self, maps, theta, thr)
+
+        monkeypatch.setattr(metric._RotationProfile, "regions", counting)
+        rng = np.random.default_rng(0)
+        A = random_periodic_set(rng, 3, 2)
+        B, _ = jitter_set(rng, A, 0.025 * core.min_interpoint_distance(A))
+        lengths = pg.alpha_cluster(A, 0, 4.0).lengths
+        alpha = 0.5 * (lengths[9] + lengths[10])
+        C, D = (pg.alpha_cluster(S, 0, alpha).points for S in (A, B))
+        assert len(C) == len(D) == 10
+        values, calls = [], []
+        for f, args in ((pg.d_M, (C, D)), (pg.d_M, (D, C)), (pg.d_C, (C, D))):
+            count[0] = 0
+            values.append(f(*args, alpha, engine="exact"))
+            calls.append(count[0])
+        assert calls[0] > 0 and calls[1] > 0
+        assert calls[2] == calls[0]
+        assert values[2] == max(values[:2])
 
 
 class TestEmd:
