@@ -16,6 +16,10 @@ of those per-point values bounds every prefix from below, so a value is
 certified to within 1e-9 max(1, |p|max) in 2D, and in 3D to within that
 or the relative gap BNB_REL_TOL_3D, or else the search stopped at
 BNB_MAX_REGIONS regions and returns its certified lower bound with it.
+The search starts from BNB_START regions per map family, 16 arcs in 2D
+and 64 cubes in 3D, and halves no region below BNB_LEAST_HALF_SIDE, a
+least half-side fixed per dimension, so the start sets only how much
+work the first batches do and never the certificate.
 Those distances come from inner products, whose float floor is about
 1e-8 |p|max; near zero the best map is polished by least squares and
 evaluated by coordinate differences, so isometric copies read about
@@ -53,12 +57,16 @@ from .core import change_cell, neighbor_cloud
 from .isoset import Cluster, IsometryClass, Isoset
 
 DEFAULT_DELTA = 0.1
-BNB_REGIONS = 64  # starting regions per map family of the branch-and-bound
-# halvings after which the branch-and-bound stops.  The least half-side,
-# pi/64/2^27 (about 3.7e-10 rad) in 2D, resolves a max-min to the 2D
-# certificate 1e-9 |P|max; in 3D, pi/4/2^27 (about 5.9e-9 rad) gives caps
-# that move P by about the inner-product float floor, 1e-8 |P|max
-BNB_HALVINGS = 27
+# starting regions per map family of the branch-and-bound, by dimension: 16
+# arcs of the circle in 2D, where a jittered lattice cluster is decided by
+# the first batch, and 64 cubes of rotation vectors in 3D
+BNB_START = {2: 16, 3: 64}
+# least half-side of a region, by dimension, whatever the start: the search
+# halves no region below it.  In 2D, pi/64/2^27 (about 3.7e-10 rad) resolves
+# a max-min to the 2D certificate 1e-9 |P|max; in 3D, pi/4/2^27 (about
+# 5.9e-9 rad) gives caps that move P by about the inner-product float floor,
+# 1e-8 |P|max
+BNB_LEAST_HALF_SIDE = {2: math.pi / 64 / 2 ** 27, 3: math.pi / 4 / 2 ** 27}
 BNB_REL_TOL_3D = 1e-3  # relative certificate gap of the 3D search
 BNB_MAX_REGIONS = 2 ** 16  # region evaluations after which the search stops
 
@@ -303,8 +311,9 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     A region is a cube of rotation parameters of dimension d = n(n-1)/2,
     an angle interval in 2D and a cube of rotation vectors in 3D, of one of
     two families: rotations R and mirrored maps R diag(1, .., 1, -1).  Each
-    family starts from BNB_REGIONS cubes over [-pi, pi]^d; a child cube
-    wholly outside the pi-ball, which holds every rotation, is dropped.
+    family starts from BNB_START[n] cubes over [-pi, pi]^d, 16 arcs in 2D
+    and 64 cubes in 3D; a child cube wholly outside the pi-ball, which
+    holds every rotation, is dropped.
     Every map of a cube of half-side sigma turns each point by at most
     theta = min(sqrt(d) sigma, pi) from the centre's map (Hartley & Kahl),
     so each point's least distance over the cube is at least that from
@@ -316,25 +325,31 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     which are the identity and in 3D also the approximation construction's
     maps of all of P, and then every cube's centre map, all by the same
     matrix product (the seeds by _RotationProfile.near_sq, in chunks of
-    ENTRIES distances).  A cube's bound for a prefix is
-    the running max over its points, and lower[i] starts from the length
-    gaps ||p| - |q||, which no map can close, and only grows: every step's
-    least bound is a certified one.  So d_R_i lies in [lower[i], upper[i]].
-    Unless dropped (see _bnb_rule), a cube is split 2^d ways.
+    ENTRIES distances).  The construction's maps are evaluated only when
+    the identity and its polish leave the search undecided, as they do
+    not for a second side of d_C already at its floor.  A cube's bound
+    for a prefix is the running max over its points, and lower[i] starts
+    from the length gaps ||p| - |q||, which no map can close, and only
+    grows: every step's least bound is a certified one.  So d_R_i lies
+    in [lower[i], upper[i]].  Unless dropped (see _bnb_rule), a cube is
+    split 2^d ways.
 
     The search resolves the max-min to within tol_i = 1e-9 max(1, |P|max)
     in 2D, and in 3D to within that or BNB_REL_TOL_3D min(gains[i],
-    upper[i]), or stops after BNB_HALVINGS halvings.  A prefix whose
+    upper[i]), or stops before halving a cube below the least half-side
+    BNB_LEAST_HALF_SIDE[n] (pi/64/2^27 in 2D, which resolves the 2D
+    certificate from any start, and pi/4/2^27 in 3D).  A prefix whose
     min(gains[i], upper[i]) is at most floor is resolved no further, so
     when the seeds already put every prefix there no cube is evaluated.
     Its cube evaluations never pass BNB_MAX_REGIONS: when a split would,
     only the cubes whose centre maps give the least max-min are split,
     into half the room left, and the bounds of the others join the lower
     bound.  So a capped search still improves its incumbent, and its lower
-    bound stays certified; the gap is then wider than tol.  The first time
-    the incumbent that sets the max is within 1e-2 scale, after the seeds
-    or a batch of cubes, _polish fits its map, so an isometric copy stops
-    before any cube; a last _polish lifts the float floor.
+    bound stays certified; the gap is then wider than tol.  _polish fits
+    the map of the incumbent that sets the max after each seed pass, and
+    later the first time it is within 1e-2 scale after a batch of cubes,
+    so an isometric copy stops before any cube; a last _polish lifts the
+    float floor.
     """
     k, n = P.shape
     d = n * (n - 1) // 2
@@ -344,37 +359,46 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     engine = _RotationProfile(P, Q)
     upper = np.full(k, np.inf)
     maps = np.zeros((k, n, n))
-    seeds = np.eye(n)[None]
-    if n == 3:
-        seeds = np.concatenate([seeds, _approx_maps(P, Q)])
-    step = max(1, engine.ENTRIES // k)
-    for a in range(0, len(seeds), step):
-        near = np.sqrt(np.maximum(engine.near_sq(seeds[a:a + step], k), 0.0))
-        _keep_best(upper, maps, near.T, seeds[a:a + step])
-    polished = _polish(P, Q, gains, upper, maps, 1e-2 * scale)
+    # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
+    lower = np.maximum.accumulate(np.abs(np.subtract.outer(
+        np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
 
     def certificate():
         # clamped at 0: a gain of -inf would make 0 * -inf
         return np.maximum(abs_tol, rel_tol * np.maximum(
             np.minimum(gains, upper), 0.0))
 
-    per_axis = round(BNB_REGIONS ** (1 / d))
+    def seed(candidates) -> bool:
+        # the candidates' incumbents, then _polish of the one that sets the max
+        step = max(1, engine.ENTRIES // k)
+        for a in range(0, len(candidates), step):
+            near = engine.near_sq(candidates[a:a + step], k)
+            _keep_best(upper, maps, np.sqrt(np.maximum(near, 0.0)).T,
+                       candidates[a:a + step])
+        return _polish(P, Q, gains, upper, maps, 1e-2 * scale)
+
+    polished = seed(np.eye(n)[None])
+    tol = certificate()
+    irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol,
+                                    floor)
+    if n == 3 and not done:
+        # the construction's maps of all of P, only when the identity and
+        # its polish leave the search undecided
+        polished = seed(_approx_maps(P, Q)) or polished
+        tol = certificate()
+        irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)),
+                                        tol, floor)
+
+    per_axis = round(BNB_START[n] ** (1 / d))
     sigma = math.pi / per_axis
-    min_sigma = sigma / 2 ** BNB_HALVINGS
     axis = sigma * (2 * np.arange(per_axis) + 1) - math.pi
     centres = np.tile(np.array(list(product(axis, repeat=d))), (2, 1))
     mirror = np.repeat([False, True], len(centres) // 2)
     corners = np.array(list(product((-1.0, 1.0), repeat=d)))
     flip = np.append(np.ones(n - 1), -1.0)
     dropped = np.full(k, np.inf)  # least prefix bounds of dropped cubes
-    # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
-    lower = np.maximum.accumulate(np.abs(np.subtract.outer(
-        np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
     evaluated = 0
-    tol = certificate()
-    irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol,
-                                    floor)
-    while not done and len(centres) and sigma >= min_sigma:
+    while not done and len(centres) and sigma >= BNB_LEAST_HALF_SIDE[n]:
         batch = (Rotation.from_rotvec(centres).as_matrix() if n == 3
                  else _maps_2d(centres[:, 0], False))
         batch[mirror] *= flip

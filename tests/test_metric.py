@@ -266,10 +266,14 @@ class TestDm:
             assert direct is not None
             assert abs(value - direct) <= 0.01 + 1e-6
 
-    def test_certificate_on_random_clusters(self):
+    @pytest.mark.parametrize("arcs", [4, 16, 64])
+    def test_certificate_on_random_clusters(self, arcs, monkeypatch):
         # criterion-11-style pairs; pair 104 is one where a grid plus
         # alignment-angle search returned 0.194033, above the dense scan's
-        # 0.193543
+        # 0.193543.  The certificate holds from any start: the search stops
+        # at a least arc, not after a number of halvings (16 arcs and 27
+        # halvings left pair 11 with a gap of 1.64e-9 against 1.35e-9)
+        monkeypatch.setitem(metric.BNB_START, 2, arcs)
         rng = np.random.default_rng(6161)
         alpha = 1.5
         for pair in range(105):
@@ -810,6 +814,32 @@ class TestDc:
         assert calls[0] > 0 and calls[1] > 0
         assert calls[2] == calls[0]
         assert values[2] == max(values[:2])
+
+    def test_jittered_supercell_decided_by_first_batch(self, monkeypatch):
+        # criterion 9's supercell cluster against every class of jittered
+        # copies: the first batch, BNB_START[2] arcs of each map family,
+        # decides d_C (a start of 64 arcs per family evaluated 128 regions)
+        batches = []
+        regions = metric._RotationProfile.regions
+
+        def counting(self, maps, theta, thr):
+            batches.append(len(maps))
+            return regions(self, maps, theta, thr)
+
+        monkeypatch.setattr(metric._RotationProfile, "regions", counting)
+        rng = np.random.default_rng(1818)
+        S = pg.PeriodicSet(pg.UnitCell(2 * np.eye(2)),
+                           np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]))
+        alpha = 4.0
+        C = pg.alpha_cluster(S, 0, alpha)
+        for eps in (0.01, 0.03, 0.05):
+            classes = pg.isoset(jitter_set(rng, S, eps)[0], alpha).classes
+            assert len(classes) == 4
+            for j, iso in enumerate(classes):
+                batches.clear()
+                value = pg.d_C(C, iso.representative, alpha)
+                assert 0 < value <= 2 * eps, (eps, j, value)
+                assert batches == [2 * metric.BNB_START[2]], (eps, j, batches)
 
 
 class TestEmd:
