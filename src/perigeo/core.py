@@ -101,11 +101,12 @@ class UnitCell:
 
     @cached_property
     def _reduction(self) -> tuple:
-        """(U, U^-1, reduced cell): the integer unimodular U whose U @ basis
-        is the short, near-orthogonal basis of reduce_basis, its integer
+        """(U, U^-1, reduced cell): the integer unimodular U of the greedy
+        reduction of reduce_basis (U @ basis has the successive minima as
+        lengths, and a scaled cell gets the same U up to ties), its integer
         inverse, and the cell of U @ basis.  Fractional coordinates f on
         this cell are f @ U^-1 on the reduced one."""
-        U = np.rint(reduce_basis(self.basis) @ self.inv_basis).astype(int)
+        U = _greedy_unimodular(self.basis)
         U_inv = np.rint(np.linalg.inv(U)).astype(int)
         return U, U_inv, UnitCell(U @ self.basis)
 
@@ -213,11 +214,13 @@ def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
     axis.
 
     Raises DataError when offsets x m would pass MAX_ENUMERATION; the
-    count is estimated in floats before anything is allocated.
+    count is estimated in floats before anything is allocated, and a
+    window or count past the float range reads as infinite.
     """
-    a, b = _fractional_window(cell, frac_lo, frac_hi, reach)
-    lo, hi = np.floor(a), np.floor(b)
-    size = float(np.prod(hi - lo + 1)) * m
+    with np.errstate(over="ignore"):
+        a, b = _fractional_window(cell, frac_lo, frac_hi, reach)
+        lo, hi = np.floor(a), np.floor(b)
+        size = float(np.prod(hi - lo + 1)) * m
     if size > MAX_ENUMERATION:
         raise DataError(
             f"radius {reach:.6g} needs about {size:.3g} enumerated points, "
@@ -322,9 +325,9 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
     cell diameter of a point in the cell.
     """
     cell = S.cell
-    lo, hi = _fractional_window(cell, np.zeros(cell.dim), np.ones(cell.dim), reach)
     offsets = _lattice_offsets(cell, np.zeros(cell.dim), np.ones(cell.dim),
                                reach, S.m)
+    lo, hi = _fractional_window(cell, np.zeros(cell.dim), np.ones(cell.dim), reach)
     frac = S.motif[None, :, :] + offsets[:, None, :]
     keep = np.all((frac >= lo) & (frac <= hi), axis=-1)
     cart_off = offsets @ cell.basis
@@ -335,9 +338,8 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
 
 def min_interpoint_distance(S: PeriodicSet) -> float:
     """Minimum distance between distinct points of the infinite set, at
-    most the shortest vector of any basis: the reduced cell's is probed."""
-    reduced = S.cell._reduction[2].basis
-    probe = float(np.linalg.norm(reduced, axis=1).min()) * (1 + 1e-9)
+    most the shortest lattice vector, the reduced cell's first row."""
+    probe = float(np.linalg.norm(S.cell._reduction[2].basis[0])) * (1 + 1e-9)
     best = math.inf
     for i in range(S.m):
         dist = neighbor_stack(S, i, probe).lengths
@@ -353,7 +355,7 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     in 1D).
 
     The patch is neighbor_cloud's reach slab at d/2, for the set
-    re-expressed on the short, near-orthogonal basis of reduce_basis and
+    re-expressed on the Minkowski-reduced basis of reduce_basis and
     d the diameter of that cell: the points whose fractional coordinates
     lie in [-d/2 |inv_basis[:, i]|, 1 + d/2 |inv_basis[:, i]|].  It holds
     every point of S within d/2 of the cell (on a cubic lattice, the 8
@@ -484,52 +486,44 @@ def radius_report(S: PeriodicSet) -> RadiusReport:
 # basis reduction
 
 
-def _lagrange_reduce(basis: np.ndarray) -> np.ndarray:
-    u, v = basis[0].astype(float), basis[1].astype(float)
-    if u @ u > v @ v:
-        u, v = v, u
-    for _ in range(10000):
-        q = round(float(u @ v) / float(u @ u))
-        v = v - q * u
-        if v @ v >= u @ u:
-            return np.array([u, v])
-        u, v = v, u
-    raise RuntimeError("Lagrange reduction did not converge")
+def _greedy_unimodular(basis: np.ndarray) -> np.ndarray:
+    """The integer unimodular U of reduce_basis(basis) = U @ basis."""
+    n = len(basis)
+    U = np.eye(n, dtype=np.int64)[
+        np.argsort(np.einsum("ij,ij->i", basis, basis), kind="stable")]
+    k = 1
+    while k < n:
+        rows, row = U[:k] @ basis, U[k] @ basis
+        real = np.linalg.solve(rows @ rows.T, rows @ row)
+        steps = np.rint(real) + np.array(list(product((-1, 0, 1), repeat=k)))
+        cands = U[k] - steps.astype(np.int64) @ U[:k]
+        vecs = cands @ basis
+        lengths = np.einsum("ij,ij->i", vecs, vecs)
+        best = int(np.argmin(lengths))
+        if lengths[best] < (1.0 - 1e-12) * (row @ row):
+            # insert the shortened row by length and test it again there
+            i = int(np.searchsorted(np.einsum("ij,ij->i", rows, rows),
+                                    lengths[best], side="right"))
+            U[i:k + 1] = np.vstack([cands[best], U[i:k]])
+            k = max(i, 1)
+        else:
+            k += 1
+    return U
 
 
 def reduce_basis(basis: np.ndarray) -> np.ndarray:
-    """Shortest basis: exact Lagrange-Gauss in 2D, greedy pair reduction plus
-    small integer recombinations in 3D (sufficient for n <= 3)."""
+    """Minkowski-reduced basis of the lattice of the rows, sorted by length,
+    so its lengths are the successive minima (n <= 3): the greedy
+    reduction of Nguyen and Stehle (ANTS 2004), one loop for every n.
+    Row k is shortened by the nearest vector of the lattice of the shorter
+    rows (coefficients: the rounded real ones and their +-1 neighbours, 3
+    candidates against one row, 9 against two) and moved to its place by
+    length, until no row gets shorter by a relative 1e-12 in squared
+    length.  Every test is relative, so the unit of length does not
+    matter; every step shortens a row by that margin, and finitely many
+    lattice vectors are shorter than the longest row, so the loop ends."""
     basis = np.asarray(basis, dtype=float)
-    n = basis.shape[0]
-    if n == 1:
-        return basis.copy()
-    if n == 2:
-        out = _lagrange_reduce(basis)
-        return out[np.argsort(np.linalg.norm(out, axis=1))]
-    rows = basis.copy()
-    for _ in range(1000):
-        changed = False
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                q = round(float(rows[a] @ rows[b]) / float(rows[b] @ rows[b]))
-                if q != 0:
-                    cand = rows[a] - q * rows[b]
-                    if cand @ cand < rows[a] @ rows[a] - 1e-15:
-                        rows[a] = cand
-                        changed = True
-        order = np.argsort(np.linalg.norm(rows, axis=1))
-        rows = rows[order]
-        for c1, c2 in product((-2, -1, 0, 1, 2), repeat=2):
-            cand = rows[2] + c1 * rows[0] + c2 * rows[1]
-            if cand @ cand < rows[2] @ rows[2] - 1e-15:
-                rows[2] = cand
-                changed = True
-        if not changed:
-            return rows
-    raise RuntimeError("basis reduction did not converge")
+    return _greedy_unimodular(basis) @ basis
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def _isometry_maps(C: Cluster, D: Cluster, tol: Optional[float],
                    first_only: bool):
     """Full-dimensional orthogonal maps sending C onto D (center fixed)."""
     if C.dim != D.dim:
-        raise ValueError("clusters live in different dimensions")
+        raise ValueError(f"clusters live in different dimensions: {C.dim} and {D.dim}")
     if C.size != D.size:
         return []
     n = C.dim

@@ -80,11 +80,20 @@ def _points(obj) -> np.ndarray:
     return np.atleast_2d(pts)
 
 
-def directed_hausdorff(C, D) -> float:
-    """max over p in C of the distance from p to the nearest point of D."""
+def _point_pair(C, D):
+    """(P, Q), refused when one is empty or their dimensions differ."""
     P, Q = _points(C), _points(D)
     if P.shape[0] == 0 or Q.shape[0] == 0:
-        raise ValueError("directed Hausdorff distance needs non-empty sets")
+        raise ValueError("empty point set")
+    if P.shape[1] != Q.shape[1]:
+        raise ValueError("clusters live in different dimensions: "
+                         f"{P.shape[1]} and {Q.shape[1]}")
+    return P, Q
+
+
+def directed_hausdorff(C, D) -> float:
+    """max over p in C of the distance from p to the nearest point of D."""
+    P, Q = _point_pair(C, D)
     dist, _ = cKDTree(Q).query(P)
     return float(np.max(dist))
 
@@ -648,9 +657,7 @@ def _max_min(P: np.ndarray, Q: np.ndarray, gains: np.ndarray, exact: bool,
 def _whole_set(C, D):
     """(P, Q, gains): the point arrays, and the gains under which the
     max-min is d_R of the whole of P: only the last prefix counts."""
-    P, Q = _points(C), _points(D)
-    if P.shape[0] == 0 or Q.shape[0] == 0:
-        raise ValueError("empty point set")
+    P, Q = _point_pair(C, D)
     gains = np.full(len(P), -np.inf)
     gains[-1] = np.inf
     return P, Q, gains
@@ -690,9 +697,7 @@ def _one_sided(C, D, alpha: float, engine: str, floor: float) -> float:
     max(floor, d_M) within the engine's certificate (see _max_min)."""
     if engine not in ("exact", "approx"):
         raise ValueError(f"unknown d_R engine {engine!r}")
-    P, Q = _points(C), _points(D)
-    if P.shape[0] == 0 or Q.shape[0] == 0:
-        raise ValueError("empty point set")
+    P, Q = _point_pair(C, D)
     lengths = np.linalg.norm(P, axis=1)
     order = np.argsort(lengths, kind="stable")
     P, lengths = P[order], lengths[order]

@@ -93,6 +93,39 @@ def skew_unimodular(n: int, c: int) -> np.ndarray:
     return np.eye(n, dtype=int) + c * np.eye(n, k=1, dtype=int)
 
 
+def random_unimodular(rng, n: int, steps: int) -> np.ndarray:
+    """An integer matrix of determinant 1: the identity after `steps` row
+    operations, each adding -3..3 times one row to another."""
+    U = np.eye(n, dtype=int)
+    for _ in range(steps):
+        i, j = rng.choice(n, 2, replace=False)
+        U[i] += rng.integers(-3, 4) * U[j]
+    return U
+
+
+def successive_minima(basis, reach: int = 3) -> np.ndarray:
+    """Lengths lambda_1 <= ... <= lambda_n of the lattice of the rows, by
+    brute force over integer combinations with coefficients in
+    [-reach, reach]: the i-th is the length of the shortest combination
+    independent of the ones picked before.  Exact when every successive
+    minimum has a vector in that box, as for a basis within 0.15 per
+    entry of the identity and reach 3."""
+    n = len(basis)
+    coeffs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=n)))
+    vecs = coeffs[np.any(coeffs != 0, axis=1)] @ basis
+    lengths = np.linalg.norm(vecs, axis=1)
+    picked = np.zeros((0, n))
+    minima = []
+    for j in np.argsort(lengths):
+        grown = np.vstack([picked, vecs[j]])
+        if np.linalg.matrix_rank(grown, tol=1e-6 * lengths[j]) > len(picked):
+            picked = grown
+            minima.append(lengths[j])
+            if len(minima) == n:
+                break
+    return np.array(minima)
+
+
 def coverage_multiplicity_1d(points, t: float, samples: int = 10 ** 6):
     """Multiplicity of radius-t interval coverage at midpoint samples of the
     unit period (brute-force density oracle)."""

@@ -225,6 +225,32 @@ class TestExitCodes:
         assert main(["amd", path, "-k", "1000000000"]) == 2
         assert "limit" in capsys.readouterr().err
 
+    def test_overflowing_radius_is_two(self, tmp_path, capsys):
+        # refused by the size estimate with no numpy overflow warning,
+        # which the test configuration turns into an error
+        path = tmp_path / "sq.txt"
+        path.write_text("dim 2\n1 0\n0 1\nmotif 1\n0 0\n", encoding="utf-8")
+        for argv in (["isoset", str(path), "--alpha", "1e200"],
+                     ["dcluster", str(path), str(path), "--points", "0", "0",
+                      "--alpha", "1e300"],
+                     ["density", str(path), "-k", "1", "--grid", "0:1e300:3"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: radius")
+
+    def test_mixed_dimensions_are_two(self, tmp_path, capsys):
+        one = write_1d(tmp_path / "one.txt", [0], 1)
+        sq, cube = tmp_path / "sq.txt", tmp_path / "cube.txt"
+        sq.write_text("dim 2\n1 0\n0 1\nmotif 1\n0 0\n", encoding="utf-8")
+        cube.write_text("dim 3\n1 0 0\n0 1 0\n0 0 1\nmotif 1\n0 0 0\n",
+                        encoding="utf-8")
+        for argv, dims in ((["emd", one, str(sq)], "1 and 2"),
+                           (["dcluster", str(sq), str(cube), "--points", "0", "0",
+                             "--alpha", "2"], "2 and 3"),
+                           (["batch", one, str(sq), "--mode", "emd"], "1 and 2")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: clusters live in different dimensions: {dims}\n"
+
     def test_isotree_near_tie_is_two(self, tmp_path, capsys):
         # a near-symmetric set whose partitions stop refining (see
         # TestIsotree.test_near_tie_raises_data_error) ends in an error line

@@ -15,8 +15,10 @@ from helpers import (
     jitter_set,
     random_orthogonal,
     random_periodic_set,
+    random_unimodular,
     reach_2d_patch_size,
     skew_unimodular,
+    successive_minima,
 )
 
 
@@ -295,6 +297,18 @@ class TestEnumerationCap:
             with pytest.raises(pg.DataError, match="limit"):
                 pg.alpha_cluster(S, 0, 1e4)
 
+    def test_overflowing_radius_refused(self, square):
+        # windows and counts past the float range are refused by the same
+        # estimate, with no overflow warning; the half-size square's window
+        # itself overflows at 1e308
+        half = pg.PeriodicSet(pg.UnitCell(0.5 * np.eye(2)), np.zeros((1, 2)))
+        for S in (square, half):
+            for alpha in (1e200, 1e308):
+                with pytest.raises(pg.DataError, match="limit"):
+                    pg.alpha_cluster(S, 0, alpha)
+                with pytest.raises(pg.DataError, match="limit"):
+                    neighbor_cloud(S, alpha)
+
     def test_non_finite_radius_refused(self, square):
         for alpha in (np.inf, np.nan):
             with pytest.raises(pg.DataError):
@@ -509,7 +523,67 @@ class TestSkewedCells:
                 assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (c, k)
 
 
+class TestScaledCells:
+    """A 3D set in the cell [[1,0,0],[7,1,0],[3,5,1]] of a cubic lattice,
+    scaled by s: every answer is the unit-scale answer times s (weights
+    unchanged), down to the scale of angstroms written in metres."""
+
+    @staticmethod
+    def scaled(s):
+        basis = np.array([[1.0, 0, 0], [7, 1, 0], [3, 5, 1]])
+        motif = np.random.default_rng(3).random((4, 3))
+        return pg.PeriodicSet(pg.UnitCell(s * basis), motif)
+
+    @staticmethod
+    def answers(S):
+        rep, stable = pg.radius_report(S), pg.minimum_stable_radius(S)
+        lengths = [rep.packing_radius, rep.covering_radius, rep.bridge_length,
+                   rep.easy_stable_radius, stable.alpha, stable.beta,
+                   *pg.amd(S, 50).values]
+        return np.array(lengths), sorted(pg.isoset(S, stable.alpha).weights)
+
+    def test_answers_scale_with_the_cell(self):
+        lengths, weights = self.answers(self.scaled(1.0))
+        assert len(weights) == 4
+        for s in (1e-8, 1e-10):
+            S = self.scaled(s)
+            assert np.allclose(np.linalg.norm(S.cell._reduction[2].basis, axis=1),
+                               s, rtol=1e-12, atol=0.0)
+            got, got_weights = self.answers(S)
+            assert np.allclose(got, s * lengths, rtol=1e-9, atol=0.0), s
+            assert got_weights == weights
+
+
 class TestReduction:
+    def test_successive_minima_at_every_scale(self):
+        # near-identity bases, skewed by random unimodular matrices and
+        # scaled from 1e-12 to 1e12: the reduced rows have the lengths of
+        # the successive minima, and U is an integer unimodular matrix
+        rng = np.random.default_rng(7)
+        for case in range(60):
+            n = 2 + case % 2
+            base = np.eye(n) + rng.uniform(-0.15, 0.15, size=(n, n))
+            skewed = random_unimodular(rng, n, 2 + case % 6) @ base
+            minima = successive_minima(base)
+            for s in (1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e12):
+                basis = s * skewed
+                reduced = pg.reduce_basis(basis)
+                assert np.allclose(np.linalg.norm(reduced, axis=1), s * minima,
+                                   rtol=1e-9, atol=0.0), (case, s)
+                U, U_inv, cell = pg.UnitCell(basis)._reduction
+                assert U.dtype.kind == "i" and U_inv.dtype.kind == "i"
+                assert abs(round(np.linalg.det(U))) == 1
+                assert np.array_equal(U @ U_inv, np.eye(n, dtype=int))
+                assert np.array_equal(cell.basis, reduced)
+
+    def test_one_dimension_and_reduced_bases_are_kept(self):
+        assert np.array_equal(pg.reduce_basis(np.array([[-2.5]])), [[-2.5]])
+        # already reduced: the step by zero is not taken, though its
+        # vector can compute one ulp shorter
+        basis = np.array([[0.8117479209594589, 0.033086951133498424],
+                          [-0.368149674570159, 0.9044221614233816]])
+        assert np.array_equal(pg.reduce_basis(basis), basis)
+
     def test_lagrange_reduction_2d(self):
         basis = np.array([[5.0, 1.0], [9.0, 2.0]])  # skewed square-ish lattice
         reduced = pg.reduce_basis(basis)

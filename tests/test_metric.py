@@ -637,6 +637,24 @@ class TestIsometricCopyExit:
 
 
 class TestDc:
+    def test_mixed_dimensions_refused(self, s4, square):
+        # refused by name before any search, by every distance and in
+        # either order
+        cube = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
+        line, plane, space = (pg.alpha_cluster(S, 0, 2.0) for S in (s4, square, cube))
+        for C, D, dims in ((line, plane, "1 and 2"), (space, plane, "3 and 2")):
+            for engine in ("exact", "approx"):
+                with pytest.raises(ValueError, match=f"different dimensions: {dims}"):
+                    pg.d_M(C, D, 2.0, engine)
+                with pytest.raises(ValueError, match=f"different dimensions: {dims}"):
+                    pg.d_C(C, D, 2.0, engine)
+            with pytest.raises(ValueError, match=f"different dimensions: {dims}"):
+                pg.d_R_exact_small(C, D)
+            with pytest.raises(ValueError, match=f"different dimensions: {dims}"):
+                pg.d_R_approx(C, D)
+        with pytest.raises(ValueError, match="different dimensions: 1 and 2"):
+            pg.emd(pg.isoset(s4, 2.0), pg.isoset(square, 2.0))
+
     def test_identity_and_symmetry(self, square, hexagonal):
         C = pg.alpha_cluster(square, 0, 2.0)
         D = pg.alpha_cluster(hexagonal, 0, 2.0)
