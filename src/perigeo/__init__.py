@@ -22,6 +22,7 @@ from .density import (
     psi0_1d,
     psi_k_1d,
     psi_k_sampled,
+    psi_sampled,
     trapezoid,
 )
 from .io import ParseError, parse_set_file, write_set_json, write_set_text

@@ -22,7 +22,7 @@ from scipy.spatial.distance import cdist
 
 from .amd import amd
 from .core import DataError, bridge_length, easy_stable_radius
-from .density import DensityFingerprint1D, psi_k_sampled
+from .density import DensityFingerprint1D, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
     alpha_cluster,
@@ -166,8 +166,7 @@ def _cmd_density(args):
         data["samples"] = samples
         data["seed"] = args.seed
         psis = []
-        for k in range(args.k + 1):
-            rows = psi_k_sampled(S, k, grid, samples, args.seed)
+        for k, rows in enumerate(psi_sampled(S, args.k, grid, samples, args.seed)):
             psis.append({"k": k, "estimates": [list(r) for r in rows]})
             plots[k] = [[t, est] for t, est, _ in rows]
         data["psi"] = psis

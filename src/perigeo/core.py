@@ -320,7 +320,8 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
     cell (packing_covering_radii), AMD the k+1 nearest points of each
     motif point, certified when they lie within the reach
     (amd.nearest_neighbor_distances), sampled density the points within
-    the largest t of a sample in the cell (psi_k_sampled), and the
+    the largest t of a sample in the cell (psi_sampled, one cloud and one
+    query for every k), and the
     bottleneck distance the nearest copy of each motif point, within the
     cell diameter of a point in the cell.
     """

@@ -1,5 +1,6 @@
 """Density fingerprints: exact piecewise-linear psi_k for 1D periodic sets
-and a seeded Monte-Carlo estimator of psi_k in higher dimensions.
+and a seeded Monte-Carlo estimator of psi_k in higher dimensions, whose one
+KD-tree query serves every k up to the largest asked for.
 
 psi_k(t) is the fraction of the unit cell covered by exactly k closed balls
 of radius t centered at the points of the set.  In 1D every psi_k is
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PeriodicSet, neighbor_cloud
+from .core import BLOCK_ENTRIES, PeriodicSet, neighbor_cloud
 
 CORNER_TOL = 1e-12
 
@@ -200,19 +201,24 @@ def fingerprints_equal_1d(S, Q, tol: float = 1e-9) -> bool:
     return True
 
 
-def psi_k_sampled(S: PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
-    """Monte-Carlo psi_k straight from the definition, any n <= 3.
+def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
+    """Monte-Carlo psi_0..psi_kmax straight from the definition, any n <= 3.
 
     Stratified jittered (Latin hypercube) sample points in the cell; for
-    each t the estimate is the fraction of samples covered by exactly k
-    balls, with its binomial standard error.  Deterministic under `seed`.
+    each t the estimate of psi_k is the fraction of samples covered by
+    exactly k balls, with its binomial standard error.  Deterministic under
+    `seed`.  Returns one list of (t, estimate, stderr) rows per k.
+
     A sample is covered by exactly k balls when d_k <= t < d_{k+1}, d_j
-    being its distance to the j-th nearest point, so one KD-tree query
-    serves every t.
+    being its distance to the j-th nearest point, and as d_k <= d_{k+1}
+    their count is #{d_k <= t} - #{d_{k+1} <= t}.  So one KD-tree query
+    for d_1..d_{kmax+1}, in sample blocks of at most BLOCK_ENTRIES
+    distances, and one searchsorted per sorted column serve every k and t.
+    The query asks for at most the cloud's size: deeper d_j are infinite.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if k < 0:
+    if kmax < 0:
         raise ValueError("k must be non-negative")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     rng = np.random.default_rng(seed)
@@ -222,13 +228,24 @@ def psi_k_sampled(S: PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
     xs = frac @ S.cell.basis
     cloud, _ = neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)
-    dist, _ = cKDTree(cloud).query(xs, k=[k, k + 1] if k else [1])
-    # every sample is covered by at least 0 balls, at any t
-    lower = dist[:, 0] if k else -np.inf
-    upper = dist[:, -1]
-    out = []
-    for t in t_grid:
-        est = float(np.mean((lower <= t) & (t < upper)))
-        stderr = float(np.sqrt(est * (1.0 - est) / samples))
-        out.append((float(t), est, stderr))
-    return out
+    depth = min(kmax + 1, len(cloud))
+    # covered[j] = #{d_j <= t}; every sample is covered by at least 0 balls
+    covered = np.zeros((kmax + 2, len(t_grid)), dtype=np.int64)
+    covered[0] = samples
+    if depth:
+        tree = cKDTree(cloud)
+        rows = max(1, BLOCK_ENTRIES // depth)
+        for start in range(0, samples, rows):
+            dist = tree.query(xs[start:start + rows], k=depth)[0].reshape(-1, depth)
+            dist.sort(axis=0)
+            for j in range(depth):
+                covered[j + 1] += np.searchsorted(dist[:, j], t_grid, side="right")
+    est = (covered[:-1] - covered[1:]) / samples
+    stderr = np.sqrt(est * (1.0 - est) / samples)
+    ts = t_grid.tolist()
+    return [list(zip(ts, e, s)) for e, s in zip(est.tolist(), stderr.tolist())]
+
+
+def psi_k_sampled(S: PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
+    """psi_sampled's rows of psi_k alone."""
+    return psi_sampled(S, k, t_grid, samples, seed)[k]

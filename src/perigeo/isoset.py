@@ -123,7 +123,7 @@ class Isotree:
 def match_tolerance(alpha: float, tol: Optional[float]) -> float:
     if tol is not None:
         return tol
-    return TOL_MATCH_FRAC * max(alpha, 1e-30)
+    return TOL_MATCH_FRAC * max(alpha, 0.0)
 
 
 def alpha_cluster(S: PeriodicSet, p_index: int, alpha: float) -> Cluster:
@@ -147,7 +147,7 @@ def _rank_and_frame(points: np.ndarray, scale: float):
     if k == 1:
         return 0, np.eye(n)
     _, sv, vt = np.linalg.svd(points, full_matrices=k < n)
-    thresh = RANK_TOL * max(scale, 1e-30)
+    thresh = RANK_TOL * scale
     rank = int(np.sum(sv > thresh))
     return rank, vt
 
@@ -269,7 +269,7 @@ def _isometry_maps(C: Cluster, D: Cluster, tol: Optional[float],
     lc, ld = np.sort(C.lengths), np.sort(D.lengths)
     if not np.allclose(lc, ld, rtol=0.0, atol=2.0 * tol_abs):
         return []
-    scale = max(float(lc[-1]), 1e-30)
+    scale = float(lc[-1])
     rank_c, frame_c = _rank_and_frame(C.points, scale)
     rank_d, frame_d = _rank_and_frame(D.points, scale)
     if rank_c != rank_d:
@@ -300,7 +300,7 @@ def cluster_symmetry_group(C: Cluster, tol: Optional[float] = None
                            ) -> SymmetryGroup:
     n = C.dim
     tol_abs = match_tolerance(C.alpha, tol)
-    scale = max(float(C.lengths.max()), 1e-30)
+    scale = float(C.lengths.max())
     rank, frame = _rank_and_frame(C.points, scale)
     pc = C.points @ frame[:rank].T
     reduced = _reduced_maps(pc, pc, tol_abs, first_only=False)
@@ -496,7 +496,7 @@ class _StableScan:
 
     def _full_rank(self, p: int, idx: int) -> bool:
         C = alpha_cluster(self.S, p, self.crit[idx])
-        rank, _ = _rank_and_frame(C.points, max(float(C.lengths.max()), 1e-30))
+        rank, _ = _rank_and_frame(C.points, float(C.lengths.max()))
         return rank == self.S.dim
 
     def _root(self, p: int):

@@ -143,17 +143,41 @@ def psi_bruteforce_1d(points, k: int, t: float, samples: int = 10 ** 6) -> float
     return float(np.mean(mult == k))
 
 
-def psi_sampled_ball_counts(S: pg.PeriodicSet, k: int, t_grid, samples: int,
-                            seed: int = 0):
-    """psi_k_sampled's estimates, counting for every t the balls that cover
-    each sample with one query_ball_point pass (the same samples)."""
+def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:
+    """psi_sampled's Latin-hypercube sample points, drawn the same way."""
     rng = np.random.default_rng(seed)
     frac = np.empty((samples, S.dim))
     for axis in range(S.dim):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    xs = frac @ S.cell.basis
+    return frac @ S.cell.basis
+
+
+def sampled_cloud(S: pg.PeriodicSet, t_grid) -> np.ndarray:
+    """psi_sampled's neighbor cloud for a grid of radii."""
+    return pg.core.neighbor_cloud(S, float(np.max(t_grid)) * (1 + 1e-9) + 1e-12)[0]
+
+
+def psi_sampled_loop(S: pg.PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):
+    """psi_sampled's rows of psi_k from one query for d_k and d_{k+1} of the
+    same samples and one mean of d_k <= t < d_{k+1} per t."""
+    xs = lhs_samples(S, samples, seed)
     t_grid = np.asarray(t_grid, dtype=float)
-    tree = cKDTree(pg.core.neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)[0])
+    dist, _ = cKDTree(sampled_cloud(S, t_grid)).query(xs, k=[k, k + 1] if k else [1])
+    lower = dist[:, 0] if k else -np.inf
+    out = []
+    for t in t_grid:
+        est = float(np.mean((lower <= t) & (t < dist[:, -1])))
+        out.append((float(t), est, float(np.sqrt(est * (1.0 - est) / samples))))
+    return out
+
+
+def psi_sampled_ball_counts(S: pg.PeriodicSet, k: int, t_grid, samples: int,
+                            seed: int = 0):
+    """psi_k_sampled's estimates, counting for every t the balls that cover
+    each sample with one query_ball_point pass (the same samples)."""
+    xs = lhs_samples(S, samples, seed)
+    t_grid = np.asarray(t_grid, dtype=float)
+    tree = cKDTree(sampled_cloud(S, t_grid))
     out = []
     for t in t_grid:
         counts = tree.query_ball_point(xs, r=float(t), return_length=True)

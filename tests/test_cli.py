@@ -15,7 +15,7 @@ from perigeo.io import (
     write_set_text,
 )
 
-from helpers import jitter_set, random_periodic_set
+from helpers import jitter_set, psi_sampled_ball_counts, random_periodic_set
 
 S15_TEXT = """dim 1
 15
@@ -386,6 +386,24 @@ class TestCommands:
         assert (tmp_path / "plot_k1.csv").exists()
         rows = (tmp_path / "plot_k1.csv").read_text().strip().splitlines()
         assert len(rows) == 4 and all("," in r for r in rows)
+
+    def test_density_sampled_rows_equal_ball_counts(self, tmp_path, capsys):
+        # one query serves every k: each k's rows are the ball-count
+        # oracle's on the same samples and the CLI's default grid
+        rng = np.random.default_rng(2020)
+        for trial, n in enumerate((1, 2, 3, 2, 3)):
+            path = tmp_path / f"s{trial}.txt"
+            S = random_periodic_set(rng, n, int(rng.integers(1, 5)), skew=0.3)
+            path.write_text(write_set_text(S), encoding="utf-8")
+            assert main(["density", str(path), "--samples", "1200", "-k", "4",
+                         "--seed", str(trial)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            S = parse_set_file(path)
+            grid = np.linspace(0.0, pg.easy_stable_radius(S) / 2.0, 20)
+            assert [p["k"] for p in data["psi"]] == list(range(5))
+            for k, p in enumerate(data["psi"]):
+                oracle = psi_sampled_ball_counts(S, k, grid, 1200, seed=trial)
+                assert p["estimates"] == [list(r) for r in oracle], (trial, k)
 
     def test_isoset_stable(self, tmp_path, capsys):
         path = write_1d(tmp_path / "s4.txt", [0, 0.25, 1 / 3, 0.5], 1)

@@ -554,6 +554,17 @@ class TestScaledCells:
             assert got_weights == weights
 
 
+    def test_isoset_below_every_fixed_floor(self):
+        # the isoset's tolerances scale with alpha and the cluster lengths
+        # at any scale, so the stable radius and the classes are those of
+        # the unit-scale set below 1e-30 too
+        unit = pg.minimum_stable_radius(self.scaled(1.0)).alpha
+        for s in (1e-30, 1e-40, 1e-60):
+            S = self.scaled(s)
+            alpha = pg.minimum_stable_radius(S).alpha
+            assert alpha / s == pytest.approx(unit, rel=1e-12, abs=0.0), s
+            assert len(pg.isoset(S, alpha).weights) == 4, s
+
 class TestReduction:
     def test_successive_minima_at_every_scale(self):
         # near-identity bases, skewed by random unimodular matrices and

@@ -1,12 +1,21 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import perigeo as pg
 from perigeo.density import DensityFingerprint1D, make_pwl, pwl_sum
 
-from helpers import psi_bruteforce_1d, psi_sampled_ball_counts, random_periodic_set
+from helpers import (
+    lhs_samples,
+    psi_bruteforce_1d,
+    psi_sampled_ball_counts,
+    psi_sampled_loop,
+    random_periodic_set,
+    sampled_cloud,
+)
 
 
 def fingerprint(points):
@@ -217,6 +226,47 @@ class TestSampled:
                 assert (pg.psi_k_sampled(S, k, grid, 1500, seed=k)
                         == psi_sampled_ball_counts(S, k, grid, 1500, seed=k))
 
+    def test_every_k_from_one_pass(self, monkeypatch):
+        # psi_sampled's row k is the per-(k, t) mean of d_k <= t < d_{k+1},
+        # also at radii equal to sample distances and when the query runs
+        # in blocks of a few samples
+        rng = np.random.default_rng(7070)
+        for n in (1, 2, 3):
+            S = random_periodic_set(rng, n, 3, skew=0.3)
+            reach = pg.easy_stable_radius(S)
+            ties = cKDTree(sampled_cloud(S, [reach])).query(
+                lhs_samples(S, 700, n)[:4], k=3)[0].ravel()
+            grid = np.sort(np.concatenate([np.linspace(-0.05, reach, 9), ties]))
+            whole = pg.psi_sampled(S, 6, grid, 700, seed=n)
+            assert whole == [psi_sampled_loop(S, k, grid, 700, seed=n)
+                             for k in range(7)]
+            assert whole[2] == pg.psi_k_sampled(S, 2, grid, 700, seed=n)
+            monkeypatch.setattr(pg.density, "BLOCK_ENTRIES", 50)
+            assert pg.psi_sampled(S, 6, grid, 700, seed=n) == whole
+            monkeypatch.undo()
+
+    def test_query_depth_capped_by_cloud(self, square, monkeypatch):
+        # an uncapped query for 20,001 neighbors of 10,000 samples would
+        # hold 1.6 GB of distances; the cloud within t = 0.2 has 4 points
+        depths = []
+
+        class Tree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                depths.append(k)
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(pg.density, "cKDTree", Tree)
+        tracemalloc.start()
+        try:
+            rows = pg.psi_sampled(square, 20000, [0.1, 0.2], 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depths == [4] and peak < 64e6
+        assert len(rows) == 20001
+        assert all(r == [(0.1, 0.0, 0.0), (0.2, 0.0, 0.0)] for r in rows[2:])
+        assert sum(r[1][1] for r in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_negative_radius_covers_nothing(self, square):
         for k in (0, 1, 2):
             rows = pg.psi_k_sampled(square, k, [-0.5, -0.1], 500)
@@ -240,7 +290,6 @@ class TestSampled:
         frac = np.column_stack([xs.ravel(), ys.ravel()])
         pts = frac @ hexagonal.cell.basis
         cloud, _ = pg.core.neighbor_cloud(hexagonal, t + 1e-9)
-        from scipy.spatial import cKDTree
         counts = cKDTree(cloud).query_ball_point(pts, r=t, return_length=True)
         oracle = np.mean(counts == 1)
         rows = pg.psi_k_sampled(hexagonal, 1, [t], 40000, seed=3)
