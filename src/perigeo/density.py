@@ -3,10 +3,10 @@ and a seeded Monte-Carlo estimator of psi_k in higher dimensions, whose one
 KD-tree query serves every k up to the largest asked for.
 
 psi_k(t) is the fraction of the unit cell covered by exactly k closed balls
-of radius t centered at the points of the set.  In 1D every psi_k is
-piecewise linear: psi_0 comes from the sorted gap lengths and each psi_k
-(1 <= k <= m) is a sum of m trapezoid functions; larger k reduce by
-periodicity psi_{k+m}(t + 1/2) = psi_k(t).
+of radius t centered at the points of the set.  In 1D every psi_k is one
+sum of ramps v0 + sum_j c_j max(t - b_j, 0) with integer slope changes c_j:
+psi_0 = sum_i max(g_i - 2t, 0) over the gaps g_i, and each psi_k (k >= 1)
+is a sum of m trapezoids whose start s counts whole periods when k > m.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class PiecewiseLinear:
     def __call__(self, t):
         return np.interp(t, self.ts, self.values)
 
-    def shift(self, dt: float) -> "PiecewiseLinear":
-        out = self.corners.copy()
-        out[:, 0] += dt
-        return PiecewiseLinear(out)
-
     def scale_t(self, factor: float) -> "PiecewiseLinear":
         out = self.corners.copy()
         out[:, 0] *= factor
@@ -57,12 +52,15 @@ class PiecewiseLinear:
 
 def make_pwl(points) -> PiecewiseLinear:
     """Canonical PiecewiseLinear: sorted corners, duplicates collapsed,
-    collinear interior corners pruned."""
+    collinear interior corners pruned.  Corners within CORNER_TOL times the
+    span, or a few ulps of the largest t, are one: a shift by whole periods
+    keeps every corner."""
     pts = sorted((float(t), float(v)) for t, v in points)
-    scale = max(1.0, abs(pts[-1][0]))
+    tol = max(CORNER_TOL * max(1.0, pts[-1][0] - pts[0][0]),
+              4 * np.spacing(abs(pts[-1][0])))
     merged = []
     for t, v in pts:
-        if merged and t - merged[-1][0] <= CORNER_TOL * scale:
+        if merged and t - merged[-1][0] <= tol:
             continue
         merged.append((t, v))
     pruned = [merged[0]]
@@ -81,32 +79,25 @@ def make_pwl(points) -> PiecewiseLinear:
     return PiecewiseLinear(corners)
 
 
-def pwl_sum(parts) -> PiecewiseLinear:
-    """Pointwise sum of piecewise-linear functions (shared corner grid)."""
-    parts = list(parts)
-    ts = np.unique(np.concatenate([p.ts for p in parts]))
-    total = np.zeros_like(ts)
-    for p in parts:
-        total += p(ts)
-    return make_pwl(np.column_stack([ts, total]))
+def _ramp_sum(v0: float, breaks, slopes) -> PiecewiseLinear:
+    """v0 + sum_j slopes[j] * max(t - breaks[j], 0) from the first break on:
+    the values at the sorted breaks are one cumulative sum of slope x gap."""
+    order = np.argsort(breaks)
+    b = breaks[order]
+    rise = np.cumsum(slopes[order])[:-1] * np.diff(b)
+    return make_pwl(np.column_stack([b, v0 + np.r_[0.0, np.cumsum(rise)]]))
 
 
 def psi0_1d(gaps) -> PiecewiseLinear:
-    """psi_0 of a 1D set with the given gap lengths (period scaled to 1)."""
+    """psi_0 of a 1D set with the given gap lengths (period scaled to 1):
+    the ramp sum sum_i max(g_i - 2t, 0), 1 at t = 0."""
     gaps = np.asarray(gaps, dtype=float)
     if np.any(gaps <= 0):
         raise ValueError("gaps must be positive")
     if abs(gaps.sum() - 1.0) > 1e-9:
         raise ValueError("gaps must sum to the period 1")
-    d = np.sort(gaps)
-    m = len(d)
-    corners = [(0.0, 1.0)]
-    prefix = 0.0
-    for i in range(m):
-        value = 1.0 - prefix - (m - i) * d[i]
-        corners.append((0.5 * d[i], max(0.0, value)))
-        prefix += d[i]
-    return make_pwl(corners)
+    m = len(gaps)
+    return _ramp_sum(1.0, np.r_[0.0, 0.5 * gaps], np.r_[-2 * m, np.full(m, 2)])
 
 
 def trapezoid(d_prev: float, s: float, d_next: float) -> PiecewiseLinear:
@@ -150,33 +141,33 @@ class DensityFingerprint1D:
         ext = np.concatenate([self.points, [self.points[0] + 1.0]])
         return np.diff(ext)
 
-    def trapezoid_triples(self, k: int):
-        """(d_{i-1}, s, d_{i+k-1}) for i = 1..m, indices mod m."""
-        g = self.gaps
-        m = self.m
-        triples = []
-        for i in range(m):
-            d_prev = g[(i - 1) % m]
-            s = sum(g[(i + j) % m] for j in range(k - 1))
-            d_next = g[(i + k - 1) % m]
-            triples.append((float(d_prev), float(s), float(d_next)))
-        return triples
+    def trapezoid_triples(self, k: int) -> np.ndarray:
+        """(d_{i-1}, s, d_{i+k-1}) for i = 1..m, indices mod m, k >= 1, as
+        an (m, 3) array; s, the sum of the k - 1 gaps from i on, counts
+        whole periods when k > m."""
+        g, i = self.gaps, np.arange(self.m)
+        periods, r = divmod(k - 1, self.m)
+        cum = np.cumsum(np.r_[0.0, g, g])
+        s = periods + (cum[i + r] - cum[i])
+        return np.column_stack([np.roll(g, 1), s, g[(i + r) % self.m]])
 
     def psi(self, k: int) -> PiecewiseLinear:
         return psi_k_1d(self, k)
 
 
 def psi_k_1d(F: DensityFingerprint1D, k: int) -> PiecewiseLinear:
-    """Exact psi_k of a 1D set: gap formula for k = 0, trapezoid sum for
-    1 <= k <= m, half-period shift for k > m."""
+    """Exact psi_k of a 1D set, one ramp sum for every k: psi_0 from the
+    gaps, and for k >= 1 the m trapezoids, each adding slope changes
+    +2, -2, -2, +2 at s/2, (s + lo)/2, (s + hi)/2 and (s + lo + hi)/2,
+    lo and hi the smaller and larger of d_{i-1} and d_{i+k-1}."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return psi0_1d(F.gaps)
-    if k > F.m:
-        return psi_k_1d(F, k - F.m).shift(0.5)
-    parts = [trapezoid(*triple) for triple in F.trapezoid_triples(k)]
-    return pwl_sum(parts)
+    d_prev, s, d_next = F.trapezoid_triples(k).T
+    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
+    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next])
+    return _ramp_sum(0.0, breaks, np.repeat([2, -2, -2, 2], F.m))
 
 
 def _as_fingerprint(obj) -> DensityFingerprint1D:

@@ -157,12 +157,14 @@ def parse_set_file(path) -> PeriodicSet:
 
 
 def write_set_text(S: PeriodicSet) -> str:
+    """Text form of S; every float is written as its repr, so parsing the
+    text gives the same set bit for bit."""
     lines = [f"dim {S.dim}"]
-    for row in S.cell.basis:
-        lines.append(" ".join(f"{x:.12g}" for x in row))
+    for row in S.cell.basis.tolist():
+        lines.append(" ".join(map(repr, row)))
     lines.append(f"motif {S.m}")
-    for i, row in enumerate(S.motif):
-        line = " ".join(f"{x:.12g}" for x in row)
+    for i, row in enumerate(S.motif.tolist()):
+        line = " ".join(map(repr, row))
         if S.labels is not None and S.labels[i]:
             line += f" {S.labels[i]}"
         lines.append(line)
@@ -170,11 +172,12 @@ def write_set_text(S: PeriodicSet) -> str:
 
 
 def write_set_json(S: PeriodicSet) -> str:
+    """JSON form of S, bit for bit like write_set_text."""
     data = {
         "schema": 1,
         "dim": S.dim,
-        "basis": [[float(f"{x:.12g}") for x in row] for row in S.cell.basis],
-        "motif": [[float(f"{x:.12g}") for x in row] for row in S.motif],
+        "basis": S.cell.basis.tolist(),
+        "motif": S.motif.tolist(),
     }
     if S.labels is not None:
         data["labels"] = list(S.labels)

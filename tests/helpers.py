@@ -128,19 +128,55 @@ def successive_minima(basis, reach: int = 3) -> np.ndarray:
 
 def coverage_multiplicity_1d(points, t: float, samples: int = 10 ** 6):
     """Multiplicity of radius-t interval coverage at midpoint samples of the
-    unit period (brute-force density oracle)."""
+    unit period, counting every periodic copy p + j within t (brute-force
+    density oracle, any t >= 0)."""
     xs = (np.arange(samples) + 0.5) / samples
     mult = np.zeros(samples, dtype=int)
+    reach = int(np.ceil(t)) + 1
     for p in points:
-        d = np.abs(xs - p)
-        d = np.minimum(d, 1.0 - d)
-        mult += d <= t
+        for j in range(-reach, reach + 1):
+            mult += np.abs(xs - (p + j)) <= t
     return mult
 
 
 def psi_bruteforce_1d(points, k: int, t: float, samples: int = 10 ** 6) -> float:
     mult = coverage_multiplicity_1d(points, t, samples)
     return float(np.mean(mult == k))
+
+
+def pwl_sum(parts) -> pg.PiecewiseLinear:
+    """Pointwise sum of piecewise-linear functions (shared corner grid)."""
+    parts = list(parts)
+    ts = np.unique(np.concatenate([p.ts for p in parts]))
+    total = np.zeros_like(ts)
+    for p in parts:
+        total += p(ts)
+    return pg.density.make_pwl(np.column_stack([ts, total]))
+
+
+def psi_k_1d_trapezoids(F, k: int) -> pg.PiecewiseLinear:
+    """Exact 1D psi_k the long way: the gap formula for k = 0, one
+    trapezoid per motif point summed on their corner grid for
+    1 <= k <= m, and a shift by half a period per whole period beyond."""
+    g = F.gaps
+    m = F.m
+    if k == 0:
+        d = np.sort(g)
+        corners = [(0.0, 1.0)]
+        prefix = 0.0
+        for i in range(m):
+            value = 1.0 - prefix - (m - i) * d[i]
+            corners.append((0.5 * d[i], max(0.0, value)))
+            prefix += d[i]
+        return pg.density.make_pwl(corners)
+    periods, r = divmod(k - 1, m)
+    parts = []
+    for i in range(m):
+        s = sum(g[(i + j) % m] for j in range(r))
+        parts.append(pg.trapezoid(g[(i - 1) % m], s, g[(i + r) % m]))
+    corners = pwl_sum(parts).corners.copy()
+    corners[:, 0] += 0.5 * periods
+    return pg.PiecewiseLinear(corners)
 
 
 def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:

@@ -180,21 +180,23 @@ class TestParsing:
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         cell = pg.UnitCell(np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
-        S = pg.PeriodicSet(cell, rng.random((3, 2)), labels=("a", "b", "c"))
+        motif = np.vstack([rng.random((3, 2)), [[0.9999999999999, 0.1]]])
+        S = pg.PeriodicSet(cell, motif, labels=("a", "b", "c", "d"))
         path = tmp_path / "set.json"
         path.write_text(pg.write_set_json(S), encoding="utf-8")
         T = parse_set_file(path)
-        assert np.allclose(T.cell.basis, S.cell.basis, rtol=1e-11)
-        assert np.allclose(T.motif, S.motif, rtol=1e-11)
+        assert np.array_equal(T.cell.basis, S.cell.basis)
+        assert np.array_equal(T.motif, S.motif)
         assert T.labels == S.labels
 
     def test_text_roundtrip(self):
         rng = np.random.default_rng(3)
         cell = pg.UnitCell(np.eye(3) + 0.1 * rng.normal(size=(3, 3)))
-        S = pg.PeriodicSet(cell, rng.random((2, 3)))
+        motif = np.vstack([rng.random((2, 3)), [[0.9999999999999, 0.5, 0.0]]])
+        S = pg.PeriodicSet(cell, motif)
         T = parse_set_text(write_set_text(S))
-        assert np.allclose(T.cell.basis, S.cell.basis, rtol=1e-11)
-        assert np.allclose(T.motif, S.motif, rtol=1e-11)
+        assert np.array_equal(T.cell.basis, S.cell.basis)
+        assert np.array_equal(T.motif, S.motif)
 
 
 class TestExitCodes:
@@ -370,6 +372,17 @@ class TestCommands:
         assert np.allclose(corners, expected, atol=1e-9)
         original = np.array(data["psi"][0]["corners_original_units"])
         assert np.allclose(original[:, 0], corners[:, 0] * 15, atol=1e-9)
+
+    def test_density_far_k_is_a_shift(self, tmp_path, capsys):
+        # psi_2000 of one point per period is psi_1 moved by 1999 half
+        # periods, with no recursion in between
+        path = write_1d(tmp_path / "one.txt", [0], 1)
+        assert main(["density", path, "-k", "2000"]) == 0
+        psi = json.loads(capsys.readouterr().out)["psi"]
+        assert len(psi) == 2001
+        far, near = np.array(psi[2000]["corners"]), np.array(psi[1]["corners"])
+        assert far.shape == near.shape
+        assert np.allclose(far - [999.5, 0.0], near, rtol=0.0, atol=1e-12)
 
     def test_density_sampled_and_plot_csv(self, tmp_path, capsys):
         path = write_1d(tmp_path / "s.txt", [0, 5, 7.5], 15)

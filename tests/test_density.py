@@ -6,13 +6,16 @@ import pytest
 from scipy.spatial import cKDTree
 
 import perigeo as pg
-from perigeo.density import DensityFingerprint1D, make_pwl, pwl_sum
+from perigeo.density import DensityFingerprint1D, make_pwl
 
 from helpers import (
+    coverage_multiplicity_1d,
     lhs_samples,
     psi_bruteforce_1d,
+    psi_k_1d_trapezoids,
     psi_sampled_ball_counts,
     psi_sampled_loop,
+    pwl_sum,
     random_periodic_set,
     sampled_cloud,
 )
@@ -80,6 +83,8 @@ class TestPsiK:
         )
 
     def test_matches_bruteforce_on_random_sets(self):
+        # k up to 2m + 1 and t up to a whole period, where every point
+        # covers the period twice over
         rng = np.random.default_rng(13)
         for _ in range(3):
             m = int(rng.integers(2, 6))
@@ -87,9 +92,10 @@ class TestPsiK:
             while np.diff(np.concatenate([pts, [pts[0] + 1]])).min() < 0.05:
                 pts = np.sort(rng.random(m))
             F = fingerprint(pts)
-            for k in range(0, m + 1):
-                for t in (0.07, 0.19, 0.33):
-                    brute = psi_bruteforce_1d(pts, k, t, samples=2 * 10 ** 5)
+            for t in (0.07, 0.19, 0.33, 0.56, 0.81, 1.0):
+                mult = coverage_multiplicity_1d(pts, t, samples=2 * 10 ** 5)
+                for k in range(0, 2 * m + 2):
+                    brute = float(np.mean(mult == k))
                     assert F.psi(k)(t) == pytest.approx(brute, abs=1e-4)
 
     def test_zero_radius(self):
@@ -128,6 +134,39 @@ class TestPsiK:
         for t15, v15 in [(2.5, 2), (3, 5), (3.5, 6), (4, 4), (4.5, 1)]:
             assert 15 * sum_s(t15 / 15) == pytest.approx(v15, abs=1e-9)
             assert 15 * sum_q(t15 / 15) == pytest.approx(v15, abs=1e-9)
+
+
+
+class TestRampSum:
+    @staticmethod
+    def random_gaps(rng):
+        # about a third of the sets have a few gaps of 1e-9 to 1e-6
+        m = int(rng.integers(1, 9))
+        gaps = rng.random(m) + 0.05
+        if m > 1 and rng.random() < 0.4:
+            tiny = rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+            gaps[tiny] = 10.0 ** rng.uniform(-9, -6, size=len(tiny))
+            rest = np.setdiff1d(np.arange(m), tiny)
+            gaps[rest] *= (1 - gaps[tiny].sum()) / gaps[rest].sum()
+        else:
+            gaps /= gaps.sum()
+        return gaps
+
+    def test_equals_trapezoid_sums(self):
+        # the per-trapezoid reference on 300 seeded sets: the same corners,
+        # k = 0..3m + 1, k near 200m, and k near 10,000m, where gaps of
+        # 1e-9 sit at t near 5,000
+        rng = np.random.default_rng(2100)
+        for _ in range(300):
+            gaps = self.random_gaps(rng)
+            F = fingerprint(np.concatenate([[0.0], np.cumsum(gaps)[:-1]]))
+            m = F.m
+            far = [q * m + int(rng.integers(1, m + 1)) for q in (200, 10 ** 4)]
+            for k in [*range(3 * m + 2), 200 * m, *far]:
+                got, ref = F.psi(k).corners, psi_k_1d_trapezoids(F, k).corners
+                assert got.shape == ref.shape, (F.points, k)
+                tol = 1e-12 * max(1.0, ref[-1, 0])
+                assert np.allclose(got, ref, rtol=0.0, atol=tol), (F.points, k)
 
 
 class TestFingerprintEquality:
