@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .amd import amd
-from .core import DataError, bridge_length, easy_stable_radius
+from .core import DataError, bridge_length, check_limit, easy_stable_radius
 from .density import DensityFingerprint1D, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
@@ -145,6 +145,9 @@ def _cmd_density(args):
     plots = {}
     if S.dim == 1 and not args.samples:
         F = DensityFingerprint1D.from_set(S)
+        # two corner lists of at most 4m corners, two numbers each, per k
+        size = 2 * 2 * 4 * F.m * (args.k + 1)
+        check_limit(size, f"-k {args.k} with m = {F.m} prints {size} numbers")
         data["mode"] = "exact"
         data["period"] = F.period
         psis = []

@@ -193,6 +193,13 @@ class RadiusReport:
 MAX_ENUMERATION = 2_000_000
 
 
+def check_limit(size, message: str) -> None:
+    """Raise DataError, before any work, when `size` (enumerated points, or
+    numbers a density command prints) passes MAX_ENUMERATION."""
+    if size > MAX_ENUMERATION:
+        raise DataError(f"{message}, more than the limit {MAX_ENUMERATION}")
+
+
 def _fractional_window(cell: UnitCell, frac_lo, frac_hi, reach: float):
     """Per axis, the fractional interval [a, b] holding every point within
     Cartesian distance `reach` of the box [frac_lo, frac_hi]: a point that
@@ -221,11 +228,7 @@ def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
         a, b = _fractional_window(cell, frac_lo, frac_hi, reach)
         lo, hi = np.floor(a), np.floor(b)
         size = float(np.prod(hi - lo + 1)) * m
-    if size > MAX_ENUMERATION:
-        raise DataError(
-            f"radius {reach:.6g} needs about {size:.3g} enumerated points, "
-            f"more than the limit {MAX_ENUMERATION}"
-        )
+    check_limit(size, f"radius {reach:.6g} needs about {size:.3g} enumerated points")
     ranges = [np.arange(a, b + 1) for a, b in zip(lo.astype(int), hi.astype(int))]
     grids = np.meshgrid(*ranges, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)

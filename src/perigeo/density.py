@@ -1,12 +1,13 @@
 """Density fingerprints: exact piecewise-linear psi_k for 1D periodic sets
 and a seeded Monte-Carlo estimator of psi_k in higher dimensions, whose one
-KD-tree query serves every k up to the largest asked for.
+KD-tree query, on the reduced cell's cloud, serves every k up to the largest.
 
 psi_k(t) is the fraction of the unit cell covered by exactly k closed balls
 of radius t centered at the points of the set.  In 1D every psi_k is one
-sum of ramps v0 + sum_j c_j max(t - b_j, 0) with integer slope changes c_j:
-psi_0 = sum_i max(g_i - 2t, 0) over the gaps g_i, and each psi_k (k >= 1)
-is a sum of m trapezoids whose start s counts whole periods when k > m.
+sum of ramps v0 + sum_j c_j max(t - b_j, 0) with integer slope changes c_j,
+with a corner only where they do not cancel: psi_0 = sum_i max(g_i - 2t, 0)
+over the gaps g_i, and each psi_k (k >= 1) is a sum of m trapezoids whose
+start s counts whole periods when k > m.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import BLOCK_ENTRIES, PeriodicSet, neighbor_cloud
+from .core import (BLOCK_ENTRIES, PeriodicSet, change_cell, check_limit,
+                   fold_fractions, neighbor_cloud)
 
 CORNER_TOL = 1e-12
 
@@ -50,42 +52,25 @@ class PiecewiseLinear:
         return PiecewiseLinear(out)
 
 
-def make_pwl(points) -> PiecewiseLinear:
-    """Canonical PiecewiseLinear: sorted corners, duplicates collapsed,
-    collinear interior corners pruned.  Corners within CORNER_TOL times the
-    span, or a few ulps of the largest t, are one: a shift by whole periods
-    keeps every corner."""
-    pts = sorted((float(t), float(v)) for t, v in points)
-    tol = max(CORNER_TOL * max(1.0, pts[-1][0] - pts[0][0]),
-              4 * np.spacing(abs(pts[-1][0])))
-    merged = []
-    for t, v in pts:
-        if merged and t - merged[-1][0] <= tol:
-            continue
-        merged.append((t, v))
-    pruned = [merged[0]]
-    for j in range(1, len(merged) - 1):
-        t0, v0 = pruned[-1]
-        t1, v1 = merged[j]
-        t2, v2 = merged[j + 1]
-        interp = v0 + (v2 - v0) * (t1 - t0) / (t2 - t0)
-        if abs(v1 - interp) > CORNER_TOL:
-            pruned.append(merged[j])
-    if len(merged) > 1:
-        pruned.append(merged[-1])
-    corners = np.array(pruned)
+def _ramp_sum(v0: float, breaks, slopes) -> PiecewiseLinear:
+    """v0 + sum_j slopes[j] * max(t - breaks[j], 0) from the first break on,
+    valued at the sorted breaks by one cumulative sum of slope x gap.  A run
+    of breaks, each within CORNER_TOL times the span (or a few ulps of the
+    largest t) of the one before, is one corner, so a shift by whole periods
+    keeps every corner.  Besides the first and last, a corner stays only
+    when its integer slope changes sum to nonzero."""
+    order = np.argsort(breaks, kind="stable")
+    b, c = breaks[order], slopes[order]
+    rise = np.cumsum(c)[:-1] * np.diff(b)
+    values = v0 + np.r_[0.0, np.cumsum(rise)]
+    tol = max(CORNER_TOL * max(1.0, b[-1] - b[0]), 4 * np.spacing(abs(b[-1])))
+    starts = np.flatnonzero(np.r_[True, np.diff(b) > tol])
+    keep = np.add.reduceat(c, starts) != 0
+    keep[[0, -1]] = True
+    corners = np.column_stack([b, values])[starts[keep]]
     # summation dust below the corner tolerance is an exact zero
     corners[np.abs(corners[:, 1]) <= CORNER_TOL, 1] = 0.0
     return PiecewiseLinear(corners)
-
-
-def _ramp_sum(v0: float, breaks, slopes) -> PiecewiseLinear:
-    """v0 + sum_j slopes[j] * max(t - breaks[j], 0) from the first break on:
-    the values at the sorted breaks are one cumulative sum of slope x gap."""
-    order = np.argsort(breaks)
-    b = breaks[order]
-    rise = np.cumsum(slopes[order])[:-1] * np.diff(b)
-    return make_pwl(np.column_stack([b, v0 + np.r_[0.0, np.cumsum(rise)]]))
 
 
 def psi0_1d(gaps) -> PiecewiseLinear:
@@ -100,19 +85,23 @@ def psi0_1d(gaps) -> PiecewiseLinear:
     return _ramp_sum(1.0, np.r_[0.0, 0.5 * gaps], np.r_[-2 * m, np.full(m, 2)])
 
 
+def _trapezoid_sum(triples) -> PiecewiseLinear:
+    """Sum of the trapezoids eta(d_prev, s, d_next), one per row of triples,
+    as one ramp sum: each adds slope changes +2, -2, -2, +2 at s/2,
+    (s + lo)/2, (s + hi)/2 and (s + lo + hi)/2, lo and hi the smaller and
+    larger of d_prev and d_next."""
+    d_prev, s, d_next = np.asarray(triples, dtype=float).T
+    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
+    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next])
+    return _ramp_sum(0.0, breaks, np.repeat([2, -2, -2, 2], len(s)))
+
+
 def trapezoid(d_prev: float, s: float, d_next: float) -> PiecewiseLinear:
     """Trapezoid eta(d_prev, s, d_next): zero until s/2, plateau at
     min(d_prev, d_next), zero again at (d_prev + s + d_next)/2."""
     if d_prev < 0 or s < 0 or d_next < 0:
         raise ValueError("trapezoid arguments must be non-negative")
-    delta = min(d_prev, d_next)
-    corners = [
-        (0.5 * s, 0.0),
-        (0.5 * (d_prev + s), delta),
-        (0.5 * (s + d_next), delta),
-        (0.5 * (d_prev + s + d_next), 0.0),
-    ]
-    return make_pwl(corners)
+    return _trapezoid_sum([(d_prev, s, d_next)])
 
 
 @dataclass(frozen=True)
@@ -157,17 +146,13 @@ class DensityFingerprint1D:
 
 def psi_k_1d(F: DensityFingerprint1D, k: int) -> PiecewiseLinear:
     """Exact psi_k of a 1D set, one ramp sum for every k: psi_0 from the
-    gaps, and for k >= 1 the m trapezoids, each adding slope changes
-    +2, -2, -2, +2 at s/2, (s + lo)/2, (s + hi)/2 and (s + lo + hi)/2,
-    lo and hi the smaller and larger of d_{i-1} and d_{i+k-1}."""
+    gaps, and for k >= 1 the sum of the m trapezoids of
+    trapezoid_triples(k)."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return psi0_1d(F.gaps)
-    d_prev, s, d_next = F.trapezoid_triples(k).T
-    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
-    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next])
-    return _ramp_sum(0.0, breaks, np.repeat([2, -2, -2, 2], F.m))
+    return _trapezoid_sum(F.trapezoid_triples(k))
 
 
 def _as_fingerprint(obj) -> DensityFingerprint1D:
@@ -206,18 +191,25 @@ def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
     for d_1..d_{kmax+1}, in sample blocks of at most BLOCK_ENTRIES
     distances, and one searchsorted per sorted column serve every k and t.
     The query asks for at most the cloud's size: deeper d_j are infinite.
+    Samples drawn in the given cell are folded into the reduced cell, whose
+    cloud is enumerated.  Rows of (kmax + 1) x len(t_grid) x 3 numbers past
+    MAX_ENUMERATION raise DataError before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     if kmax < 0:
         raise ValueError("k must be non-negative")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    size = 3 * len(t_grid) * (int(kmax) + 1)
+    check_limit(size, f"k {kmax} on {len(t_grid)} radii gives {size} numbers")
     rng = np.random.default_rng(seed)
     n = S.dim
     frac = np.empty((samples, n))
     for axis in range(n):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    xs = frac @ S.cell.basis
+    U, U_inv, _ = S.cell._reduction
+    S = change_cell(S, U)
+    xs = fold_fractions(frac @ U_inv) @ S.cell.basis
     cloud, _ = neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)
     depth = min(kmax + 1, len(cloud))
     # covered[j] = #{d_j <= t}; every sample is covered by at least 0 balls

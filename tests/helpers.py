@@ -144,6 +144,46 @@ def psi_bruteforce_1d(points, k: int, t: float, samples: int = 10 ** 6) -> float
     return float(np.mean(mult == k))
 
 
+def make_pwl(points) -> pg.PiecewiseLinear:
+    """Canonical PiecewiseLinear by float tests: sorted corners, duplicates
+    collapsed, collinear interior corners pruned.  Corners within
+    CORNER_TOL times the span, or a few ulps of the largest t, of a kept
+    corner are one."""
+    tol_v = pg.density.CORNER_TOL
+    pts = sorted((float(t), float(v)) for t, v in points)
+    tol = max(tol_v * max(1.0, pts[-1][0] - pts[0][0]),
+              4 * np.spacing(abs(pts[-1][0])))
+    merged = []
+    for t, v in pts:
+        if merged and t - merged[-1][0] <= tol:
+            continue
+        merged.append((t, v))
+    pruned = [merged[0]]
+    for j in range(1, len(merged) - 1):
+        t0, v0 = pruned[-1]
+        t1, v1 = merged[j]
+        t2, v2 = merged[j + 1]
+        interp = v0 + (v2 - v0) * (t1 - t0) / (t2 - t0)
+        if abs(v1 - interp) > tol_v:
+            pruned.append(merged[j])
+    if len(merged) > 1:
+        pruned.append(merged[-1])
+    corners = np.array(pruned)
+    corners[np.abs(corners[:, 1]) <= tol_v, 1] = 0.0
+    return pg.PiecewiseLinear(corners)
+
+
+def trapezoid_corners(d_prev: float, s: float, d_next: float) -> pg.PiecewiseLinear:
+    """The trapezoid eta(d_prev, s, d_next) from its four corners."""
+    delta = min(d_prev, d_next)
+    return make_pwl([
+        (0.5 * s, 0.0),
+        (0.5 * (d_prev + s), delta),
+        (0.5 * (s + d_next), delta),
+        (0.5 * (d_prev + s + d_next), 0.0),
+    ])
+
+
 def pwl_sum(parts) -> pg.PiecewiseLinear:
     """Pointwise sum of piecewise-linear functions (shared corner grid)."""
     parts = list(parts)
@@ -151,13 +191,14 @@ def pwl_sum(parts) -> pg.PiecewiseLinear:
     total = np.zeros_like(ts)
     for p in parts:
         total += p(ts)
-    return pg.density.make_pwl(np.column_stack([ts, total]))
+    return make_pwl(np.column_stack([ts, total]))
 
 
 def psi_k_1d_trapezoids(F, k: int) -> pg.PiecewiseLinear:
-    """Exact 1D psi_k the long way: the gap formula for k = 0, one
-    trapezoid per motif point summed on their corner grid for
-    1 <= k <= m, and a shift by half a period per whole period beyond."""
+    """Exact 1D psi_k the long way, sharing no code with psi_k_1d: the gap
+    formula for k = 0, one four-corner trapezoid per motif point summed on
+    their corner grid for 1 <= k <= m, and a shift by half a period per
+    whole period beyond."""
     g = F.gaps
     m = F.m
     if k == 0:
@@ -168,29 +209,32 @@ def psi_k_1d_trapezoids(F, k: int) -> pg.PiecewiseLinear:
             value = 1.0 - prefix - (m - i) * d[i]
             corners.append((0.5 * d[i], max(0.0, value)))
             prefix += d[i]
-        return pg.density.make_pwl(corners)
+        return make_pwl(corners)
     periods, r = divmod(k - 1, m)
     parts = []
     for i in range(m):
         s = sum(g[(i + j) % m] for j in range(r))
-        parts.append(pg.trapezoid(g[(i - 1) % m], s, g[(i + r) % m]))
+        parts.append(trapezoid_corners(g[(i - 1) % m], s, g[(i + r) % m]))
     corners = pwl_sum(parts).corners.copy()
     corners[:, 0] += 0.5 * periods
     return pg.PiecewiseLinear(corners)
 
 
 def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:
-    """psi_sampled's Latin-hypercube sample points, drawn the same way."""
+    """psi_sampled's Latin-hypercube sample points, drawn the same way in
+    the given cell and folded into the reduced cell."""
     rng = np.random.default_rng(seed)
     frac = np.empty((samples, S.dim))
     for axis in range(S.dim):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    return frac @ S.cell.basis
+    _, U_inv, reduced = S.cell._reduction
+    return pg.core.fold_fractions(frac @ U_inv) @ reduced.basis
 
 
 def sampled_cloud(S: pg.PeriodicSet, t_grid) -> np.ndarray:
-    """psi_sampled's neighbor cloud for a grid of radii."""
-    return pg.core.neighbor_cloud(S, float(np.max(t_grid)) * (1 + 1e-9) + 1e-12)[0]
+    """psi_sampled's neighbor cloud for a grid of radii, on the reduced cell."""
+    R = pg.change_cell(S, S.cell._reduction[0])
+    return pg.core.neighbor_cloud(R, float(np.max(t_grid)) * (1 + 1e-9) + 1e-12)[0]
 
 
 def psi_sampled_loop(S: pg.PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +16,12 @@ from perigeo.io import (
     write_set_text,
 )
 
-from helpers import jitter_set, psi_sampled_ball_counts, random_periodic_set
+from helpers import (
+    jitter_set,
+    psi_sampled_ball_counts,
+    random_periodic_set,
+    skew_unimodular,
+)
 
 S15_TEXT = """dim 1
 15
@@ -296,6 +302,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "-k" in err, extra
 
+    def test_density_output_bound_is_two(self, tmp_path, capsys):
+        # refused by the count of numbers to print, before any psi is built
+        # or any distance array allocated
+        one = write_1d(tmp_path / "one.txt", [0], 1)
+        square = tmp_path / "sq.txt"
+        square.write_text("dim 2\n1 0\n0 1\nmotif 1\n0 0\n", encoding="utf-8")
+        for argv, estimate in (
+                (["density", one, "-k", "10000000"], "160000016 numbers"),
+                (["density", str(square), "--samples", "100", "-k", "100000000"],
+                 "6000000060 numbers")):
+            start = time.perf_counter()
+            assert main(argv) == 2, argv
+            assert time.perf_counter() - start < 1.0, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and estimate in err and "limit" in err, err
+
     def test_bad_delta_is_two(self, tmp_path, capsys):
         path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)
         for value in ("nan", "inf", "-inf", "-3"):
@@ -417,6 +439,27 @@ class TestCommands:
             for k, p in enumerate(data["psi"]):
                 oracle = psi_sampled_ball_counts(S, k, grid, 1200, seed=trial)
                 assert p["estimates"] == [list(r) for r in oracle], (trial, k)
+
+    def test_density_sampled_on_a_skewed_cell(self, tmp_path, capsys):
+        # re-celled by [[1, 8, 0], [0, 1, 8], [0, 0, 1]] the cell is about 64
+        # times longer than wide, and its default grid reaches t = 8.06; the
+        # cloud comes from the reduced cell, so a grid to t = 10 is answered
+        # (not refused for 1.94e7 enumerated points), within 4 combined
+        # standard errors of the original cell's estimates
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(3)),
+                           np.random.default_rng(5).random((4, 3)))
+        estimates = []
+        for c in (0, 8):
+            path = tmp_path / f"c{c}.txt"
+            path.write_text(write_set_text(pg.change_cell(S, skew_unimodular(3, c))),
+                            encoding="utf-8")
+            assert main(["density", str(path), "--samples", "4000", "-k", "3",
+                         "--grid", "0:10:81"]) == 0
+            psi = json.loads(capsys.readouterr().out)["psi"]
+            estimates.append(np.array([p["estimates"] for p in psi]))
+        plain, skewed = estimates
+        bound = 4 * np.hypot(plain[..., 2], skewed[..., 2]) + 1e-12
+        assert np.all(np.abs(plain[..., 1] - skewed[..., 1]) <= bound)
 
     def test_isoset_stable(self, tmp_path, capsys):
         path = write_1d(tmp_path / "s4.txt", [0, 0.25, 1 / 3, 0.5], 1)

@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import perigeo as pg
-from perigeo.density import DensityFingerprint1D, make_pwl
+from perigeo.density import DensityFingerprint1D
 
 from helpers import (
     coverage_multiplicity_1d,
@@ -152,21 +152,72 @@ class TestRampSum:
             gaps /= gaps.sum()
         return gaps
 
+    @staticmethod
+    def integer_period_sets(rng, count):
+        # 0 and m - 1 more of the points j/p, p = 2..12: gaps in whole
+        # multiples of 1/p, so many breaks coincide and many corners are
+        # collinear
+        for _ in range(count):
+            p = int(rng.integers(2, 13))
+            rest = rng.choice(np.arange(1, p), size=int(rng.integers(0, p)),
+                              replace=False)
+            yield fingerprint(np.r_[0, np.sort(rest)] / p)
+
     def test_equals_trapezoid_sums(self):
         # the per-trapezoid reference on 300 seeded sets: the same corners,
         # k = 0..3m + 1, k near 200m, and k near 10,000m, where gaps of
-        # 1e-9 sit at t near 5,000
+        # 1e-9 sit at t near 5,000; and on integer-period sets at
+        # k = 10,000m + 1, where a float collinearity test at t near 5,000
+        # keeps corners that the slope changes drop
         rng = np.random.default_rng(2100)
+        cases = []
         for _ in range(300):
             gaps = self.random_gaps(rng)
             F = fingerprint(np.concatenate([[0.0], np.cumsum(gaps)[:-1]]))
             m = F.m
             far = [q * m + int(rng.integers(1, m + 1)) for q in (200, 10 ** 4)]
-            for k in [*range(3 * m + 2), 200 * m, *far]:
-                got, ref = F.psi(k).corners, psi_k_1d_trapezoids(F, k).corners
-                assert got.shape == ref.shape, (F.points, k)
-                tol = 1e-12 * max(1.0, ref[-1, 0])
-                assert np.allclose(got, ref, rtol=0.0, atol=tol), (F.points, k)
+            cases += [(F, k) for k in [*range(3 * m + 2), 200 * m, *far]]
+        periodic = [*self.integer_period_sets(rng, 300),
+                    fingerprint([0, 0.2, 0.4, 0.6])]
+        cases += [(F, k) for F in periodic for k in (F.m + 1, 10 ** 4 * F.m + 1)]
+        for F, k in cases:
+            got, ref = F.psi(k).corners, psi_k_1d_trapezoids(F, k).corners
+            assert got.shape == ref.shape, (F.points, k)
+            tol = 1e-12 * max(1.0, ref[-1, 0])
+            assert np.allclose(got, ref, rtol=0.0, atol=tol), (F.points, k)
+
+    def test_sub_tolerance_gaps_equal_trapezoid_sums_as_functions(self):
+        # gaps of 1e-14 to 1e-10, below the corner tolerance's reach, merge
+        # into corners in another order than the reference's, so only the
+        # functions are compared: both are linear between the union of
+        # their corners and constant outside it
+        rng = np.random.default_rng(2200)
+        for _ in range(200):
+            m = int(rng.integers(2, 9))
+            gaps = rng.random(m) + 0.05
+            tiny = rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+            gaps[tiny] = 10.0 ** rng.uniform(-14, -10, size=len(tiny))
+            rest = np.setdiff1d(np.arange(m), tiny)
+            gaps[rest] *= (1 - gaps[tiny].sum()) / gaps[rest].sum()
+            F = fingerprint(np.concatenate([[0.0], np.cumsum(gaps)[:-1]]))
+            for k in range(3 * m + 2):
+                got, ref = F.psi(k), psi_k_1d_trapezoids(F, k)
+                ts = np.union1d(got.ts, ref.ts)
+                assert np.allclose(got(ts), ref(ts), rtol=0.0, atol=1e-10), (
+                    F.points, k)
+
+    def test_corners_only_where_the_slope_changes(self):
+        # on commensurate sets every slope is an integer, and no interior
+        # corner has the same slope on both sides, also far out in t
+        rng = np.random.default_rng(2300)
+        sets = [*self.integer_period_sets(rng, 40), fingerprint([0, 0.2, 0.4, 0.6])]
+        for F in sets:
+            for k in [*range(2 * F.m + 2), 10 ** 4 * F.m + 1]:
+                corners = F.psi(k).corners
+                slopes = np.diff(corners[:, 1]) / np.diff(corners[:, 0])
+                whole = np.rint(slopes)
+                assert np.allclose(slopes, whole, rtol=0.0, atol=1e-6), (F.points, k)
+                assert np.all(np.diff(whole) != 0), (F.points, k)
 
 
 class TestFingerprintEquality:
@@ -334,9 +385,3 @@ class TestSampled:
         rows = pg.psi_k_sampled(hexagonal, 1, [t], 40000, seed=3)
         _, est, se = rows[0]
         assert abs(est - oracle) <= 3 * se + 2e-3
-
-
-def test_make_pwl_prunes_collinear():
-    pwl = make_pwl([(0, 0), (0.25, 0.5), (0.5, 1.0), (1.0, 1.0)])
-    assert len(pwl.corners) == 3
-    assert pwl(0.75) == pytest.approx(1.0)
