@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import BLOCK_ENTRIES, PeriodicSet, change_cell, neighbor_cloud
+from .core import BLOCK_ENTRIES, PeriodicSet, neighbor_cloud
 
 # first reach, relative to the radius r_k of a ball of k+1 points' volume
 REACH_START = 1.1
@@ -53,7 +53,7 @@ def nearest_neighbor_distances(S: PeriodicSet, k: int) -> np.ndarray:
     """(m, k) matrix of the distances to the k nearest neighbors of each
     motif point (the point itself excluded).
 
-    S is re-expressed on its reduced cell, of volume V and diameter d, and
+    The cloud is S.reduced's, whose cell has volume V and diameter d, and
     r_k = ((k+1) V / (m omega_n))^(1/n), omega_n the unit-ball volume.
     The neighbor_cloud at reach rho, first REACH_START * r_k, holds every
     point within rho of the cell, so a motif point whose (k+1)-th nearest
@@ -66,7 +66,7 @@ def nearest_neighbor_distances(S: PeriodicSet, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    S = change_cell(S, S.cell._reduction[0])
+    S = S.reduced
     cell = S.cell
     n = cell.dim
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)

@@ -104,10 +104,13 @@ class UnitCell:
         """(U, U^-1, reduced cell): the integer unimodular U of the greedy
         reduction of reduce_basis (U @ basis has the successive minima as
         lengths, and a scaled cell gets the same U up to ties), its integer
-        inverse, and the cell of U @ basis.  Fractional coordinates f on
-        this cell are f @ U^-1 on the reduced one."""
+        inverse, and the cell of U @ basis, this cell itself when U is the
+        identity.  Fractional coordinates f on this cell are f @ U^-1 on
+        the reduced one."""
         U = _greedy_unimodular(self.basis)
         U_inv = np.rint(np.linalg.inv(U)).astype(int)
+        if np.array_equal(U, np.eye(self.dim, dtype=U.dtype)):
+            return U, U_inv, self
         return U, U_inv, UnitCell(U @ self.basis)
 
 
@@ -170,6 +173,16 @@ class PeriodicSet:
     def _stacks(self) -> dict:
         """Motif index -> the largest NeighborStack built so far."""
         return {}
+
+    @cached_property
+    def reduced(self) -> "PeriodicSet":
+        """The same set on its cell's reduced cell (UnitCell._reduction),
+        motif order and labels kept: change_cell(self, U) bit for bit, with
+        the cached reduced cell, and the set itself when U is the identity."""
+        _, U_inv, cell = self.cell._reduction
+        if cell is self.cell:
+            return self
+        return PeriodicSet(cell, fold_fractions(self.motif @ U_inv), self.labels)
 
 
 @dataclass(frozen=True)
@@ -358,9 +371,8 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     distance computed from Voronoi vertices of a periodic patch (analytic
     in 1D).
 
-    The patch is neighbor_cloud's reach slab at d/2, for the set
-    re-expressed on the Minkowski-reduced basis of reduce_basis and
-    d the diameter of that cell: the points whose fractional coordinates
+    The patch is neighbor_cloud's reach slab at d/2, for S.reduced and d
+    the diameter of its cell: the points whose fractional coordinates
     lie in [-d/2 |inv_basis[:, i]|, 1 + d/2 |inv_basis[:, i]|].  It holds
     every point of S within d/2 of the cell (on a cubic lattice, the 8
     cell corners), and that reach is enough.  A point x = sum t_i v_i
@@ -382,7 +394,7 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
         gaps = np.diff(np.concatenate([xs, [xs[0] + period]]))
         R = 0.5 * float(gaps.max())
         return r, R
-    S = change_cell(S, S.cell._reduction[0])
+    S = S.reduced
     pts, _ = neighbor_cloud(S, 0.5 * S.cell.diameter)
     vor = Voronoi(pts)
     frac = vor.vertices @ S.cell.inv_basis
@@ -557,9 +569,9 @@ def change_cell(S: PeriodicSet, unimodular: np.ndarray) -> PeriodicSet:
     U = np.asarray(unimodular)
     if abs(round(float(np.linalg.det(U)))) != 1:
         raise ValueError("cell change requires a unimodular integer matrix")
-    new_basis = U @ S.cell.basis
-    frac = S.motif @ np.linalg.inv(U.astype(float))
-    return PeriodicSet(UnitCell(new_basis), fold_fractions(frac), S.labels)
+    U_inv = np.rint(np.linalg.inv(U)).astype(int)
+    return PeriodicSet(UnitCell(U @ S.cell.basis),
+                       fold_fractions(S.motif @ U_inv), S.labels)
 
 
 def translate(S: PeriodicSet, vector) -> PeriodicSet:

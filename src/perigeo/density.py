@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (BLOCK_ENTRIES, PeriodicSet, change_cell, check_limit,
-                   fold_fractions, neighbor_cloud)
+from .core import (BLOCK_ENTRIES, PeriodicSet, check_limit, fold_fractions,
+                   neighbor_cloud)
 
 CORNER_TOL = 1e-12
 
@@ -191,9 +191,9 @@ def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
     for d_1..d_{kmax+1}, in sample blocks of at most BLOCK_ENTRIES
     distances, and one searchsorted per sorted column serve every k and t.
     The query asks for at most the cloud's size: deeper d_j are infinite.
-    Samples drawn in the given cell are folded into the reduced cell, whose
-    cloud is enumerated.  Rows of (kmax + 1) x len(t_grid) x 3 numbers past
-    MAX_ENUMERATION raise DataError before anything is drawn.
+    Samples drawn in the given cell are folded into the reduced cell, and
+    the cloud is S.reduced's.  Rows of (kmax + 1) x len(t_grid) x 3 numbers
+    past MAX_ENUMERATION raise DataError before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -207,10 +207,8 @@ def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
     frac = np.empty((samples, n))
     for axis in range(n):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    U, U_inv, _ = S.cell._reduction
-    S = change_cell(S, U)
-    xs = fold_fractions(frac @ U_inv) @ S.cell.basis
-    cloud, _ = neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9) + 1e-12)
+    xs = fold_fractions(frac @ S.cell._reduction[1]) @ S.reduced.cell.basis
+    cloud, _ = neighbor_cloud(S.reduced, float(t_grid.max()) * (1 + 1e-9))
     depth = min(kmax + 1, len(cloud))
     # covered[j] = #{d_j <= t}; every sample is covered by at least 0 balls
     covered = np.zeros((kmax + 2, len(t_grid)), dtype=np.int64)

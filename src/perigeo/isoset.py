@@ -168,18 +168,6 @@ def _verify_map(m: np.ndarray, pc: np.ndarray, tree_d: cKDTree, k: int,
     return float(dist.max()) <= tol_abs and len(np.unique(idx)) == k
 
 
-def _signed_line_match(xc: np.ndarray, xd: np.ndarray, tol_abs: float):
-    """1D isometries fixing 0 that map multiset xc onto xd: subset of {+1,-1}."""
-    xc_s, xd_s = np.sort(xc), np.sort(xd)
-    out = []
-    if xc_s.shape == xd_s.shape:
-        if np.allclose(xc_s, xd_s, rtol=0.0, atol=tol_abs):
-            out.append(1.0)
-        if np.allclose(np.sort(-xc), xd_s, rtol=0.0, atol=tol_abs):
-            out.append(-1.0)
-    return out
-
-
 def _anchor_indices(points: np.ndarray, r: int):
     """Indices of r robustly independent anchor vectors, shortest first."""
     lengths = np.linalg.norm(points, axis=1)
@@ -205,8 +193,6 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
     out = []
     if r == 0:
         return [np.eye(0)]
-    if r == 1:
-        return [np.array([[s]]) for s in _signed_line_match(pc[:, 0], pd[:, 0], tol_abs)]
     tree_d = cKDTree(pd)
     ident = np.eye(r)
     if _verify_map(ident, pc, tree_d, k, tol_abs):

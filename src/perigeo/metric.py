@@ -825,12 +825,12 @@ def emd(A: Isoset, B: Isoset, engine: str = "exact"):
 
 def _periodic_distance_matrix(S, Q) -> np.ndarray:
     """Entry [i, j]: distance from motif point i of S to the nearest copy
-    of motif point j of Q.  Both sets are re-expressed, motif order kept,
-    on the reduced cell of the cell they share; there both points lie in
-    the cell, so that copy is within its diameter, inside Q's neighbor
-    cloud, which does not grow with a skewed cell's 1/width."""
-    U = S.cell._reduction[0]
-    S, Q = change_cell(S, U), change_cell(Q, U)
+    of motif point j of Q.  Both sets are taken, motif order kept, on the
+    reduced cell of the cell they share, S as S.reduced and Q re-celled by
+    S's U; there both points lie in the cell, so that copy is within its
+    diameter, inside Q's neighbor cloud, which does not grow with a skewed
+    cell's 1/width."""
+    S, Q = S.reduced, change_cell(Q, S.cell._reduction[0])
     pts, idx = neighbor_cloud(Q, S.cell.diameter)
     dist = np.linalg.norm(S.cartesian_motif[:, None, :] - pts[None, :, :], axis=-1)
     return np.stack([dist[:, idx == j].min(axis=1) for j in range(Q.m)], axis=1)
@@ -851,7 +851,7 @@ def bottleneck_distance_common_cell(S, Q) -> float:
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        close = csr_matrix(dmat <= values[mid] + 1e-12)
+        close = csr_matrix(dmat <= values[mid])
         if np.all(maximum_bipartite_matching(close) >= 0):
             hi = mid
         else:

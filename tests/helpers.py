@@ -233,8 +233,7 @@ def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:
 
 def sampled_cloud(S: pg.PeriodicSet, t_grid) -> np.ndarray:
     """psi_sampled's neighbor cloud for a grid of radii, on the reduced cell."""
-    R = pg.change_cell(S, S.cell._reduction[0])
-    return pg.core.neighbor_cloud(R, float(np.max(t_grid)) * (1 + 1e-9) + 1e-12)[0]
+    return pg.core.neighbor_cloud(S.reduced, float(np.max(t_grid)) * (1 + 1e-9))[0]
 
 
 def psi_sampled_loop(S: pg.PeriodicSet, k: int, t_grid, samples: int, seed: int = 0):

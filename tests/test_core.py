@@ -283,6 +283,48 @@ class TestEnumerationContract:
                 assert np.all(frac <= 1 + reach * dual + 1e-8)
 
 
+class TestReducedView:
+    """PeriodicSet.reduced: the set on its cell's reduced cell."""
+
+    def test_reduced_cell_set_is_itself(self, square):
+        line = pg.PeriodicSet(pg.UnitCell(np.array([[-2.5]])), np.array([[0.1], [0.7]]))
+        for S in (square, line):
+            assert S.reduced is S
+
+    def test_cached(self):
+        S = _contract_sets()[-1]
+        assert S.reduced is not S
+        assert S.reduced is S.reduced
+
+    def test_equals_change_cell(self):
+        for S in _contract_sets():
+            S = pg.PeriodicSet(S.cell, S.motif, tuple(f"p{i}" for i in range(S.m)))
+            U = S.cell._reduction[0]
+            T = pg.change_cell(S, U)
+            assert S.reduced.cell is S.cell._reduction[2]
+            assert np.array_equal(S.reduced.cell.basis, T.cell.basis)
+            assert np.array_equal(S.reduced.motif, T.motif)
+            assert S.reduced.labels == T.labels
+
+    def test_answers_equal_change_cell(self, monkeypatch):
+        # every reader of the view answers the same with the view replaced
+        # by change_cell(S, U)
+        rng = np.random.default_rng(1515)
+
+        def answers(S, Q):
+            grid = np.linspace(0.0, S.cell.diameter, 7)
+            return (pg.amd(S, 10).per_point_matrix.tolist(),
+                    pg.packing_covering_radii(S),
+                    pg.density.psi_sampled(S, 3, grid, 300, seed=4),
+                    pg.bottleneck_distance_common_cell(S, Q))
+
+        pairs = [(S, jitter_set(rng, S, 0.05)[0]) for S in _contract_sets()]
+        want = [answers(S, Q) for S, Q in pairs]
+        monkeypatch.setattr(pg.PeriodicSet, "reduced", property(
+            lambda S: pg.change_cell(S, S.cell._reduction[0])))
+        assert [answers(S, Q) for S, Q in pairs] == want
+
+
 class TestEnumerationCap:
     """The cap is tested by its estimate: every refused call raises before
     it allocates, and the boundary is probed on a small enumeration."""
@@ -553,6 +595,34 @@ class TestScaledCells:
             assert np.allclose(got, s * lengths, rtol=1e-9, atol=0.0), s
             assert got_weights == weights
 
+    @staticmethod
+    def pair_2d(s):
+        # a 2D set and a copy moved by 0.002 N(0, 1) in fractions
+        rng = np.random.default_rng(11)
+        motif = rng.random((3, 2))
+        moved = pg.core.fold_fractions(motif + 0.002 * rng.normal(size=(3, 2)))
+        cell = pg.UnitCell(s * np.array([[1.0, 0.1], [0.05, 1.0]]))
+        return pg.PeriodicSet(cell, motif), pg.PeriodicSet(cell, moved)
+
+    def test_bottleneck_scales_with_the_cell(self):
+        # the thresholds are the matrix's own entries, so no absolute slack
+        # merges them at small scale
+        unit = pg.bottleneck_distance_common_cell(*self.pair_2d(1.0))
+        for s in (1e-10, 1e10):
+            got = pg.bottleneck_distance_common_cell(*self.pair_2d(s))
+            assert got == pytest.approx(s * unit, rel=1e-9, abs=0.0), s
+
+    def test_sampled_density_is_scale_free(self):
+        # the cloud's reach carries a relative slack only, so a set at
+        # 1e-20 enumerates as few points as at unit scale
+        def estimates(s):
+            S = self.pair_2d(s)[0]
+            rows = pg.density.psi_sampled(S, 3, s * np.linspace(0.0, 0.5, 11), 2000, seed=5)
+            return [[row[1:] for row in psi] for psi in rows]
+
+        unit = estimates(1.0)
+        for s in (1e-20, 1e20):
+            assert estimates(s) == unit, s
 
     def test_isoset_below_every_fixed_floor(self):
         # the isoset's tolerances scale with alpha and the cluster lengths
@@ -636,6 +706,13 @@ class TestTransforms:
         assert min_interpoint_distance(S) == pytest.approx(
             min_interpoint_distance(T), rel=1e-9
         )
+
+    def test_change_cell_uses_the_integer_inverse(self):
+        # the float inverse of this U has entries such as -8.000000000000398
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(2)), np.random.default_rng(8).random((3, 2)))
+        T = pg.change_cell(S, np.array([[-88, -19], [-37, -8]]))
+        assert np.array_equal(T.motif, pg.core.fold_fractions(
+            S.motif @ np.array([[-8, 19], [37, -88]])))
 
     def test_change_cell_checks_coincidence_on_the_new_cell(self):
         # two points 2e-9 apart pass on the unit square (tolerance
