@@ -84,16 +84,8 @@ def _emit(data, fmt: str = "json", csv_text: str = ""):
     if fmt == "csv":
         sys.stdout.write(csv_text)
     else:
-        json.dump(data, sys.stdout, indent=2, default=_jsonable)
+        json.dump(data, sys.stdout, indent=2)
         sys.stdout.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _pick_alpha(S, args):

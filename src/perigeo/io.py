@@ -158,15 +158,21 @@ def parse_set_file(path) -> PeriodicSet:
 
 def write_set_text(S: PeriodicSet) -> str:
     """Text form of S; every float is written as its repr, so parsing the
-    text gives the same set bit for bit."""
+    text gives the same set bit for bit.  A label must read back as one
+    token (an empty one leaves its point unlabeled), else ValueError."""
     lines = [f"dim {S.dim}"]
     for row in S.cell.basis.tolist():
         lines.append(" ".join(map(repr, row)))
     lines.append(f"motif {S.m}")
     for i, row in enumerate(S.motif.tolist()):
         line = " ".join(map(repr, row))
-        if S.labels is not None and S.labels[i]:
-            line += f" {S.labels[i]}"
+        label = S.labels[i] if S.labels is not None else ""
+        if label:
+            label = str(label)
+            if label.split() != [label]:
+                raise ValueError(f"motif point {i}: label {label!r} is not "
+                                 "one whitespace-free token")
+            line += " " + label
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -20,17 +20,20 @@ The search starts from BNB_START regions per map family, 16 arcs in 2D
 and 64 cubes in 3D, and halves no region below BNB_LEAST_HALF_SIDE, a
 least half-side fixed per dimension, so the start sets only how much
 work the first batches do and never the certificate.
-Those distances come from inner products, whose float floor is about
-1e-8 |p|max; near zero the best map is polished by least squares and
-evaluated by coordinate differences, so isometric copies read about
-1e-15.  That polish is the only float-floor correction of the exact
-engine.  The approximation engine implements the anchor construction
-whose value is guaranteed within a factor 2(n-1) of the optimum
-(reported with a (1+delta) cushion), through a lazy max-min search over
-the prefixes: a block of prefixes has its maps built in one batch and
-evaluated by the same matrix product, and the maps within the product's
-float floor of a prefix's least are evaluated again by coordinate
-differences, so its value is the construction's to about 1e-15.
+Its seeds are the identity and, where the length gaps allow a copy, the
+cluster isometry search's first map, so an isometric copy, even a partial
+boundary shell of one, ends before any region.  Its distances come from
+inner products, whose float floor is about 1e-8 |p|max; near zero the
+best map is polished by least squares and evaluated by coordinate
+differences, so isometric copies read about 1e-15.  That polish is the
+only float-floor correction of the exact engine.  The approximation
+engine implements the anchor construction whose value is guaranteed
+within a factor 2(n-1) of the optimum (reported with a (1+delta)
+cushion), through a lazy max-min search over the prefixes: a block of
+prefixes has its maps built in one batch and evaluated by the same
+matrix product, and the maps within the product's float floor of a
+prefix's least are evaluated again by coordinate differences, so its
+value is the construction's to about 1e-15.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes; the second is
@@ -54,7 +57,8 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .core import change_cell, neighbor_cloud
-from .isoset import Cluster, IsometryClass, Isoset
+from .isoset import (Cluster, IsometryClass, Isoset, _rank_and_frame,
+                     _reduced_maps, match_tolerance)
 
 DEFAULT_DELTA = 0.1
 # starting regions per map family of the branch-and-bound, by dimension: 16
@@ -331,12 +335,14 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
 
     The incumbent upper[i] of prefix P[:i+1] is its least d_H over the
     maps evaluated, and maps[i] the first map that attains it: the seeds,
-    which are the identity and in 3D also the approximation construction's
-    maps of all of P, and then every cube's centre map, all by the same
-    matrix product (the seeds by _RotationProfile.near_sq, in chunks of
-    ENTRIES distances).  The construction's maps are evaluated only when
-    the identity and its polish leave the search undecided, as they do
-    not for a second side of d_C already at its floor.  A cube's bound
+    and then every cube's centre map, all by the same matrix product (the
+    seeds by one _RotationProfile.near_sq).  The seeds are the identity
+    and the first map by which the cluster isometry search sends P onto
+    distinct points of Q, within the match tolerance of |P|max; it runs
+    only when P spans the space and the length gaps of all of P are within
+    twice that tolerance, so it costs nothing on pairs that are no copies,
+    and it finds a copy that keeps only part of a boundary shell of Q.
+    A cube's bound
     for a prefix is the running max over its points, and lower[i] starts
     from the length gaps ||p| - |q||, which no map can close, and only
     grows: every step's least bound is a certified one.  So d_R_i lies
@@ -355,48 +361,44 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     into half the room left, and the bounds of the others join the lower
     bound.  So a capped search still improves its incumbent, and its lower
     bound stays certified; the gap is then wider than tol.  _polish fits
-    the map of the incumbent that sets the max after each seed pass, and
-    later the first time it is within 1e-2 scale after a batch of cubes,
-    so an isometric copy stops before any cube; a last _polish lifts the
-    float floor.
+    the map of the incumbent that sets the max after the seeds, and later
+    the first time it is within 1e-2 scale after a batch of cubes, so an
+    isometric copy stops before any cube; a last _polish lifts the float
+    floor.
     """
     k, n = P.shape
     d = n * (n - 1) // 2
-    abs_tol = 1e-9 * max(1.0, float(np.linalg.norm(P, axis=1).max()))
+    lengths, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
+    lp = float(lengths.max())
+    abs_tol = 1e-9 * max(1.0, lp)
     rel_tol = BNB_REL_TOL_3D if n == 3 else 0.0
     scale = max(1.0, float(np.abs(P).max()), float(np.abs(Q).max()))
     engine = _RotationProfile(P, Q)
     upper = np.full(k, np.inf)
     maps = np.zeros((k, n, n))
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
-    lower = np.maximum.accumulate(np.abs(np.subtract.outer(
-        np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1))).min(axis=1))
+    lower = np.maximum.accumulate(
+        np.abs(np.subtract.outer(lengths, lq)).min(axis=1))
 
     def certificate():
         # clamped at 0: a gain of -inf would make 0 * -inf
         return np.maximum(abs_tol, rel_tol * np.maximum(
             np.minimum(gains, upper), 0.0))
 
-    def seed(candidates) -> bool:
-        # the candidates' incumbents, then _polish of the one that sets the max
-        step = max(1, engine.ENTRIES // k)
-        for a in range(0, len(candidates), step):
-            near = engine.near_sq(candidates[a:a + step], k)
-            _keep_best(upper, maps, np.sqrt(np.maximum(near, 0.0)).T,
-                       candidates[a:a + step])
-        return _polish(P, Q, gains, upper, maps, 1e-2 * scale)
-
-    polished = seed(np.eye(n)[None])
+    # the seeds: the identity and, where the length gaps allow a copy, the
+    # isometry search's first map
+    match = match_tolerance(lp, None)
+    seeds = np.eye(n)[None]
+    if lower[-1] <= 2 * match and _rank_and_frame(P, lp)[0] == n:
+        found = _reduced_maps(P, Q[lq <= lp + 2 * match], match,
+                              first_only=True)
+        seeds = np.concatenate([seeds, np.reshape(found, (-1, n, n))])
+    near = np.sqrt(np.maximum(engine.near_sq(seeds, k), 0.0))
+    _keep_best(upper, maps, near.T, seeds)
+    polished = _polish(P, Q, gains, upper, maps, 1e-2 * scale)
     tol = certificate()
     irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)), tol,
                                     floor)
-    if n == 3 and not done:
-        # the construction's maps of all of P, only when the identity and
-        # its polish leave the search undecided
-        polished = seed(_approx_maps(P, Q)) or polished
-        tol = certificate()
-        irrelevant, done, _ = _bnb_rule(gains, upper, lower, np.empty((0, k)),
-                                        tol, floor)
 
     per_axis = round(BNB_START[n] ** (1 / d))
     sigma = math.pi / per_axis
@@ -560,11 +562,6 @@ def _anchor_maps(P: np.ndarray, Q: np.ndarray, anchors: np.ndarray) -> list:
     return out
 
 
-def _approx_maps(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(T, n, n): the construction's candidate maps for all of P."""
-    return _anchor_maps(P, Q, _approx_anchors(P, [len(P)]))[0]
-
-
 # ---------------------------------------------------------------------------
 # the max-min search and the d_R entry points
 
@@ -580,7 +577,7 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     Prefixes are refined lazily, the largest gain first, in blocks of as
     many as one product of _RotationProfile.ENTRIES entries evaluates,
     until the next gain is at most the max so far, which starts at floor:
-    the rest cannot raise it.  A block builds its prefixes' _approx_maps in
+    the rest cannot raise it.  A block builds its prefixes' _anchor_maps in
     one batch and evaluates them up to its last point by the product, each
     read at its own prefix's end; the distinct maps within the product's
     float floor of a prefix's least are evaluated again by coordinate

@@ -204,6 +204,23 @@ class TestParsing:
         assert np.array_equal(T.cell.basis, S.cell.basis)
         assert np.array_equal(T.motif, S.motif)
 
+    def test_text_roundtrip_labels(self):
+        # labeled and unlabeled points: an empty label writes no token
+        motif = np.array([[0.1, 0.2], [0.5, 0.5], [0.75, 0.25]])
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(2)), motif, ("Na", "", "Cl-2"))
+        text = write_set_text(S)
+        assert text.splitlines()[-2] == "0.5 0.5"
+        T = parse_set_text(text)
+        assert np.array_equal(T.motif, S.motif)
+        assert T.labels == S.labels
+
+    @pytest.mark.parametrize("label", ["Na Cl", "Na\tCl", "Na\n", " "])
+    def test_text_refuses_label_of_many_tokens(self, label):
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(2)), [[0.1, 0.2], [0.5, 0.5]],
+                           ("", label))
+        with pytest.raises(ValueError, match=r"motif point 1: label"):
+            write_set_text(S)
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

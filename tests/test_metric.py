@@ -15,7 +15,6 @@ from perigeo.metric import (
     TransportPlan,
     _anchor_maps,
     _approx_anchors,
-    _approx_maps,
     _dr_bnb,
     _max_min,
     _min_cost_transport,
@@ -189,7 +188,8 @@ class TestDrApprox:
         Q[1], Q[2] = 2.0 * Q[0], 0.0
         cases += [(line, Q), (rng.normal(size=(6, 3)), Q)]
         for P, Q in cases:
-            got, ref = _approx_maps(P, Q), approx_maps_loop(P, Q)
+            got = _anchor_maps(P, Q, _approx_anchors(P, [len(P)]))[0]
+            ref = approx_maps_loop(P, Q)
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
@@ -569,6 +569,25 @@ class TestDr3dCertificate:
         assert value - lower <= BNB_REL_TOL_3D * value
         assert 0.4332238 - value > 0.006
 
+    def test_m8_baseline_pair_first_class(self):
+        # a random m = 8 set against its copy jittered by 0.01, at their
+        # common stable radius: the first class pair, 462 against 464
+        # points, is certified within the 3D gap in about a second
+        S = random_periodic_set(np.random.default_rng(304), 3, 8)
+        T, _ = jitter_set(np.random.default_rng(308), S, 0.01)
+        alpha = pg.common_stable_alpha(S, T)
+        C = pg.isoset(S, alpha).classes[0].representative.points
+        D = pg.isoset(T, alpha).classes[0].representative.points
+        lengths = np.linalg.norm(C, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        gains = alpha - lengths[order]
+        keep = gains > 0
+        P, gains = C[order][keep], gains[keep]
+        value, _, lower = _max_min(P, D, gains, exact=True)
+        tol = max(1e-9 * max(1.0, lengths[order][keep].max()),
+                  BNB_REL_TOL_3D * value)
+        assert value - lower <= tol, (value, lower)
+
     def test_bounded_cost_on_symmetric_lattices(self):
         # d_C at sqrt(3) of cubic at 1.8 against bcc at 1.5, 27 points
         # each: the search stops at the cube budget and returns its
@@ -593,9 +612,10 @@ class TestDr3dCertificate:
 
 
 class TestIsometricCopyExit:
-    """An isometric copy ends the exact search early: in 2D the incumbent's
-    map is polished once it is within 1e-2 scale, in 3D the approximation
-    construction's maps are exact before any region is evaluated."""
+    """An isometric copy ends the exact search before any region is
+    evaluated, in 2D and 3D alike: the cluster isometry search, run when
+    the length gaps leave room for a copy, seeds the search with the exact
+    map, also when one side keeps only part of a boundary shell."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
@@ -623,7 +643,7 @@ class TestIsometricCopyExit:
             for A, B in ((C, D), (D, C)):
                 evaluated[0] = 0
                 assert pg.d_M(A, B, 4.0, engine="exact") <= 1e-12, j
-                assert evaluated[0] <= 256, (j, evaluated[0])
+                assert evaluated[0] == 0, (j, evaluated[0])
 
     def test_3d_cubic_copies(self, evaluated):
         S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
@@ -634,6 +654,43 @@ class TestIsometricCopyExit:
             for A, B in ((C, D), (D, C)):
                 assert pg.d_M(A, B, 1.8, engine="exact") <= 1e-12, j
         assert evaluated[0] == 0
+
+    def test_3d_cubic_partial_shell_copies(self, evaluated):
+        # at alpha sqrt(2) the 12 boundary points of a rotated copy have
+        # lengths rounded either side of alpha, so its positive-gain prefix
+        # keeps only part of that shell, and the two sides differ in size
+        S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
+        alpha = np.sqrt(2.0)
+        C = pg.alpha_cluster(S, 0, alpha).points
+        assert len(C) == 19
+        rng = np.random.default_rng(919)
+        kept = []
+        for j in range(4):
+            D = C @ random_orthogonal(rng, 3).T
+            kept.append(np.count_nonzero(np.linalg.norm(D, axis=1) < alpha))
+            for A, B in ((C, D), (D, C)):
+                assert pg.d_M(A, B, alpha, engine="exact") <= 1e-12, j
+        assert any(7 < c < 19 for c in kept), kept
+        assert evaluated[0] == 0
+
+    def test_exact_engine_builds_no_construction_maps(self, monkeypatch):
+        # the exact d_M and d_C reach no approximation construction, on
+        # random pairs and on copies; d_R_exact_small is left out, as it
+        # also runs the approximation engine
+        def refuse(*args):
+            raise AssertionError("the exact engine built construction maps")
+
+        monkeypatch.setattr(metric, "_anchor_maps", refuse)
+        rng = np.random.default_rng(2424)
+        for n in (2, 3):
+            for _ in range(2):
+                C, D = (TestDm3d._cluster(rng)[:, :n] for _ in range(2))
+                copy = C @ random_orthogonal(rng, n).T
+                alpha = TestDm3d.ALPHA
+                assert pg.d_M(C, D, alpha, engine="exact") > 0.0, n
+                assert pg.d_C(C, D, alpha, engine="exact") > 0.0, n
+                assert pg.d_M(C, copy, alpha, engine="exact") <= 1e-12, n
+                assert pg.d_C(copy, C, alpha, engine="exact") <= 1e-12, n
 
 
 class TestDc:
