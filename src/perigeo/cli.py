@@ -121,6 +121,7 @@ def _parse_grid(spec: str):
         raise DataError(f"bad grid specification {spec!r}, expected t0:t1:steps")
     if steps < 1 or t1 < t0:
         raise DataError(f"bad grid specification {spec!r}")
+    check_limit(steps, f"grid {spec!r} has {steps} radii")
     return np.linspace(t0, t1, steps)
 
 

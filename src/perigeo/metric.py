@@ -29,11 +29,16 @@ differences, so isometric copies read about 1e-15.  That polish is the
 only float-floor correction of the exact engine.  The approximation
 engine implements the anchor construction whose value is guaranteed
 within a factor 2(n-1) of the optimum (reported with a (1+delta)
-cushion), through a lazy max-min search over the prefixes: a block of
-prefixes has its maps built in one batch and evaluated by the same
-matrix product, and the maps within the product's float floor of a
-prefix's least are evaluated again by coordinate differences, so its
-value is the construction's to about 1e-15.
+cushion).  Each of its maps is one frame product F_Q D F_P^T: it sends
+the right-handed frame of a prefix's anchors onto that of a point of Q
+or its opposite (in 3D with a second point of Q off that line), up to a
+sign diagonal D, and in 3D a least rotation is the same product with
+the turning axis as both frames' second axis.  The engine is a lazy
+max-min search over the prefixes: a block of prefixes has its maps built
+in one batch and evaluated by the same matrix product, and the maps
+within the product's float floor of a prefix's least are evaluated again
+by coordinate differences, so its value is the construction's to about
+1e-15.
 
 The boundary-tolerant cluster distance d_C is the max of two one-sided
 max-min evaluations over length-sorted cluster prefixes; the second is
@@ -104,14 +109,6 @@ def directed_hausdorff(C, D) -> float:
 
 # ---------------------------------------------------------------------------
 # orthogonal maps and their evaluation
-
-
-def _maps_2d(theta, reflect) -> np.ndarray:
-    """R(theta) F as a (..., 2, 2) stack, F = diag(1, -1) where reflect is
-    true and the identity elsewhere."""
-    c, s = np.cos(theta), np.sin(theta)
-    f = np.where(reflect, -1.0, 1.0)
-    return np.stack([np.stack([c, -s * f], -1), np.stack([s, c * f], -1)], -2)
 
 
 def _nearest(P: np.ndarray, tree: cKDTree, maps: np.ndarray) -> np.ndarray:
@@ -410,8 +407,10 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     dropped = np.full(k, np.inf)  # least prefix bounds of dropped cubes
     evaluated = 0
     while not done and len(centres) and sigma >= BNB_LEAST_HALF_SIDE[n]:
-        batch = (Rotation.from_rotvec(centres).as_matrix() if n == 3
-                 else _maps_2d(centres[:, 0], False))
+        # a 2D angle is a turn about the third axis
+        rotvec = np.zeros((len(centres), 3))
+        rotvec[:, 3 - d:] = centres
+        batch = Rotation.from_rotvec(rotvec).as_matrix()[:, :n, :n]
         batch[mirror] *= flip
         thr = np.where(irrelevant, -np.inf, upper - tol)
         near, bound = engine.regions(batch, min(math.sqrt(d) * sigma, math.pi),
@@ -448,23 +447,20 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
 # the approximation construction
 
 
-def _axis_frames(A: np.ndarray) -> np.ndarray:
-    """(L, 3, 3): for every unit row a of A, the columns (a, e2, e3) of a
-    right-handed orthonormal frame with first axis a."""
-    e2 = np.eye(3)[np.argmin(np.abs(A), axis=1)]
-    e2 -= np.sum(e2 * A, axis=1)[:, None] * A
-    e2 /= np.linalg.norm(e2, axis=1)[:, None]
-    return np.stack([A, e2, np.cross(A, e2)], axis=-1)
+# the sign diagonals that send one direction onto a line: the rotations onto
+# +q and -q, then the reflections onto +q and -q
+TURNS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 
 
-def _anchor_maps_2d(p_ang, q_ang) -> np.ndarray:
-    """(..., 4, 2, 2): the planar maps that turn the direction at angle
-    p_ang onto the line at angle q_ang, namely the rotations by q - p and
-    q + pi - p and the reflections about the two bisecting lines."""
-    p_ang, q_ang = np.broadcast_arrays(p_ang, q_ang)
-    theta = np.stack([q_ang - p_ang, q_ang + math.pi - p_ang,
-                      p_ang + q_ang, p_ang + q_ang + math.pi], axis=-1)
-    return _maps_2d(theta, np.array([False, False, True, True]))
+def _frames(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
+    """(..., n, n): the right-handed orthonormal frames, as columns, whose
+    first axis is the unit row a: in 2D (a, a turned by a right angle), in
+    3D (a, the unit part of b off a's line, their cross product)."""
+    if a.shape[-1] == 2:
+        return np.stack([a, np.stack([-a[..., 1], a[..., 0]], -1)], -1)
+    b = b - np.sum(a * b, axis=-1, keepdims=True) * a
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    return np.stack(np.broadcast_arrays(a, b, np.cross(a, b)), -1)
 
 
 def _approx_anchors(P: np.ndarray, ends) -> np.ndarray:
@@ -503,11 +499,16 @@ def _approx_anchors(P: np.ndarray, ends) -> np.ndarray:
 
 def _anchor_maps(P: np.ndarray, Q: np.ndarray, anchors: np.ndarray) -> list:
     """(T, n, n) per row of anchors (see _approx_anchors): the candidate
-    orthogonal maps of the factor-2(n-1) construction.  Each sends the
-    first anchor onto the line through a point of Q; in 3D each is then
-    turned about that line so that the second anchor's azimuth meets that of
-    a point of Q or its opposite.  The level-1 maps are built once per first
-    anchor, and the frames and turns of all rows in one batch."""
+    orthogonal maps of the factor-2(n-1) construction, each one frame
+    product F_Q D F_P^T.  F_P is the frame of the first anchor u1 (in 3D
+    with the second anchor as second axis), F_Q that of +q or -q for a
+    point q of Q (in 3D with a point of Q off q's line as second axis), and
+    D a row of TURNS (in 3D diag(1, TURNS)): the first anchor goes onto the
+    line through q, and in 3D the second anchor's azimuth about it onto
+    that point's or its opposite.  A 3D prefix with one anchor, or a Q on
+    one line, takes the least rotations of u1 onto +q and -q: the same
+    product with D = I and the turning axis u1 x q, or a fixed perpendicular
+    of u1 where it vanishes, as both frames' second axis."""
     n = P.shape[1]
     if n == 1:
         return [np.array([[[1.0]], [[-1.0]]])] * len(anchors)
@@ -516,49 +517,31 @@ def _anchor_maps(P: np.ndarray, Q: np.ndarray, anchors: np.ndarray) -> list:
     live = np.flatnonzero(anchors[:, 0] >= 0) if len(Qnz) else []
     if not len(live):
         return out
-    firsts, line = np.unique(anchors[live, 0], return_inverse=True)
-    p1 = P[firsts]
-    if n == 2:
-        maps = _anchor_maps_2d(np.arctan2(p1[:, 1], p1[:, 0])[:, None],
-                               np.arctan2(Qnz[:, 1], Qnz[:, 0]))
-        for v, f in zip(live, line):
-            out[v] = maps[f].reshape(-1, 2, 2)
-        return out
+    p1 = P[anchors[live, 0]]
     u1 = p1 / np.linalg.norm(p1, axis=1)[:, None]
     units = Qnz / np.linalg.norm(Qnz, axis=1)[:, None]
-    # the least rotations taking u1 to +q and -q: about u1 x q by the angle
-    # between them, or by pi about a fixed perpendicular when q = -u1
-    targets = np.stack([units, -units], axis=1).reshape(-1, 3)
-    axes = np.cross(u1[:, None], targets[None])
-    sines = np.linalg.norm(axes, axis=2)
-    axes = np.where((sines < 1e-14)[..., None], _axis_frames(u1)[:, None, :, 1],
-                    axes)
-    axes /= np.linalg.norm(axes, axis=2)[..., None]
-    level1 = Rotation.from_rotvec(
-        (np.arctan2(sines, u1 @ targets.T)[..., None] * axes).reshape(-1, 3)
-    ).as_matrix().reshape(len(firsts), -1, 3, 3)
-    two = anchors[live, 1] >= 0
-    for v, f in zip(live[~two], line[~two]):
-        out[v] = level1[f]
-    if not two.any():
-        return out
-    L1 = level1[line[two]]
-    E = _axis_frames(np.einsum("vlij,vj->vli", L1, u1[line[two]])
-                     .reshape(-1, 3)).reshape(L1.shape)
-    p2 = np.einsum("vlji,vlj->vli", E,
-                   np.einsum("vlij,vj->vli", L1, P[anchors[live[two], 1]]))
-    q = np.einsum("vlji,qj->vlqi", E, Qnz)
-    turns = _anchor_maps_2d(np.arctan2(p2[..., 2], p2[..., 1])[..., None],
-                            np.arctan2(q[..., 2], q[..., 1]))
-    block = np.zeros(turns.shape[:-2] + (3, 3))
-    block[..., 0, 0] = 1.0
-    block[..., 1:, 1:] = turns
-    maps = (E[:, :, None, None] @ block @ np.swapaxes(E, 2, 3)[:, :, None, None]
-            @ L1[:, :, None, None])
-    # a point of Q on the axis has no azimuth
-    keep = np.hypot(q[..., 1], q[..., 2]) >= 1e-12
-    for j, v in enumerate(live[two]):
-        out[v] = maps[j][keep[j]].reshape(-1, 3, 3) if keep[j].any() else L1[j]
+    if n == 2:
+        rows, F_P, F_Q, D = live, _frames(u1), _frames(units), TURNS
+    else:
+        targets = np.stack([units, -units], axis=1).reshape(-1, 3)
+        # the pairs (target, point of Q off its line)
+        target, other = np.nonzero(np.linalg.norm(
+            np.cross(targets[:, None], Qnz[None]), axis=2) >= 1e-12)
+        two = (anchors[live, 1] >= 0) & (len(target) > 0)
+        u = u1[~two, None]
+        axes = np.cross(u, targets)
+        axes = np.where(np.linalg.norm(axes, axis=2, keepdims=True) < 1e-14,
+                        np.eye(3)[np.argmin(np.abs(u), axis=2)], axes)
+        least = _frames(targets, axes) @ np.swapaxes(_frames(u, axes), 2, 3)
+        for j, v in enumerate(live[~two]):
+            out[v] = least[j]
+        rows = live[two]
+        F_P = _frames(u1[two], P[anchors[rows, 1]])
+        F_Q = _frames(targets[target], Qnz[other])
+        D = np.insert(TURNS, 0, 1.0, axis=1)
+    maps = np.einsum("lia,ta,vja->vltij", F_Q, D, F_P, optimize=True)
+    for j, v in enumerate(rows):
+        out[v] = maps[j].reshape(-1, n, n)
     return out
 
 
@@ -586,7 +569,7 @@ def _max_min_search(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     engine = _RotationProfile(P, Q)
     tree = cKDTree(Q)
     lines = int(np.count_nonzero(np.linalg.norm(Q, axis=1) > 1e-14))
-    most = max(1, (2, 4 * lines, 8 * lines ** 2)[n - 1])  # maps of a prefix
+    most = max(1, 2 ** n * lines ** (n - 1))  # maps of a prefix
     order = np.argsort(-gains, kind="stable")
     best, best_map = floor, None
     pos = 0
@@ -788,7 +771,7 @@ def _min_cost_transport(costs: np.ndarray, supply, demand):
 def emd(A: Isoset, B: Isoset, engine: str = "exact"):
     """(cost, TransportPlan): exact Earth Mover's Distance between two
     isosets at the same radius, ground cost d_C."""
-    if abs(A.alpha - B.alpha) > 1e-9 * max(1.0, A.alpha):
+    if abs(A.alpha - B.alpha) > 1e-9 * max(A.alpha, B.alpha):
         raise ValueError("isosets must share the radius alpha")
     wa = [c.weight for c in A.classes]
     wb = [c.weight for c in B.classes]

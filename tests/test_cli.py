@@ -249,6 +249,11 @@ class TestExitCodes:
         assert "limit" in capsys.readouterr().err
         assert main(["amd", path, "-k", "1000000000"]) == 2
         assert "limit" in capsys.readouterr().err
+        # the grid's step count, before the grid is allocated
+        for steps in ("1000000000000", "100000000"):
+            assert main(["density", path, "-k", "1", "--samples", "100",
+                         "--grid", f"0:1:{steps}"]) == 2
+            assert "limit" in capsys.readouterr().err
 
     def test_overflowing_radius_is_two(self, tmp_path, capsys):
         # refused by the size estimate with no numpy overflow warning,

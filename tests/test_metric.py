@@ -197,7 +197,10 @@ class TestDrApprox:
         # every prefix's maps from one batch over all prefixes, against the
         # loop on that prefix alone: 1-point prefixes (the origin first),
         # prefixes on a line through the origin (one anchor), a point of Q
-        # at the origin and a point of Q on a level-1 map's turning axis
+        # at the origin, a point of Q on a level-1 map's turning axis, and a
+        # line along a point of Q and along the opposite of one, whose least
+        # rotations are the identity and the turn by pi about the fixed
+        # perpendicular
         rng = np.random.default_rng(1717)
         cases = [(rng.normal(size=(int(rng.integers(2, 10)), n)),
                   rng.normal(size=(int(rng.integers(1, 8)), n)))
@@ -208,6 +211,9 @@ class TestDrApprox:
                             np.outer([0.5, -1.0, 1.5], rng.normal(size=3)),
                             rng.normal(size=(4, 3))])
         cases += [(P, Q), (P, Q[:3]), (P[:4], Q), (np.zeros((3, 3)), Q)]
+        along = np.outer([1.0, -2.0, 0.5], [1.0, 2.0, 2.0])
+        cases += [(along, np.concatenate([[[2.0, 4.0, 4.0]], Q])),
+                  (along[1:], np.concatenate([Q, [[-3.0, -6.0, -6.0]]]))]
         square = CUBIC[np.argsort(np.linalg.norm(CUBIC, axis=1), kind="stable")]
         cases.append((square, BCC))
         for P, Q in cases:
@@ -413,8 +419,9 @@ class TestDmApprox:
         # the cubic 27-point cluster against its 1.02x copy: the cluster's
         # 48 symmetries make many construction maps tie within the product's
         # float floor, and many of those coincide; each distinct map goes
-        # to _nearest once (5,361 rows over both sides' blocks, against
-        # 23,258 maps), and the value is unchanged
+        # to _nearest once (at most 5,361 rows over both sides' blocks,
+        # against 23,258 maps), and the value is 0.02 sqrt(3) to the float
+        # floor
         S = pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.zeros((1, 3)))
         C = pg.alpha_cluster(S, 0, 1.8).points
         assert len(C) == 27
@@ -427,7 +434,9 @@ class TestDmApprox:
 
         monkeypatch.setattr(metric, "_nearest", counting)
         # the corner (1, 1, 1) moves by 0.02 sqrt(3)
-        assert pg.d_C(C, 1.02 * C, 1.8, engine="approx") == 0.034641016151376935
+        value = pg.d_C(C, 1.02 * C, 1.8, engine="approx")
+        assert value == 0.03464101615137783
+        assert abs(value - 0.02 * np.sqrt(3)) <= 1e-15
         for rows in received:
             assert len(np.unique(rows, axis=0)) == len(rows)
         assert sum(len(rows) for rows in received) <= 5361
@@ -947,6 +956,13 @@ class TestEmd:
     def test_alpha_mismatch_rejected(self, square, hexagonal):
         with pytest.raises(ValueError):
             pg.emd(pg.isoset(square, 2.0), pg.isoset(hexagonal, 2.5))
+        # the radii are compared relative to the larger one: at 1e-10 the
+        # clusters of 33 and 515 points are refused as at unit scale
+        for s in (1e-10, 1.0):
+            S = pg.PeriodicSet(pg.UnitCell(s * np.eye(3)), np.zeros((1, 3)))
+            with pytest.raises(ValueError, match="share the radius"):
+                pg.emd(pg.isoset(S, 2 * s), pg.isoset(S, 5 * s))
+            assert pg.emd(pg.isoset(S, 2 * s), pg.isoset(S, 2 * s))[0] <= 1e-9 * s
 
     def test_min_cost_flow_matches_bruteforce(self):
         rng = np.random.default_rng(103)
