@@ -22,7 +22,7 @@ from scipy.spatial.distance import cdist
 
 from .amd import amd
 from .core import DataError, bridge_length, check_limit, easy_stable_radius
-from .density import DensityFingerprint1D, psi_sampled
+from .density import DensityFingerprint1D, _psi_rows, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
     alpha_cluster,
@@ -135,24 +135,24 @@ def _cmd_density(args):
         "file": str(args.file),
         "k": args.k,
     }
-    plots = {}
-    if S.dim == 1 and not args.samples:
+    exact = S.dim == 1 and not args.samples
+    if exact:
         F = DensityFingerprint1D.from_set(S)
         # two corner lists of at most 4m corners, two numbers each, per k
         size = 2 * 2 * 4 * F.m * (args.k + 1)
         check_limit(size, f"-k {args.k} with m = {F.m} prints {size} numbers")
         data["mode"] = "exact"
         data["period"] = F.period
-        psis = []
-        for k in range(args.k + 1):
-            p = F.psi(k)
-            psis.append({
-                "k": k,
-                "corners": p.corners.tolist(),
-                "corners_original_units": p.scale_t(F.period).corners.tolist(),
-            })
-            plots[k] = p.corners.tolist()
-        data["psi"] = psis
+        # psi_0..psi_k from one pass, each unit system listed once
+        corners, ends = _psi_rows(F, range(args.k + 1))
+        original = corners.copy()
+        original[:, 0] *= F.period
+        unit, scaled = corners.tolist(), original.tolist()
+        bounds = [0, *ends.tolist()]
+        data["psi"] = [
+            {"k": k, "corners": unit[lo:hi], "corners_original_units": scaled[lo:hi]}
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
     else:
         samples = args.samples or 10000
         grid = _parse_grid(args.grid) if args.grid else np.linspace(
@@ -161,19 +161,18 @@ def _cmd_density(args):
         data["mode"] = "sampled"
         data["samples"] = samples
         data["seed"] = args.seed
-        psis = []
-        for k, rows in enumerate(psi_sampled(S, args.k, grid, samples, args.seed)):
-            psis.append({"k": k, "estimates": [list(r) for r in rows]})
-            plots[k] = [[t, est] for t, est, _ in rows]
-        data["psi"] = psis
+        data["psi"] = [
+            {"k": k, "estimates": [list(r) for r in rows]}
+            for k, rows in enumerate(psi_sampled(S, args.k, grid, samples, args.seed))
+        ]
     if args.plot_csv:
-        for k, rows in plots.items():
-            path = Path(f"{args.plot_csv}_k{k}.csv")
-            path.write_text(
+        for p in data["psi"]:
+            rows = p["corners"] if exact else [r[:2] for r in p["estimates"]]
+            Path(f"{args.plot_csv}_k{p['k']}.csv").write_text(
                 "\n".join(f"{t:.12g},{v:.12g}" for t, v in rows) + "\n",
                 encoding="utf-8",
             )
-        data["plot_csv"] = [f"{args.plot_csv}_k{k}.csv" for k in plots]
+        data["plot_csv"] = [f"{args.plot_csv}_k{p['k']}.csv" for p in data["psi"]]
     _emit(data)
     return 0
 

@@ -7,7 +7,9 @@ of radius t centered at the points of the set.  In 1D every psi_k is one
 sum of ramps v0 + sum_j c_j max(t - b_j, 0) with integer slope changes c_j,
 with a corner only where they do not cancel: psi_0 = sum_i max(g_i - 2t, 0)
 over the gaps g_i, and each psi_k (k >= 1) is a sum of m trapezoids whose
-start s counts whole periods when k > m.
+start s counts whole periods when k > m.  Exact mode builds every psi_k in
+one pass: the ramp sums of psi_0..psi_K are the rows of one (K + 1, 4m)
+array, sorted, summed and split into corner lists together.
 """
 
 from __future__ import annotations
@@ -46,31 +48,68 @@ class PiecewiseLinear:
     def __call__(self, t):
         return np.interp(t, self.ts, self.values)
 
-    def scale_t(self, factor: float) -> "PiecewiseLinear":
-        out = self.corners.copy()
-        out[:, 0] *= factor
-        return PiecewiseLinear(out)
 
+def _ramp_rows(v0, breaks, slopes):
+    """Row r of the (R, n) breaks and integer slopes is the ramp sum
+    v0[r] + sum_j slopes[r, j] * max(t - breaks[r, j], 0) from its first
+    break on, valued at its sorted breaks by one cumulative sum of slope x
+    gap.  A run of breaks, each within CORNER_TOL times the row's span (or a
+    few ulps of its largest t) of the one before, is one corner, so a shift
+    by whole periods keeps every corner.  Besides each row's first and last,
+    a corner stays only when its integer slope changes sum to nonzero.
 
-def _ramp_sum(v0: float, breaks, slopes) -> PiecewiseLinear:
-    """v0 + sum_j slopes[j] * max(t - breaks[j], 0) from the first break on,
-    valued at the sorted breaks by one cumulative sum of slope x gap.  A run
-    of breaks, each within CORNER_TOL times the span (or a few ulps of the
-    largest t) of the one before, is one corner, so a shift by whole periods
-    keeps every corner.  Besides the first and last, a corner stays only
-    when its integer slope changes sum to nonzero."""
-    order = np.argsort(breaks, kind="stable")
-    b, c = breaks[order], slopes[order]
-    rise = np.cumsum(c)[:-1] * np.diff(b)
-    values = v0 + np.r_[0.0, np.cumsum(rise)]
-    tol = max(CORNER_TOL * max(1.0, b[-1] - b[0]), 4 * np.spacing(abs(b[-1])))
-    starts = np.flatnonzero(np.r_[True, np.diff(b) > tol])
-    keep = np.add.reduceat(c, starts) != 0
-    keep[[0, -1]] = True
-    corners = np.column_stack([b, values])[starts[keep]]
+    One stable sort, two cumulative sums and one np.add.reduceat serve every
+    row.  Returns the corners of all rows stacked, (N, 2), and their
+    cumulative counts per row, ends: row r's corners end at ends[r]."""
+    rows = np.arange(len(breaks))[:, None]
+    order = np.argsort(breaks, axis=1, kind="stable")
+    b, c = breaks[rows, order], slopes[rows, order]
+    gap = np.diff(b, axis=1)
+    values = np.zeros_like(b)
+    np.cumsum(np.cumsum(c, axis=1)[:, :-1] * gap, axis=1, out=values[:, 1:])
+    values += np.asarray(v0, dtype=float)[:, None]
+    tol = np.maximum(CORNER_TOL * np.maximum(1.0, b[:, -1] - b[:, 0]),
+                     4 * np.spacing(np.abs(b[:, -1])))
+    new = np.ones(b.shape, dtype=bool)
+    np.greater(gap, tol[:, None], out=new[:, 1:])
+    starts = np.flatnonzero(new)
+    # every row's first and last corner stays
+    first = starts % b.shape[1] == 0
+    keep = np.add.reduceat(c.ravel(), starts) != 0
+    keep |= first
+    keep[:-1] |= first[1:]
+    keep[-1] = True
+    at = starts[keep]
+    corners = np.column_stack([b.ravel()[at], values.ravel()[at]])
     # summation dust below the corner tolerance is an exact zero
     corners[np.abs(corners[:, 1]) <= CORNER_TOL, 1] = 0.0
-    return PiecewiseLinear(corners)
+    return corners, np.cumsum(np.bincount(at // b.shape[1], minlength=len(b)))
+
+
+def _psi0_row(gaps, width: int):
+    """Breaks and slope changes of psi_0 = sum_i max(g_i - 2t, 0): -2m at
+    t = 0 and +2 at each g_i / 2, padded to width with zero-slope copies of
+    the largest break."""
+    m = len(gaps)
+    breaks = np.full(width, 0.5 * gaps.max())
+    breaks[0], breaks[1:m + 1] = 0.0, 0.5 * gaps
+    slopes = np.zeros(width, dtype=np.int64)
+    slopes[0], slopes[1:m + 1] = -2 * m, 2
+    return breaks, slopes
+
+
+def _trapezoid_row(d_prev, s, d_next):
+    """Breaks and slope changes of the sum of the trapezoids
+    eta(d_prev[j], s[j], d_next[j]), along the last axis: each adds +2, -2,
+    -2, +2 at s/2, (s + lo)/2, (s + hi)/2 and (s + lo + hi)/2, lo and hi
+    the smaller and larger of d_prev and d_next."""
+    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
+    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next], axis=-1)
+    return breaks, np.repeat([2, -2, -2, 2], np.shape(s)[-1])
+
+
+def _one_ramp(v0: float, breaks, slopes) -> PiecewiseLinear:
+    return PiecewiseLinear(_ramp_rows([v0], breaks[None], slopes[None])[0])
 
 
 def psi0_1d(gaps) -> PiecewiseLinear:
@@ -81,19 +120,7 @@ def psi0_1d(gaps) -> PiecewiseLinear:
         raise ValueError("gaps must be positive")
     if abs(gaps.sum() - 1.0) > 1e-9:
         raise ValueError("gaps must sum to the period 1")
-    m = len(gaps)
-    return _ramp_sum(1.0, np.r_[0.0, 0.5 * gaps], np.r_[-2 * m, np.full(m, 2)])
-
-
-def _trapezoid_sum(triples) -> PiecewiseLinear:
-    """Sum of the trapezoids eta(d_prev, s, d_next), one per row of triples,
-    as one ramp sum: each adds slope changes +2, -2, -2, +2 at s/2,
-    (s + lo)/2, (s + hi)/2 and (s + lo + hi)/2, lo and hi the smaller and
-    larger of d_prev and d_next."""
-    d_prev, s, d_next = np.asarray(triples, dtype=float).T
-    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
-    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next])
-    return _ramp_sum(0.0, breaks, np.repeat([2, -2, -2, 2], len(s)))
+    return _one_ramp(1.0, *_psi0_row(gaps, len(gaps) + 1))
 
 
 def trapezoid(d_prev: float, s: float, d_next: float) -> PiecewiseLinear:
@@ -101,7 +128,8 @@ def trapezoid(d_prev: float, s: float, d_next: float) -> PiecewiseLinear:
     min(d_prev, d_next), zero again at (d_prev + s + d_next)/2."""
     if d_prev < 0 or s < 0 or d_next < 0:
         raise ValueError("trapezoid arguments must be non-negative")
-    return _trapezoid_sum([(d_prev, s, d_next)])
+    triple = np.array([[d_prev], [s], [d_next]], dtype=float)
+    return _one_ramp(0.0, *_trapezoid_row(*triple))
 
 
 @dataclass(frozen=True)
@@ -134,25 +162,44 @@ class DensityFingerprint1D:
         """(d_{i-1}, s, d_{i+k-1}) for i = 1..m, indices mod m, k >= 1, as
         an (m, 3) array; s, the sum of the k - 1 gaps from i on, counts
         whole periods when k > m."""
-        g, i = self.gaps, np.arange(self.m)
-        periods, r = divmod(k - 1, self.m)
-        cum = np.cumsum(np.r_[0.0, g, g])
-        s = periods + (cum[i + r] - cum[i])
-        return np.column_stack([np.roll(g, 1), s, g[(i + r) % self.m]])
+        d_prev, s, d_next = _triple_rows(self.gaps, [k])
+        return np.column_stack([d_prev, s[0], d_next[0]])
 
     def psi(self, k: int) -> PiecewiseLinear:
         return psi_k_1d(self, k)
 
 
+def _triple_rows(g, ks):
+    """trapezoid_triples' columns for gaps g and every k >= 1 of ks:
+    d_prev (m,), and s and d_next (len(ks), m)."""
+    m = len(g)
+    i = np.arange(m)
+    periods, r = np.divmod(np.asarray(ks)[:, None] - 1, m)
+    cum = np.concatenate([[0.0], g, g]).cumsum()
+    return g[i - 1], periods + (cum[i + r] - cum[i]), g[(i + r) % m]
+
+
+def _psi_rows(F: DensityFingerprint1D, ks):
+    """Exact psi_k of F for every k >= 0 of ks from one _ramp_rows pass
+    over a (len(ks), 4m) array: row k >= 1 holds the breaks of the m
+    trapezoids of trapezoid_triples(k), and row k = 0 psi_0's m + 1 breaks
+    padded with zero-slope copies of its largest.  Returns _ramp_rows'
+    stacked corners and ends."""
+    ks, g = np.asarray(ks, dtype=np.int64), F.gaps
+    breaks, slopes = _trapezoid_row(*_triple_rows(g, np.maximum(ks, 1)))
+    slopes = np.tile(slopes, (len(ks), 1))
+    zero = ks == 0
+    if zero.any():
+        breaks[zero], slopes[zero] = _psi0_row(g, breaks.shape[1])
+    return _ramp_rows(zero.astype(float), breaks, slopes)
+
+
 def psi_k_1d(F: DensityFingerprint1D, k: int) -> PiecewiseLinear:
-    """Exact psi_k of a 1D set, one ramp sum for every k: psi_0 from the
-    gaps, and for k >= 1 the sum of the m trapezoids of
-    trapezoid_triples(k)."""
+    """Exact psi_k of a 1D set: _psi_rows' one row, psi_0 from the gaps
+    and for k >= 1 the sum of the m trapezoids of trapezoid_triples(k)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return psi0_1d(F.gaps)
-    return _trapezoid_sum(F.trapezoid_triples(k))
+    return PiecewiseLinear(_psi_rows(F, [k])[0])
 
 
 def _as_fingerprint(obj) -> DensityFingerprint1D:
@@ -165,14 +212,16 @@ def fingerprints_equal_1d(S, Q, tol: float = 1e-9) -> bool:
     """Whether two 1D sets (period scaled to 1) share every psi_k.
 
     By symmetry and periodicity it is enough to compare k = 0..max(m)/2 at
-    the union of both corner grids.
+    the union of both corner grids; each set's psi_k come from one
+    _psi_rows call.
     """
     FS, FQ = _as_fingerprint(S), _as_fingerprint(Q)
-    kmax = max(FS.m, FQ.m) // 2
-    for k in range(kmax + 1):
-        ps, pq = FS.psi(k), FQ.psi(k)
-        ts = np.unique(np.concatenate([[0.0], ps.ts, pq.ts]))
-        if not np.allclose(ps(ts), pq(ts), rtol=0.0, atol=tol):
+    ks = np.arange(max(FS.m, FQ.m) // 2 + 1)
+    (cs, es), (cq, eq) = _psi_rows(FS, ks), _psi_rows(FQ, ks)
+    for ps, pq in zip(np.split(cs, es[:-1]), np.split(cq, eq[:-1])):
+        ts = np.unique(np.concatenate([[0.0], ps[:, 0], pq[:, 0]]))
+        if not np.allclose(np.interp(ts, *ps.T), np.interp(ts, *pq.T),
+                           rtol=0.0, atol=tol):
             return False
     return True
 

@@ -356,6 +356,22 @@ def alpha_partition(S: PeriodicSet, alpha: float, tol: Optional[float] = None):
     return _refine(S, (tuple(range(S.m)),), alpha, tol)
 
 
+def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
+    """The sorted values without each one within tol of the last one kept.
+    A gap above tol always starts a kept value, so values are walked one by
+    one only inside a run of near-equal ones whose span passes tol."""
+    keep = np.diff(values, prepend=-np.inf) > tol
+    starts = np.flatnonzero(keep)
+    ends = np.r_[starts[1:], len(values)][:len(starts)]
+    wide = values[ends - 1] - values[starts] > tol
+    for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+        last = values[a]
+        for j in range(a + 1, b):
+            if values[j] - last > tol:
+                keep[j], last = True, values[j]
+    return values[keep]
+
+
 def critical_radii(S: PeriodicSet, alpha_max: float):
     """Sorted distinct pairwise distances <= alpha_max, where cluster
     membership (hence any partition) can change."""
@@ -364,12 +380,7 @@ def critical_radii(S: PeriodicSet, alpha_max: float):
     for i in range(S.m):
         d = neighbor_stack(S, i, alpha_max).lengths
         values.append(d[d > tol])
-    values = np.sort(np.concatenate(values))
-    out = []
-    for v in values:
-        if not out or v - out[-1] > tol:
-            out.append(float(v))
-    return out
+    return _distinct(np.sort(np.concatenate(values)), tol).tolist()
 
 
 def isotree(S: PeriodicSet, alpha_max: float, tol: Optional[float] = None
@@ -573,7 +584,7 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
                 members=tuple(block),
             )
         )
-    unstable = any(abs(alpha - c) <= tol_abs for c in crit)
+    unstable = bool(np.any(np.abs(alpha - np.array(crit)) <= tol_abs))
     return Isoset(alpha=alpha, classes=tuple(classes), unstable=unstable)
 
 

@@ -220,6 +220,41 @@ def psi_k_1d_trapezoids(F, k: int) -> pg.PiecewiseLinear:
     return pg.PiecewiseLinear(corners)
 
 
+def ramp_sum(v0: float, breaks, slopes) -> np.ndarray:
+    """Corners of v0 + sum_j slopes[j] * max(t - breaks[j], 0), one ramp
+    sum on its own: the sorted breaks valued by a cumulative sum of slope x
+    gap, each run of breaks within max(CORNER_TOL max(1, span), 4 ulp of
+    the largest t) of the one before taken as one corner, and besides the
+    first and last a corner kept where the run's integer slope changes sum
+    to nonzero."""
+    order = np.argsort(breaks, kind="stable")
+    b, c = breaks[order], slopes[order]
+    rise = np.cumsum(c)[:-1] * np.diff(b)
+    values = v0 + np.r_[0.0, np.cumsum(rise)]
+    tol = max(pg.density.CORNER_TOL * max(1.0, b[-1] - b[0]),
+              4 * np.spacing(abs(b[-1])))
+    starts = np.flatnonzero(np.r_[True, np.diff(b) > tol])
+    keep = np.add.reduceat(c, starts) != 0
+    keep[[0, -1]] = True
+    corners = np.column_stack([b, values])[starts[keep]]
+    corners[np.abs(corners[:, 1]) <= pg.density.CORNER_TOL, 1] = 0.0
+    return corners
+
+
+def psi_k_1d_per_k(F, k: int) -> np.ndarray:
+    """Corners of the exact 1D psi_k from one ramp sum of its own: for k = 0
+    slope -2m at t = 0 and +2 at each g_i / 2 from the value 1, for k >= 1
+    slope +2, -2, -2, +2 at s/2, (s + lo)/2, (s + hi)/2, (s + lo + hi)/2
+    for each row (d_prev, s, d_next) of trapezoid_triples(k)."""
+    if k == 0:
+        m = F.m
+        return ramp_sum(1.0, np.r_[0.0, 0.5 * F.gaps], np.r_[-2 * m, np.full(m, 2)])
+    d_prev, s, d_next = F.trapezoid_triples(k).T
+    lo, hi = np.minimum(d_prev, d_next), np.maximum(d_prev, d_next)
+    breaks = 0.5 * np.concatenate([s, s + lo, s + hi, s + d_prev + d_next])
+    return ramp_sum(0.0, breaks, np.repeat([2, -2, -2, 2], len(s)))
+
+
 def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:
     """psi_sampled's Latin-hypercube sample points, drawn the same way in
     the given cell and folded into the reduced cell."""

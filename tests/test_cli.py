@@ -18,6 +18,7 @@ from perigeo.io import (
 
 from helpers import (
     jitter_set,
+    psi_k_1d_per_k,
     psi_sampled_ball_counts,
     random_periodic_set,
     skew_unimodular,
@@ -427,6 +428,29 @@ class TestCommands:
         far, near = np.array(psi[2000]["corners"]), np.array(psi[1]["corners"])
         assert far.shape == near.shape
         assert np.allclose(far - [999.5, 0.0], near, rtol=0.0, atol=1e-12)
+
+    def test_density_exact_bytes_equal_per_k_payload(self, s32, tmp_path, capsys):
+        # psi_0..psi_8 from one pass print the bytes of the payload built
+        # one ramp sum per k, and the exact plot CSV holds those corners
+        path = tmp_path / "s32.txt"
+        path.write_text(write_set_text(s32))
+        F = pg.DensityFingerprint1D.from_set(s32)
+        psi = []
+        for k in range(9):
+            corners = psi_k_1d_per_k(F, k)
+            original = corners.copy()
+            original[:, 0] *= F.period
+            psi.append({"k": k, "corners": corners.tolist(),
+                        "corners_original_units": original.tolist()})
+        payload = {"schema": 1, "command": "density", "file": str(path), "k": 8,
+                   "mode": "exact", "period": F.period, "psi": psi}
+        assert main(["density", str(path), "-k", "8"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        prefix = tmp_path / "plot"
+        assert main(["density", str(path), "-k", "8", "--plot-csv", str(prefix)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["plot_csv"]) == 9
+        rows = (tmp_path / "plot_k8.csv").read_text().splitlines()
+        assert rows == [f"{t:.12g},{v:.12g}" for t, v in psi[8]["corners"]]
 
     def test_density_sampled_and_plot_csv(self, tmp_path, capsys):
         path = write_1d(tmp_path / "s.txt", [0, 5, 7.5], 15)

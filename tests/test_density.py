@@ -12,6 +12,7 @@ from helpers import (
     coverage_multiplicity_1d,
     lhs_samples,
     psi_bruteforce_1d,
+    psi_k_1d_per_k,
     psi_k_1d_trapezoids,
     psi_sampled_ball_counts,
     psi_sampled_loop,
@@ -185,6 +186,33 @@ class TestRampSum:
             assert got.shape == ref.shape, (F.points, k)
             tol = 1e-12 * max(1.0, ref[-1, 0])
             assert np.allclose(got, ref, rtol=0.0, atol=tol), (F.points, k)
+
+    def test_batched_rows_equal_per_k_ramp_sums(self, s15, q15, s32, q32):
+        # one pass over any list of ks gives, bit for bit, the corners of one
+        # ramp sum per k: on seeded sets with m = 1..12, a third of them with
+        # gaps of 1e-14 to 1e-11 below the corner tolerance and a third with
+        # gaps of 1e-9 to 1e-6, and on criterion 1's sets, for k = 0..3m + 2
+        # shuffled, with repeats and one k past 10,000 periods
+        rng = np.random.default_rng(2400)
+        sets = [DensityFingerprint1D.from_set(S) for S in (s15, q15, s32, q32)]
+        for m in range(1, 13):
+            for low in (None, -14, -9):
+                for _ in range(8):
+                    gaps = rng.random(m) + 0.05
+                    if m > 1 and low is not None:
+                        tiny = rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+                        gaps[tiny] = 10.0 ** rng.uniform(low, low + 3, size=len(tiny))
+                    gaps /= gaps.sum()
+                    sets.append(fingerprint(np.r_[0.0, np.cumsum(gaps)[:-1]]))
+        for F in sets:
+            ks = rng.permutation(np.r_[0:3 * F.m + 3, 0, F.m, 10 ** 4 * F.m + 1])
+            corners, ends = pg.density._psi_rows(F, ks)
+            assert ends[-1] == len(corners)
+            for k, got in zip(ks, np.split(corners, ends[:-1])):
+                ref = psi_k_1d_per_k(F, k)
+                assert got.shape == ref.shape, (F.points, k)
+                assert got.tobytes() == ref.tobytes(), (F.points, k)
+                assert F.psi(k).corners.tobytes() == ref.tobytes(), (F.points, k)
 
     def test_sub_tolerance_gaps_equal_trapezoid_sums_as_functions(self):
         # gaps of 1e-14 to 1e-10, below the corner tolerance's reach, merge

@@ -11,6 +11,7 @@ import perigeo as pg
 from perigeo.core import neighbor_arrays, neighbor_stack
 from perigeo.isoset import (
     _StableScan,
+    _distinct,
     cluster_symmetry_group,
     critical_radii,
     groups_equal,
@@ -355,6 +356,26 @@ class TestIsotree:
         ][-1]
         assert len(at_bridge) == 2
         assert sorted(len(b) for b in at_bridge) == [1, 4]
+
+    def test_distinct_radii_chain_from_the_last_kept(self):
+        # a radius within tol of the last one kept is dropped, also when it
+        # is more than tol past the first of its run: 0.6 tol goes and
+        # 1.2 tol stays; on seeded runs of near-equal radii the result is
+        # the one-by-one rule's
+        tol = pg.core.REL_TOL
+        assert _distinct(np.array([0.0, 0.6 * tol, 1.2 * tol]), tol).tolist() == [
+            0.0, 1.2 * tol]
+        assert _distinct(np.array([]), tol).tolist() == []
+        rng = np.random.default_rng(4040)
+        for _ in range(2000):
+            steps = rng.choice([0.0, 0.3, 0.6, 0.99, 1.0, 1.01, 2.5],
+                               size=int(rng.integers(1, 30)))
+            values = (rng.random() + np.cumsum(steps)) * tol
+            kept = []
+            for v in values.tolist():
+                if not kept or v - kept[-1] > tol:
+                    kept.append(v)
+            assert _distinct(values, tol).tolist() == kept, values
 
     def test_near_tie_raises_data_error(self):
         # criterion 9's supercell jittered by 1e-7, inside the 1e-6 alpha
