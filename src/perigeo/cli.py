@@ -119,7 +119,7 @@ def _parse_grid(spec: str):
         t0, t1, steps = float(t0), float(t1), int(steps)
     except ValueError:
         raise DataError(f"bad grid specification {spec!r}, expected t0:t1:steps")
-    if steps < 1 or t1 < t0:
+    if steps < 1 or not (math.isfinite(t0) and math.isfinite(t1)) or t1 < t0:
         raise DataError(f"bad grid specification {spec!r}")
     check_limit(steps, f"grid {spec!r} has {steps} radii")
     return np.linspace(t0, t1, steps)

@@ -7,6 +7,11 @@ Conventions used throughout the package:
 * motif points carry fractional coordinates in the half-open box [0, 1)^n,
   which avoids any weighted counting of points on cell boundaries;
 * all functions are pure and never mutate their inputs.
+
+One pair list, neighbor_pairs (the motif points' cached neighbor-stack
+prefixes without each point itself), feeds the least interpoint distance,
+the bridge length (one orientation per edge, by one mask) and isoset's
+critical radii.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ MIN_BASIS_LENGTH = 1e-100
 # relative tolerance for distance comparisons and deduplication
 REL_TOL = 1e-9
 # most entries of one block of pairwise distances or differences (the
-# coincidence check here, the neighbor distances in amd)
+# coincidence check here, the neighbor distances in amd, the nearest-point
+# queries in metric)
 BLOCK_ENTRIES = 2_000_000
 
 
@@ -353,17 +359,27 @@ def neighbor_cloud(S: PeriodicSet, reach: float):
     return pts[cells, idx], idx
 
 
+def neighbor_pairs(S: PeriodicSet, radius: float):
+    """(i, j, shift, length) of every point within `radius` of a motif
+    point i, motif point j in the cell of lattice coordinates shift: the
+    neighbor stacks in motif order, each without the point itself.  A stack
+    is sorted by length, and the point itself is its only length within
+    REL_TOL * d (motif points do not coincide), so it is a prefix."""
+    tol = REL_TOL * S.cell.diameter
+    stacks = [neighbor_stack(S, i, radius) for i in range(S.m)]
+    cut = [np.searchsorted(s.lengths, tol, side="right") for s in stacks]
+    i = np.repeat(np.arange(S.m), [len(s.lengths) - c for s, c in zip(stacks, cut)])
+    j, shifts, lengths = (
+        np.concatenate([getattr(s, name)[c:] for s, c in zip(stacks, cut)])
+        for name in ("indices", "shifts", "lengths"))
+    return i, j, shifts, lengths
+
+
 def min_interpoint_distance(S: PeriodicSet) -> float:
     """Minimum distance between distinct points of the infinite set, at
     most the shortest lattice vector, the reduced cell's first row."""
     probe = float(np.linalg.norm(S.cell._reduction[2].basis[0])) * (1 + 1e-9)
-    best = math.inf
-    for i in range(S.m):
-        dist = neighbor_stack(S, i, probe).lengths
-        dist = dist[dist > REL_TOL * S.cell.diameter]
-        if dist.size:
-            best = min(best, float(dist.min()))
-    return best
+    return float(neighbor_pairs(S, probe)[3].min())
 
 
 def packing_covering_radii(S: PeriodicSet) -> tuple:
@@ -408,31 +424,15 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     return r, R
 
 
-def _quotient_edges(S: PeriodicSet, max_len: float):
-    """Undirected edges (i, j, shift, length) of the quotient multigraph with
-    hop length <= max_len, one orientation per geometric edge."""
-    edges = []
-    for i in range(S.m):
-        _, dist, idx, shifts = neighbor_stack(S, i, max_len)
-        for k in range(len(idx)):
-            length = float(dist[k])
-            if length <= REL_TOL * S.cell.diameter:
-                continue
-            j, shift = int(idx[k]), tuple(int(c) for c in shifts[k])
-            if j < i:
-                continue
-            if j == i and shift < tuple(-c for c in shift):
-                continue
-            edges.append((i, j, shift, length))
-    return edges
-
-
 def bridge_length(S: PeriodicSet) -> float:
     """Exact bridge length: the smallest hop length whose hop graph connects
     the whole infinite set.
 
     The quotient edges up to max{b, d/2} of the reduced cell, which is
-    always feasible, are walked once by length.  A union-find over the
+    always feasible, are walked once by length (a stable argsort): the
+    pairs (i, j, shift) of neighbor_pairs with j > i, or j == i and the
+    first nonzero shift coordinate positive, one per geometric edge, as
+    (j, i, -shift) is the same edge.  A union-find over the
     motif points keeps each point's lattice offset from its root; an edge
     inside a component closes a cycle of translation off_i + shift - off_j,
     which joins an integer echelon basis by Hermite (Euclid) steps.  The
@@ -445,8 +445,11 @@ def bridge_length(S: PeriodicSet) -> float:
     reduced = S.cell._reduction[2]
     bound = max(reduced.longest_edge, 0.5 * reduced.diameter)
     tol = REL_TOL * S.cell.diameter
-    edges = sorted(_quotient_edges(S, bound * (1 + 1e-9) + tol),
-                   key=lambda e: e[3])
+    i, j, shifts, lengths = neighbor_pairs(S, bound * (1 + 1e-9) + tol)
+    lead = shifts[np.arange(len(shifts)), np.argmax(shifts != 0, axis=1)]
+    keep = np.flatnonzero((j > i) | ((j == i) & (lead > 0)))
+    keep = keep[np.argsort(lengths[keep], kind="stable")]
+    edges = zip(*(a[keep].tolist() for a in (i, j, shifts, lengths)))
     parent = list(range(S.m))
     offset = [(0,) * n] * S.m  # lattice offset of a point from its parent
 

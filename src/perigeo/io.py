@@ -124,6 +124,8 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
         if key not in data:
             raise ParseError(f"missing key {key!r}", 0, path)
     dim = data["dim"]
+    if type(dim) is not int:  # a JSON true would pass isinstance(dim, int)
+        raise ParseError(f"dim must be an integer, got {dim!r}", 0, path)
     try:
         basis = np.asarray(data["basis"], dtype=float)
         motif = np.atleast_2d(np.asarray(data["motif"], dtype=float))
@@ -138,8 +140,9 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
     if not np.all((motif >= 0.0) & (motif < 1.0)):
         raise ParseError("fractional coordinate outside [0, 1)", 0, path)
     labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ParseError("labels must be a list", 0, path)
+    if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ParseError("labels must be a list of strings", 0, path)
     try:
         return PeriodicSet(UnitCell(basis), motif,
                            tuple(labels) if labels else None)

@@ -27,6 +27,7 @@ from .core import (
     PeriodicSet,
     bridge_length,
     easy_stable_radius,
+    neighbor_pairs,
     neighbor_stack,
 )
 
@@ -375,12 +376,8 @@ def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
 def critical_radii(S: PeriodicSet, alpha_max: float):
     """Sorted distinct pairwise distances <= alpha_max, where cluster
     membership (hence any partition) can change."""
-    tol = REL_TOL * S.cell.diameter
-    values = []
-    for i in range(S.m):
-        d = neighbor_stack(S, i, alpha_max).lengths
-        values.append(d[d > tol])
-    return _distinct(np.sort(np.concatenate(values)), tol).tolist()
+    lengths = np.sort(neighbor_pairs(S, alpha_max)[3])
+    return _distinct(lengths, REL_TOL * S.cell.diameter).tolist()
 
 
 def isotree(S: PeriodicSet, alpha_max: float, tol: Optional[float] = None
@@ -531,13 +528,9 @@ class _StableScan:
 
     def run(self) -> StableRadiusResult:
         beta, upper, snap_tol = self.beta, self.upper, self.snap_tol
-        candidates = {beta, upper}
-        for c in self.crit:
-            if beta - snap_tol <= c <= upper + snap_tol:
-                candidates.add(c)
-            if beta - snap_tol <= c + beta <= upper + snap_tol:
-                candidates.add(c + beta)
-        for alpha in sorted(candidates):
+        grid = np.r_[self.crit, np.add(self.crit, beta)]
+        grid = grid[(grid >= beta - snap_tol) & (grid <= upper + snap_tol)]
+        for alpha in np.unique(np.r_[beta, upper, grid]).tolist():
             hi, lo = self.snap(alpha), self.snap(max(alpha - beta, 0.0))
             # the lower level first, so that the higher one refines it
             if self.partition(lo) != self.partition(hi):

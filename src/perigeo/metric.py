@@ -61,7 +61,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import change_cell, neighbor_cloud
+from .core import BLOCK_ENTRIES, change_cell, neighbor_cloud
 from .isoset import (Cluster, IsometryClass, Isoset, _rank_and_frame,
                      _reduced_maps, match_tolerance)
 
@@ -116,10 +116,10 @@ def _nearest(P: np.ndarray, tree: cKDTree, maps: np.ndarray) -> np.ndarray:
 
     The distances come from coordinate differences, so isometric copies
     read about 1e-15 instead of an inner-product float floor; one product
-    and one query per chunk of about 2e6 points bound the memory."""
+    and one query per chunk of about BLOCK_ENTRIES points bound the memory."""
     T, k = len(maps), len(P)
     out = np.empty((T, k))
-    chunk = max(1, int(2e6) // k)
+    chunk = max(1, BLOCK_ENTRIES // k)
     for a in range(0, T, chunk):
         b = min(a + chunk, T)
         moved = np.einsum("tij,kj->tki", maps[a:b], P)

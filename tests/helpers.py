@@ -6,6 +6,7 @@ shares no implementation path with them.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -101,6 +102,30 @@ def random_unimodular(rng, n: int, steps: int) -> np.ndarray:
         i, j = rng.choice(n, 2, replace=False)
         U[i] += rng.integers(-3, 4) * U[j]
     return U
+
+
+def contract_sets():
+    """Skewed 2D and 3D cells (skew up to 0.4) with m = 1..3, every other
+    one re-celled by a unimodular matrix, and sets re-expressed in cells
+    about 5 (2D) and 2 (3D) times longer than wide, whose reduced cells
+    differ from the given ones."""
+    rng = np.random.default_rng(1212)
+    out = []
+    for n in (2, 3):
+        for skew in (0.1, 0.25, 0.4):
+            for m in (1, 2, 3):
+                try:
+                    S = random_periodic_set(rng, n, m, skew=skew)
+                except pg.DataError:  # a thin cell passed the enumeration cap
+                    continue
+                if len(out) % 2:
+                    S = pg.change_cell(S, UNIMODULAR[n][1 + len(out) % 3])
+                out.append(S)
+    for n, c in ((2, 5), (3, 1)):
+        for m in (1, 2):
+            S = random_periodic_set(rng, n, m)
+            out.append(pg.change_cell(S, skew_unimodular(n, c)))
+    return out
 
 
 def successive_minima(basis, reach: int = 3) -> np.ndarray:
@@ -605,6 +630,129 @@ def bridge_length_patch(S: pg.PeriodicSet, cells: int = 5) -> float:
         else:
             lo = mid + 1
     return float(values[lo])
+
+
+def critical_radii_loop(S: pg.PeriodicSet, alpha_max: float) -> list:
+    """isoset.critical_radii one motif point at a time: each neighbor
+    stack's lengths above REL_TOL * d, concatenated, sorted and thinned by
+    isoset._distinct."""
+    from perigeo.core import REL_TOL, neighbor_stack
+    from perigeo.isoset import _distinct
+
+    tol = REL_TOL * S.cell.diameter
+    values = []
+    for i in range(S.m):
+        d = neighbor_stack(S, i, alpha_max).lengths
+        values.append(d[d > tol])
+    return _distinct(np.sort(np.concatenate(values)), tol).tolist()
+
+
+def min_interpoint_distance_loop(S: pg.PeriodicSet) -> float:
+    """core.min_interpoint_distance one motif point at a time."""
+    from perigeo.core import REL_TOL, neighbor_stack
+
+    probe = float(np.linalg.norm(S.cell._reduction[2].basis[0])) * (1 + 1e-9)
+    best = math.inf
+    for i in range(S.m):
+        dist = neighbor_stack(S, i, probe).lengths
+        dist = dist[dist > REL_TOL * S.cell.diameter]
+        if dist.size:
+            best = min(best, float(dist.min()))
+    return best
+
+
+def quotient_edges_loop(S: pg.PeriodicSet, max_len: float) -> list:
+    """Undirected edges (i, j, shift, length) of the quotient multigraph
+    with hop length <= max_len, one tuple per neighbor, one orientation per
+    geometric edge: j >= i, and for j == i the shift that is not below its
+    negation as a tuple."""
+    from perigeo.core import REL_TOL, neighbor_stack
+
+    edges = []
+    for i in range(S.m):
+        _, dist, idx, shifts = neighbor_stack(S, i, max_len)
+        for k in range(len(idx)):
+            length = float(dist[k])
+            if length <= REL_TOL * S.cell.diameter:
+                continue
+            j, shift = int(idx[k]), tuple(int(c) for c in shifts[k])
+            if j < i:
+                continue
+            if j == i and shift < tuple(-c for c in shift):
+                continue
+            edges.append((i, j, shift, length))
+    return edges
+
+
+def bridge_length_loop(S: pg.PeriodicSet) -> float:
+    """core.bridge_length over quotient_edges_loop sorted by a key on
+    length: the same union-find walk and Hermite steps."""
+    from perigeo.core import REL_TOL
+
+    n = S.dim
+    reduced = S.cell._reduction[2]
+    bound = max(reduced.longest_edge, 0.5 * reduced.diameter)
+    tol = REL_TOL * S.cell.diameter
+    edges = sorted(quotient_edges_loop(S, bound * (1 + 1e-9) + tol),
+                   key=lambda e: e[3])
+    parent = list(range(S.m))
+    offset = [(0,) * n] * S.m
+
+    def find(u):
+        off = (0,) * n
+        while parent[u] != u:
+            off = tuple(a + b for a, b in zip(off, offset[u]))
+            u = parent[u]
+        return u, off
+
+    components, rows, start = S.m, {}, -math.inf
+    for i, j, shift, length in edges:
+        if length - start > tol:
+            start = length
+        (root_i, off_i), (root_j, off_j) = find(i), find(j)
+        cycle = [a + s - b for a, s, b in zip(off_i, shift, off_j)]
+        if root_i != root_j:
+            parent[root_j], offset[root_j] = root_i, cycle
+            components -= 1
+        else:
+            for c in range(n):
+                if cycle[c] and c not in rows:
+                    rows[c] = cycle
+                    break
+                while cycle[c]:
+                    q = rows[c][c] // cycle[c]
+                    rows[c], cycle = cycle, [a - q * b for a, b in zip(rows[c], cycle)]
+        if (components == 1 and len(rows) == n
+                and abs(math.prod(r[c] for c, r in rows.items())) == 1):
+            return start
+    raise RuntimeError("no feasible bridge threshold below max{b, d/2}")
+
+
+def minimum_stable_radius_loop(S: pg.PeriodicSet, tol=None):
+    """isoset._StableScan.run on the grid of critical_radii_loop and the
+    beta of bridge_length_loop, its candidate radii gathered one grid
+    level at a time into a Python set.  Returns (alpha, beta, fallback)."""
+    from perigeo.isoset import _StableScan, groups_equal, match_tolerance
+
+    scan = _StableScan(S, tol)
+    upper, snap_tol = scan.upper, scan.snap_tol
+    scan.crit = [0.0] + critical_radii_loop(S, upper + snap_tol)
+    scan.band = 2.0 * match_tolerance(scan.crit[-1], tol)
+    beta = scan.beta = bridge_length_loop(S)
+    candidates = {beta, upper}
+    for c in scan.crit:
+        if beta - snap_tol <= c <= upper + snap_tol:
+            candidates.add(c)
+        if beta - snap_tol <= c + beta <= upper + snap_tol:
+            candidates.add(c + beta)
+    for alpha in sorted(candidates):
+        hi, lo = scan.snap(alpha), scan.snap(max(alpha - beta, 0.0))
+        if scan.partition(lo) != scan.partition(hi):
+            continue
+        if all(groups_equal(scan.group(p, hi), scan.group(p, lo))
+               for p in range(S.m)):
+            return alpha, beta, False
+    return upper, beta, True
 
 
 def transport_bruteforce(costs, supply, demand):

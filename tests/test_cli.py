@@ -184,6 +184,17 @@ class TestParsing:
         except ParseError:
             pass
 
+    def test_json_refuses_non_integer_dim_and_non_string_labels(self):
+        base = {"basis": [[2.0]], "motif": [[0.5]]}
+        for dim in (True, "1", 1.0, None):
+            with pytest.raises(ParseError, match="dim must be an integer"):
+                parse_set_json(json.dumps({"dim": dim, **base}))
+        for labels in ([None], [[1, 2]], [1], "A"):
+            with pytest.raises(ParseError, match="labels must be a list of strings"):
+                parse_set_json(json.dumps({"dim": 1, **base, "labels": labels}))
+        S = parse_set_json(json.dumps({"dim": 1, **base, "labels": ["A"]}))
+        assert S.dim == 1 and S.labels == ("A",)
+
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         cell = pg.UnitCell(np.eye(2) + 0.1 * rng.normal(size=(2, 2)))
@@ -267,6 +278,17 @@ class TestExitCodes:
                      ["density", str(path), "-k", "1", "--grid", "0:1e300:3"]):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith("error: radius")
+
+    def test_non_finite_grid_is_two(self, tmp_path, capsys):
+        # refused as a grid before np.linspace, with no numpy warning, which
+        # the test configuration turns into an error
+        path = tmp_path / "sq.txt"
+        path.write_text("dim 2\n1 0\n0 1\nmotif 1\n0 0\n", encoding="utf-8")
+        for grid in ("0:inf:5", "-inf:0:3", "nan:1:3", "0:nan:3"):
+            assert main(["density", str(path), "-k", "1", "--samples", "100",
+                         f"--grid={grid}"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: bad grid specification")
 
     def test_mixed_dimensions_are_two(self, tmp_path, capsys):
         one = write_1d(tmp_path / "one.txt", [0], 1)

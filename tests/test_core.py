@@ -11,6 +11,7 @@ from perigeo.core import min_interpoint_distance, neighbor_arrays, neighbor_clou
 from helpers import (
     UNIMODULAR,
     bridge_length_patch,
+    contract_sets,
     covering_radius_reach_2d,
     jitter_set,
     random_orthogonal,
@@ -212,36 +213,12 @@ def _brute_neighbors(S, p, alpha, cube):
     return vecs[order], idx[order], shifts[order]
 
 
-def _contract_sets():
-    """Skewed 2D and 3D cells (skew up to 0.4) with m = 1..3, every other
-    one re-celled by a unimodular matrix, and sets re-expressed in cells
-    about 5 (2D) and 2 (3D) times longer than wide, whose reduced cells
-    differ from the given ones."""
-    rng = np.random.default_rng(1212)
-    out = []
-    for n in (2, 3):
-        for skew in (0.1, 0.25, 0.4):
-            for m in (1, 2, 3):
-                try:
-                    S = random_periodic_set(rng, n, m, skew=skew)
-                except pg.DataError:  # a thin cell passed the enumeration cap
-                    continue
-                if len(out) % 2:
-                    S = pg.change_cell(S, UNIMODULAR[n][1 + len(out) % 3])
-                out.append(S)
-    for n, c in ((2, 5), (3, 1)):
-        for m in (1, 2):
-            S = random_periodic_set(rng, n, m)
-            out.append(pg.change_cell(S, skew_unimodular(n, c)))
-    return out
-
-
 class TestEnumerationContract:
     """neighbor_arrays and neighbor_cloud against enumerations over a cube
     of offsets wider than any window they visit."""
 
     def test_neighbor_arrays_equals_brute_force(self):
-        for S in _contract_sets():
+        for S in contract_sets():
             d = S.cell.diameter
             cube = _cube_points(S, d)
             for p in range(S.m):
@@ -259,7 +236,7 @@ class TestEnumerationContract:
 
     def test_neighbor_cloud_holds_every_point_within_reach(self):
         rng = np.random.default_rng(1313)
-        for S in _contract_sets():
+        for S in contract_sets():
             n, d = S.dim, S.cell.diameter
             corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
             probes = np.vstack([corners, rng.random((16, n))]) @ S.cell.basis
@@ -273,7 +250,7 @@ class TestEnumerationContract:
                 assert np.array_equal(cloud_idx[at], idx[wanted])
 
     def test_neighbor_cloud_stays_in_the_reach_slab(self):
-        for S in _contract_sets():
+        for S in contract_sets():
             dual = np.linalg.norm(S.cell.inv_basis, axis=0)
             for reach in (0.3, 0.5, 1.0):
                 reach *= S.cell.diameter
@@ -292,12 +269,12 @@ class TestReducedView:
             assert S.reduced is S
 
     def test_cached(self):
-        S = _contract_sets()[-1]
+        S = contract_sets()[-1]
         assert S.reduced is not S
         assert S.reduced is S.reduced
 
     def test_equals_change_cell(self):
-        for S in _contract_sets():
+        for S in contract_sets():
             S = pg.PeriodicSet(S.cell, S.motif, tuple(f"p{i}" for i in range(S.m)))
             U = S.cell._reduction[0]
             T = pg.change_cell(S, U)
@@ -318,7 +295,7 @@ class TestReducedView:
                     pg.density.psi_sampled(S, 3, grid, 300, seed=4),
                     pg.bottleneck_distance_common_cell(S, Q))
 
-        pairs = [(S, jitter_set(rng, S, 0.05)[0]) for S in _contract_sets()]
+        pairs = [(S, jitter_set(rng, S, 0.05)[0]) for S in contract_sets()]
         want = [answers(S, Q) for S, Q in pairs]
         monkeypatch.setattr(pg.PeriodicSet, "reduced", property(
             lambda S: pg.change_cell(S, S.cell._reduction[0])))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
-from perigeo.core import neighbor_arrays, neighbor_stack
+from perigeo.core import min_interpoint_distance, neighbor_arrays, neighbor_stack
 from perigeo.isoset import (
     _StableScan,
     _distinct,
@@ -20,8 +20,13 @@ from perigeo.isoset import (
 from helpers import (
     UNIMODULAR,
     alpha_partition_scratch,
+    bridge_length_loop,
+    contract_sets,
+    critical_radii_loop,
     jitter_set,
     layered_set,
+    min_interpoint_distance_loop,
+    minimum_stable_radius_loop,
     minimum_stable_radius_scratch,
     random_orthogonal,
     random_periodic_set,
@@ -580,3 +585,41 @@ class TestMonotoneScan:
         Q, _ = jitter_set(np.random.default_rng(seed), S, eps)
         assert pg.minimum_stable_radius(Q).alpha == pytest.approx(exact, rel=1e-5)
         assert minimum_stable_radius_scratch(Q)[0] > exact * (1 + 1e-5)
+
+
+class TestPairList:
+    """The radii read off core.neighbor_pairs against the per-point loops
+    they replaced, bit for bit: seeded 1D-3D sets with m = 1..6 (at m = 1
+    every edge is a loop, so the orientation rule decides the bridge
+    length), also on cells 2-3 times longer than wide, layered sets,
+    re-celled skewed cells and the symmetric sets with their isometric
+    copies."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(2828)
+        for n in (1, 2, 3):
+            for m in range(1, 7):
+                S = random_periodic_set(rng, n, m, skew=(0.05, 0.2, 0.4)[m % 3])
+                yield S
+                if n > 1:
+                    yield pg.change_cell(S, skew_unimodular(n, 1 + m % 2))
+        for seed in range(6):
+            yield layered_set(np.random.default_rng(seed), 2 + seed % 2, 1 + seed % 3)
+        yield from contract_sets()
+        for S in symmetric_sets().values():
+            yield from isometric_copies(S, rng)
+
+    def test_radii_equal_the_loops(self):
+        for S in self.corpus():
+            assert min_interpoint_distance(S) == min_interpoint_distance_loop(S)
+            beta = pg.bridge_length(S)
+            assert beta == bridge_length_loop(S)
+            for alpha in (0.5 * beta, beta, pg.easy_stable_radius(S)):
+                assert critical_radii(S, alpha) == critical_radii_loop(S, alpha)
+
+    def test_stable_radius_equals_the_loop(self):
+        for S in self.corpus():
+            res = pg.minimum_stable_radius(S)
+            assert (res.alpha, res.beta, res.fallback) == \
+                minimum_stable_radius_loop(S)
