@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,11 @@ def _emit(data, fmt: str = "json", csv_text: str = ""):
     if fmt == "csv":
         sys.stdout.write(csv_text)
     else:
-        json.dump(data, sys.stdout, indent=2)
+        # one write per 2^16 of the encoder's chunks (one per token): a
+        # write per token is a system call each on an unbuffered stdout
+        chunks = json.JSONEncoder(indent=2).iterencode(data)
+        for first in chunks:
+            sys.stdout.write(first + "".join(islice(chunks, (1 << 16) - 1)))
         sys.stdout.write("\n")
 
 

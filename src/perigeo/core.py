@@ -10,8 +10,8 @@ Conventions used throughout the package:
 
 One pair list, neighbor_pairs (the motif points' cached neighbor-stack
 prefixes without each point itself), feeds the least interpoint distance,
-the bridge length (one orientation per edge, by one mask) and isoset's
-critical radii.
+the bridge length (one orientation per edge, by one mask), isoset's
+critical radii and its unstable flag.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class NeighborStack(NamedTuple):
 
 
 # relative slack of the radius a stack is enumerated at, so that the small
-# margins a later caller adds to the same radius (isoset's critical radii
-# at alpha + 2 tol) do not enumerate again
+# margins a later caller adds to the same radius (isoset's unstable flag
+# reads the pairs within alpha + tol) do not enumerate again
 STACK_SLACK = 1e-3
 
 

@@ -58,6 +58,9 @@ def parse_set_text(text: str, path: str = "") -> PeriodicSet:
         dim = int(toks[1])
     except ValueError:
         raise ParseError(f"dimension is not an integer: {toks[1]!r}", lineno, path)
+    if not 1 <= dim <= 3:
+        raise ParseError(f"dimension {dim} not supported (only n = 1, 2, 3)",
+                         lineno, path)
 
     basis = []
     for _ in range(dim):
@@ -126,6 +129,8 @@ def parse_set_json(text: str, path: str = "") -> PeriodicSet:
     dim = data["dim"]
     if type(dim) is not int:  # a JSON true would pass isinstance(dim, int)
         raise ParseError(f"dim must be an integer, got {dim!r}", 0, path)
+    if not 1 <= dim <= 3:
+        raise ParseError(f"dimension {dim} not supported (only n = 1, 2, 3)", 0, path)
     try:
         basis = np.asarray(data["basis"], dtype=float)
         motif = np.atleast_2d(np.asarray(data["motif"], dtype=float))

@@ -105,7 +105,7 @@ class IsometryClass:
 class Isoset:
     alpha: float
     classes: tuple
-    unstable: bool = False  # alpha within tolerance of a critical radius
+    unstable: bool = False  # a pair length within the match tolerance of alpha
 
     @property
     def weights(self):
@@ -143,10 +143,9 @@ def _rank_and_frame(points: np.ndarray, scale: float):
 
     Only the n x n V^T is used, so the k x k U of a full SVD is built only
     when the k points are fewer than the n dimensions and the thin V^T
-    would lack rows."""
+    would lack rows.  The center alone has rank 0: its one singular value,
+    0, is not above the threshold of its zero scale."""
     k, n = points.shape
-    if k == 1:
-        return 0, np.eye(n)
     _, sv, vt = np.linalg.svd(points, full_matrices=k < n)
     thresh = RANK_TOL * scale
     rank = int(np.sum(sv > thresh))
@@ -261,8 +260,6 @@ def _isometry_maps(C: Cluster, D: Cluster, tol: Optional[float],
     rank_d, frame_d = _rank_and_frame(D.points, scale)
     if rank_c != rank_d:
         return []
-    if rank_c == 0:
-        return [np.eye(n)]
     pc = C.points @ frame_c[:rank_c].T
     pd = D.points @ frame_d[:rank_d].T
     reduced = _reduced_maps(pc, pd, tol_abs, first_only)
@@ -285,25 +282,19 @@ def symmetry_group(S: PeriodicSet, p_index: int, alpha: float,
 
 def cluster_symmetry_group(C: Cluster, tol: Optional[float] = None
                            ) -> SymmetryGroup:
+    """The cluster's self-isometries from the isometry search of C onto
+    itself; in codimension 1 each map is followed by its product with the
+    reflection across the hull."""
     n = C.dim
-    tol_abs = match_tolerance(C.alpha, tol)
-    scale = float(C.lengths.max())
-    rank, frame = _rank_and_frame(C.points, scale)
-    pc = C.points @ frame[:rank].T
-    reduced = _reduced_maps(pc, pc, tol_abs, first_only=False)
-    codim = n - rank
-    if codim >= 2:
-        return SymmetryGroup(continuous=True, rank=rank,
-                             reduced_order=len(reduced))
-    elements = []
-    for m in reduced:
-        if codim == 0:
-            elements.append(_embed_map(m, frame, frame, n))
-        else:
-            for sign in (1.0, -1.0):
-                elements.append(_embed_map(m, frame, frame, n, det_sign=sign))
-    return SymmetryGroup(continuous=False, rank=rank,
-                         reduced_order=len(reduced),
+    rank, frame = _rank_and_frame(C.points, float(C.lengths.max()))
+    maps = _isometry_maps(C, C, tol, first_only=False)
+    if n - rank >= 2:
+        return SymmetryGroup(continuous=True, rank=rank, reduced_order=len(maps))
+    elements = maps
+    if rank < n:
+        flip = _embed_map(np.eye(rank), frame, frame, n, det_sign=-1.0)
+        elements = [e for m in maps for e in (m, flip @ m)]
+    return SymmetryGroup(continuous=False, rank=rank, reduced_order=len(maps),
                          elements=tuple(elements), order=len(elements))
 
 
@@ -564,7 +555,8 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
     the lexicographically smallest sorted cluster of the class."""
     tol_abs = match_tolerance(alpha, tol)
     # the largest radius first: every cluster is a prefix of its stack
-    crit = critical_radii(S, alpha + 2 * tol_abs + REL_TOL * S.cell.diameter)
+    lengths = neighbor_pairs(S, alpha + tol_abs)[3]
+    unstable = bool(np.any(np.abs(lengths - alpha) <= tol_abs))
     partition = alpha_partition(S, alpha, tol)
     classes = []
     for block in partition:
@@ -577,7 +569,6 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
                 members=tuple(block),
             )
         )
-    unstable = bool(np.any(np.abs(alpha - np.array(crit)) <= tol_abs))
     return Isoset(alpha=alpha, classes=tuple(classes), unstable=unstable)
 
 
@@ -604,10 +595,6 @@ def isosets_equal(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None,
         alpha = common_stable_alpha(S, Q)
     A = isoset(S, alpha, tol)
     B = isoset(Q, alpha, tol)
-    if len(A.classes) != len(B.classes):
-        return False
-    if sorted(A.weights) != sorted(B.weights):
-        return False
     # classes within one isoset are pairwise non-isometric, so each class
     # has at most one partner and greedy matching is a perfect matching
     unmatched = list(B.classes)
@@ -620,4 +607,4 @@ def isosets_equal(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None,
                 break
         else:
             return False
-    return True
+    return not unmatched

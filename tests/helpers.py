@@ -647,6 +647,41 @@ def critical_radii_loop(S: pg.PeriodicSet, alpha_max: float) -> list:
     return _distinct(np.sort(np.concatenate(values)), tol).tolist()
 
 
+def cluster_symmetry_group_referee(C: pg.Cluster, tol=None) -> pg.SymmetryGroup:
+    """isoset.cluster_symmetry_group as its own search: the hull frame (the
+    identity for the center alone), the projection onto the hull, the
+    reduced maps of the projected cluster onto itself, and in codimension
+    1 each map embedded with both signs across the hull."""
+    from perigeo.isoset import RANK_TOL, _embed_map, _reduced_maps, match_tolerance
+
+    k, n = C.points.shape
+    if k == 1:
+        rank, frame = 0, np.eye(n)
+    else:
+        _, sv, frame = np.linalg.svd(C.points, full_matrices=k < n)
+        rank = int(np.sum(sv > RANK_TOL * float(C.lengths.max())))
+    pc = C.points @ frame[:rank].T
+    reduced = _reduced_maps(pc, pc, match_tolerance(C.alpha, tol), first_only=False)
+    if n - rank >= 2:
+        return pg.SymmetryGroup(continuous=True, rank=rank, reduced_order=len(reduced))
+    signs = (1.0,) if rank == n else (1.0, -1.0)
+    elements = tuple(_embed_map(m, frame, frame, n, det_sign=sign)
+                     for m in reduced for sign in signs)
+    return pg.SymmetryGroup(continuous=False, rank=rank, reduced_order=len(reduced),
+                            elements=elements, order=len(elements))
+
+
+def unstable_flag_referee(S: pg.PeriodicSet, alpha: float, tol=None) -> bool:
+    """Isoset.unstable from the critical radii: a distinct pair length
+    within alpha + 2 tol + REL_TOL * d lies within tol of alpha."""
+    from perigeo.core import REL_TOL
+    from perigeo.isoset import critical_radii, match_tolerance
+
+    tol_abs = match_tolerance(alpha, tol)
+    crit = critical_radii(S, alpha + 2 * tol_abs + REL_TOL * S.cell.diameter)
+    return bool(np.any(np.abs(alpha - np.array(crit)) <= tol_abs))
+
+
 def min_interpoint_distance_loop(S: pg.PeriodicSet) -> float:
     """core.min_interpoint_distance one motif point at a time."""
     from perigeo.core import REL_TOL, neighbor_stack

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 import warnings
 
@@ -194,6 +196,28 @@ class TestParsing:
                 parse_set_json(json.dumps({"dim": 1, **base, "labels": labels}))
         S = parse_set_json(json.dumps({"dim": 1, **base, "labels": ["A"]}))
         assert S.dim == 1 and S.labels == ("A",)
+
+    def test_text_refuses_dimension_outside_one_to_three_at_header(self, tmp_path,
+                                                                   capsys):
+        for dim in (-1, 0, 4, 10 ** 30):
+            text = f"# comment\ndim {dim}\n1 0\n0 1\nmotif 1\n0 0\n"
+            with pytest.raises(ParseError, match=f"dimension {dim} not supported") as err:
+                parse_set_text(text)
+            assert err.value.line == 2
+            path = tmp_path / "bad.txt"
+            path.write_text(text, encoding="utf-8")
+            assert main(["amd", str(path), "-k", "2"]) == 2
+            assert f"bad.txt:2: dimension {dim} not supported" in capsys.readouterr().err
+
+    def test_json_refuses_dimension_outside_one_to_three(self, tmp_path, capsys):
+        for dim in (-1, 0, 4, 10 ** 30):
+            text = json.dumps({"dim": dim, "basis": [[1.0]], "motif": [[0.0]]})
+            with pytest.raises(ParseError, match=f"dimension {dim} not supported"):
+                parse_set_json(text)
+            path = tmp_path / "bad.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["amd", str(path), "-k", "2"]) == 2
+            assert f"dimension {dim} not supported" in capsys.readouterr().err
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -450,6 +474,25 @@ class TestCommands:
         far, near = np.array(psi[2000]["corners"]), np.array(psi[1]["corners"])
         assert far.shape == near.shape
         assert np.allclose(far - [999.5, 0.0], near, rtol=0.0, atol=1e-12)
+
+    def test_json_written_in_a_few_batches(self, tmp_path, monkeypatch):
+        # the encoder yields one chunk per token; they reach stdout joined,
+        # as the bytes json.dumps(indent=2) gives
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        path = write_1d(tmp_path / "one.txt", [0], 1)
+        assert main(["density", path, "-k", "2000"]) == 0
+        text = out.getvalue()
+        doc = json.loads(text)
+        assert len(doc["psi"]) == 2001 and out.writes <= 4
+        assert text == json.dumps(doc, indent=2) + "\n"
 
     def test_density_exact_bytes_equal_per_k_payload(self, s32, tmp_path, capsys):
         # psi_0..psi_8 from one pass print the bytes of the payload built

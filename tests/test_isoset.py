@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
+from perigeo.cli import main
 from perigeo.core import min_interpoint_distance, neighbor_arrays, neighbor_stack
+from perigeo.io import write_set_text
 from perigeo.isoset import (
     _StableScan,
     _distinct,
@@ -21,6 +24,7 @@ from helpers import (
     UNIMODULAR,
     alpha_partition_scratch,
     bridge_length_loop,
+    cluster_symmetry_group_referee,
     contract_sets,
     critical_radii_loop,
     jitter_set,
@@ -32,6 +36,7 @@ from helpers import (
     random_periodic_set,
     rot2,
     skew_unimodular,
+    unstable_flag_referee,
 )
 
 
@@ -623,3 +628,77 @@ class TestPairList:
             res = pg.minimum_stable_radius(S)
             assert (res.alpha, res.beta, res.fallback) == \
                 minimum_stable_radius_loop(S)
+
+
+class TestOneSearch:
+    """Symmetry groups from the isometry search of a cluster onto itself,
+    and the unstable flag off the pair list, against the group's own search
+    and the flag from the critical radii (tests/helpers.py)."""
+
+    @staticmethod
+    def set_clusters():
+        """Every motif point's clusters at 0 and the first critical radii,
+        for the symmetric sets and layered sets."""
+        sets = list(symmetric_sets().values())
+        sets += [layered_set(np.random.default_rng(seed), 2 + seed % 2, 1 + seed % 3)
+                 for seed in range(6)]
+        for S in sets:
+            radii = [0.0] + critical_radii(S, pg.easy_stable_radius(S))[:5]
+            for p in range(S.m):
+                for alpha in radii:
+                    yield pg.alpha_cluster(S, p, alpha)
+
+    @staticmethod
+    def free_clusters():
+        """Planar and collinear clusters in 3D, and the center alone in
+        1D-3D."""
+        for name, points in _frame_clusters().items():
+            if "3D" in name and "solid" not in name:
+                yield pg.Cluster(0, 3.0, points)
+        for n in (1, 2, 3):
+            yield pg.Cluster(0, 1.0, np.zeros((1, n)))
+
+    def test_groups_equal_the_referee(self):
+        seen = set()
+        for C in [*self.set_clusters(), *self.free_clusters()]:
+            g, ref = cluster_symmetry_group(C), cluster_symmetry_group_referee(C)
+            signature = (g.continuous, g.rank, g.reduced_order, g.order)
+            assert signature == (ref.continuous, ref.rank, ref.reduced_order,
+                                 ref.order)
+            assert groups_equal(g, ref) and groups_equal(ref, g)
+            seen.add((C.dim, g.rank, g.continuous))
+        # full rank, codimension 1 and 2+, and rank 0 in every dimension
+        assert {(1, 0, False), (2, 0, True), (3, 0, True), (2, 1, False),
+                (3, 1, True), (3, 2, False), (2, 2, False), (3, 3, False)} <= seen
+
+    def test_unstable_flag_equals_the_referee(self):
+        flags = []
+        for n in (1, 2, 3):
+            for m in range(1, 5):
+                S = random_periodic_set(np.random.default_rng(2900 + 10 * n + m), n, m)
+                for c in critical_radii(S, pg.easy_stable_radius(S))[:6]:
+                    for tol in (None, 1e-3, 0.01, 0.05):
+                        t = isoset_module.match_tolerance(c, tol)
+                        for f in (0.0, 0.5, 0.999, 1.001, 3.0, 30.0):
+                            for alpha in {max(c - f * t, 0.0), c + f * t}:
+                                flag = pg.isoset(S, alpha, tol).unstable
+                                assert flag == unstable_flag_referee(S, alpha, tol)
+                                flags.append(flag)
+        assert 0 < sum(flags) < len(flags)
+
+    def test_isoset_never_builds_critical_radii(self, monkeypatch, tmp_path,
+                                                 capsys):
+        def refuse(*args):
+            raise AssertionError("critical_radii called")
+
+        S = symmetric_sets()["s2"]
+        Q = pg.apply_isometry(S, rot2(0.3), [0.1, 0.2])
+        paths = [tmp_path / "s.txt", tmp_path / "q.txt"]
+        for path, T in zip(paths, (S, Q)):
+            path.write_text(write_set_text(T), encoding="utf-8")
+        monkeypatch.setattr(isoset_module, "critical_radii", refuse)
+        assert pg.isoset(S, 6.0).unstable and not pg.isoset(S, 5.0).unstable
+        assert pg.isosets_equal(S, Q)
+        assert not pg.isosets_equal(S, symmetric_sets()["s1"])
+        assert main(["emd", *map(str, paths)]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] <= 1e-9
