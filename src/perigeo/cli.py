@@ -81,9 +81,11 @@ def _tolerance_override():
     return tol
 
 
-def _emit(data, fmt: str = "json", csv_text: str = ""):
+def _emit(data, fmt: str = "json", csv_lines=None):
+    """Print data as indented JSON, or for fmt "csv" the lines that
+    csv_lines(), called only then, returns."""
     if fmt == "csv":
-        sys.stdout.write(csv_text)
+        sys.stdout.write("\n".join(csv_lines()) + "\n")
     else:
         # one write per 2^16 of the encoder's chunks (one per token): a
         # write per token is a system call each on an unbuffered stdout
@@ -111,10 +113,8 @@ def _cmd_amd(args):
         "amd": vec.values.tolist(),
         "per_point": vec.per_point_matrix.tolist(),
     }
-    csv_lines = ["k,amd"] + [
-        f"{j + 1},{v:.12g}" for j, v in enumerate(vec.values)
-    ]
-    _emit(data, args.format, "\n".join(csv_lines) + "\n")
+    _emit(data, args.format, lambda: ["k,amd"] + [
+        f"{j + 1},{v:.12g}" for j, v in enumerate(vec.values)])
     return 0
 
 
@@ -360,12 +360,9 @@ def _cmd_batch(args):
         "matrix": matrix.tolist(),
         "failures": failures,
     }
-    header = "file," + ",".join(names)
-    rows = [header] + [
+    _emit(data, args.format, lambda: ["file," + ",".join(names)] + [
         name + "," + ",".join(f"{v:.12g}" for v in row)
-        for name, row in zip(names, matrix)
-    ]
-    _emit(data, args.format, "\n".join(rows) + "\n")
+        for name, row in zip(names, matrix)])
     return 0
 
 

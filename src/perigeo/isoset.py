@@ -253,7 +253,7 @@ def _isometry_maps(C: Cluster, D: Cluster, tol: Optional[float],
     n = C.dim
     tol_abs = match_tolerance(max(C.alpha, D.alpha), tol)
     lc, ld = np.sort(C.lengths), np.sort(D.lengths)
-    if not np.allclose(lc, ld, rtol=0.0, atol=2.0 * tol_abs):
+    if not np.abs(lc - ld).max(initial=0.0) <= 2.0 * tol_abs:
         return []
     scale = float(lc[-1])
     rank_c, frame_c = _rank_and_frame(C.points, scale)

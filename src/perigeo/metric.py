@@ -16,6 +16,11 @@ of those per-point values bounds every prefix from below, so a value is
 certified to within 1e-9 max(1, |p|max) in 2D, and in 3D to within that
 or the relative gap BNB_REL_TOL_3D, or else the search stopped at
 BNB_MAX_REGIONS regions and returns its certified lower bound with it.
+No map changes a length, so |Mp - q| >= ||p| - |q||, and a batch
+evaluates only the pairs whose length gap is within the largest
+incumbent it can lower: any other pair is farther than that under every
+map, so it could neither lower an incumbent nor decide a bound, and the
+answers are those of all pairs, up to the last bit of the product.
 The search starts from BNB_START regions per map family, 16 arcs in 2D
 and 64 cubes in 3D, and halves no region below BNB_LEAST_HALF_SIDE, a
 least half-side fixed per dimension, so the start sets only how much
@@ -136,15 +141,18 @@ class _RotationProfile:
     orthogonal maps M, and their least values over regions of maps.
 
     Uses |Mp - q|^2 = |p|^2 + |q|^2 - 2 sum_ij M_ij p_j q_i: the n^2 tables
-    p_j q_i make every batch of maps one (T, n^2) x (n^2, k m) product
-    (near_sq: its transpose, with the table |q|^2 as one more row).
+    p_j q_i make every batch of maps one (T, n^2) x (n^2, pairs) product
+    (near_sq: over all k m pairs, transposed, with the table |q|^2 as one
+    more row).
     Every map of a region turns p by at most an angle theta away from its
     image under the centre's map, into the cap (in 2D the arc) of
     half-angle theta around it.  The least distance from that cap to q is
     ||p| - |q|| when the angle phi between the centre image and q is at
     most theta, and otherwise sqrt(|p|^2 + |q|^2 - 2 |p||q| cos(phi -
     theta)); the same product gives |p||q| cos(phi), and |p||q| sin(phi)
-    follows from it.
+    follows from it.  A batch of regions pairs each p only with the q
+    whose gap ||p| - |q|| is within reach, the largest incumbent it can
+    lower: no map closes a gap, so no other pair sets a value within reach.
     """
 
     POINTS = 8  # points per evaluation step of `regions`
@@ -155,17 +163,27 @@ class _RotationProfile:
     def __init__(self, P: np.ndarray, Q: np.ndarray):
         (self.k, n), self.m = P.shape, len(Q)
         # column a m + b belongs to the pair (P[a], Q[b]); row n i + j of
-        # terms holds P[a, j] Q[b, i], and the last row |Q[b]|^2
+        # the table holds P[a, j] Q[b, i], and the last four rows |Q[b]|^2,
+        # |P[a]|^2 + |Q[b]|^2, |P[a]||Q[b]| and its square; terms is all
+        # but the last three
         pp, qq = (P * P).sum(1), (Q * Q).sum(1)
-        self.terms = np.empty((n * n + 1, self.k * self.m))
-        self.terms[:-1] = np.einsum("aj,bi->ijab", P, Q).reshape(n * n, -1)
-        self.terms[-1] = np.tile(qq, self.k)
-        self.pp = pp
-        self.sq = (pp[:, None] + qq[None, :]).ravel()
         lp, lq = np.linalg.norm(P, axis=1), np.linalg.norm(Q, axis=1)
-        self.pq = np.outer(lp, lq).ravel()
-        self.pq2 = self.pq ** 2
-        self.rows = max(1, self.ENTRIES // (self.POINTS * self.m))
+        self.table = np.empty((n * n + 4, self.k * self.m))
+        self.table[:n * n] = np.einsum("aj,bi->ijab", P, Q).reshape(n * n, -1)
+        self.table[n * n] = np.tile(qq, self.k)
+        self.table[n * n + 1] = (pp[:, None] + qq[None, :]).ravel()
+        self.table[n * n + 2] = np.outer(lp, lq).ravel()
+        self.table[n * n + 3] = self.table[n * n + 2] ** 2
+        self.terms = self.table[:n * n + 1]
+        self.pp = pp
+        # each point's q by length gap ||p| - |q||, as table columns, and
+        # those gaps, with inf after the last
+        gap = np.abs(np.subtract.outer(lp, lq))
+        order = np.argsort(gap, axis=1, kind="stable")
+        self.by_gap = order + self.m * np.arange(self.k)[:, None]
+        self.gaps = np.append(np.take_along_axis(gap, order, axis=1),
+                              np.full((self.k, 1), np.inf), axis=1)
+        self.kept = (None, None)  # the last windows, by (stop, reach)
         # a bound on the float error of near_sq's squared distances, whose
         # products sum n^2 + 1 terms of size at most 3 |p||q| or |q|^2
         self.floor = 1e-13 * (pp.max(initial=0.0) + qq.max(initial=0.0))
@@ -197,17 +215,44 @@ class _RotationProfile:
         out += self.pp[:end, None]
         return out
 
-    def regions(self, maps: np.ndarray, theta: float, thr: np.ndarray):
+    def _window(self, stop: int, reach: float):
+        """(outside, off, pairs): the length windows of P[:stop] that
+        regions evaluates, pairs[:, off[j]:off[j+1]] being the table columns
+        of P[j]'s window and outside[j] the least gap it leaves out.  A
+        search's batches mostly share their reach, so the last windows are
+        kept."""
+        if self.kept[0] != (stop, reach):
+            inside = self.gaps[:stop, :-1] <= math.sqrt(reach * reach
+                                                        + self.floor)
+            inside[:, 0] = True
+            counts = inside.sum(axis=1)
+            self.kept = ((stop, reach), (
+                self.gaps[np.arange(stop), counts],
+                np.concatenate(([0], np.cumsum(counts))),
+                self.table[:, self.by_gap[:stop][inside]]))
+        return self.kept[1]
+
+    def regions(self, maps: np.ndarray, theta: float, thr: np.ndarray,
+                reach: float):
         """(near, bound) of regions whose centres have the maps `maps`, each
         (T, k): near[t, j] is the distance from maps[t] P[j] to Q, and
-        bound[t, j] the running max over P[:j+1] of each point's least
-        distance to Q over region t, whose maps turn P by at most theta.
+        bound[t, j] a lower bound on the running max over P[:j+1] of each
+        point's least distance to Q over region t, whose maps turn P by at
+        most theta.  Both are the full-pair values wherever those are at
+        most reach; elsewhere near is larger and bound still certified, and
+        both exceed reach.
 
-        Points are taken in order, POINTS at a time, up to the last prefix
-        i with a finite thr[i].  A region stops once bound[t, i] >= thr[i]
-        for every prefix i, the prefixes not yet evaluated included (their
-        bounds are at least the running max so far).  Beyond the points it
-        evaluated, near is inf and bound the running max."""
+        Each point p is paired only with the q in its length window: those
+        whose gap ||p| - |q|| is within reach (widened by the product's
+        float error), and at least the q of least gap.  Its bound is capped
+        at the least gap it leaves out, which no map can close, so a pair
+        left out is farther than reach under every map and sets no value
+        within it.  Points are taken in order, POINTS at a time, up to the
+        last prefix i with a finite thr[i].  A region stops once bound[t, i]
+        >= thr[i] for every prefix i, the prefixes not yet evaluated
+        included (their bounds are at least the running max so far).
+        Beyond the points it evaluated, near is inf and bound the running
+        max."""
         T, m = len(maps), self.m
         near = np.full((T, self.k), np.inf)
         bound = np.empty((T, self.k))
@@ -215,37 +260,42 @@ class _RotationProfile:
         stop = int(live[-1]) + 1 if len(live) else 0
         # after[j]: the largest threshold of the prefixes after j
         after = np.append(np.maximum.accumulate(thr[::-1])[::-1][1:], -np.inf)
+        outside, off, pairs = self._window(stop, reach)
+        terms, (_, sq, pq, pq2) = pairs[:-4], pairs[-4:]
+        steps = [(j0, min(j0 + self.POINTS, stop))
+                 for j0 in range(0, stop, self.POINTS)]
         coef = maps.reshape(T, -1)
         c, s = math.cos(theta), math.sin(theta)
-        for a in range(0, T, self.rows):
-            rows = np.arange(a, min(a + self.rows, T))
+        most = max(1, self.ENTRIES // max(
+            [off[j1] - off[j0] for j0, j1 in steps], default=1))
+        for a in range(0, T, most):
+            rows = np.arange(a, min(a + most, T))
             run = np.zeros(len(rows))
             ok = np.ones(len(rows), dtype=bool)
-            for j0 in range(0, stop, self.POINTS):
-                j1 = min(j0 + self.POINTS, stop)
-                cols = slice(j0 * m, j1 * m)
-                dot = coef[rows] @ self.terms[:-1, cols]
-                sq, pq = self.sq[cols], self.pq[cols]
-                shape = (len(rows), j1 - j0, m)
-                near[rows, j0:j1] = np.sqrt(np.maximum(
-                    (sq - 2.0 * dot).reshape(shape).min(axis=2), 0.0))
+            for j0, j1 in steps:
+                w = slice(off[j0], off[j1])
+                starts = off[j0:j1] - off[j0]
+                dot = coef[rows] @ terms[:, w]
+                near[rows, j0:j1] = np.sqrt(np.maximum(np.minimum.reduceat(
+                    sq[w] - 2.0 * dot, starts, axis=1), 0.0))
                 # h = |p||q| cos(phi - theta), or |p||q| where phi <= theta;
                 # the cap's least squared distance is |p|^2 + |q|^2 - 2 h
                 h = np.square(dot)
-                np.subtract(self.pq2[cols], h, out=h)
+                np.subtract(pq2[w], h, out=h)
                 np.maximum(h, 0.0, out=h)
                 np.sqrt(h, out=h)
                 h *= s
                 h += c * dot
-                np.copyto(h, np.broadcast_to(pq, h.shape), where=dot >= c * pq)
+                h = np.where(dot >= c * pq[w], pq[w], h)
                 h *= -2.0
-                h += sq
-                b = np.sqrt(np.maximum(h.reshape(shape).min(axis=2), 0.0))
+                h += sq[w]
+                b = np.minimum(outside[j0:j1], np.sqrt(np.maximum(
+                    np.minimum.reduceat(h, starts, axis=1), 0.0)))
                 b[:, 0] = np.maximum(b[:, 0], run)
                 b = np.maximum.accumulate(b, axis=1)
                 bound[rows, j0:j1] = b
                 run = b[:, -1]
-                ok &= np.all(b >= thr[j0:j1], axis=1)
+                ok &= (b >= thr[j0:j1]).all(axis=1)
                 dead = ok & (run >= after[j1 - 1])
                 bound[rows[dead], j1:] = run[dead, None]
                 rows, run, ok = rows[~dead], run[~dead], ok[~dead]
@@ -333,12 +383,15 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     The incumbent upper[i] of prefix P[:i+1] is its least d_H over the
     maps evaluated, and maps[i] the first map that attains it: the seeds,
     and then every cube's centre map, all by the same matrix product (the
-    seeds by one _RotationProfile.near_sq).  The seeds are the identity
-    and the first map by which the cluster isometry search sends P onto
-    distinct points of Q, within the match tolerance of |P|max; it runs
-    only when P spans the space and the length gaps of all of P are within
-    twice that tolerance, so it costs nothing on pairs that are no copies,
-    and it finds a copy that keeps only part of a boundary shell of Q.
+    seeds by one _RotationProfile.near_sq, the cubes over only the pairs
+    whose length gap is within the largest incumbent of the prefixes they
+    evaluate, the only pairs that can lower one).  The seeds are the
+    identity and the first map by which the cluster isometry search sends P
+    onto distinct points of Q, within the match tolerance of |P|max; it
+    runs only when P spans the space and the length gaps of all of P are
+    within twice that tolerance, so it costs nothing on pairs that are no
+    copies, and it finds a copy that keeps only part of a boundary shell
+    of Q.
     A cube's bound
     for a prefix is the running max over its points, and lower[i] starts
     from the length gaps ||p| - |q||, which no map can close, and only
@@ -374,8 +427,7 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     upper = np.full(k, np.inf)
     maps = np.zeros((k, n, n))
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
-    lower = np.maximum.accumulate(
-        np.abs(np.subtract.outer(lengths, lq)).min(axis=1))
+    lower = np.maximum.accumulate(engine.gaps[:, 0])
 
     def certificate():
         # clamped at 0: a gain of -inf would make 0 * -inf
@@ -414,7 +466,8 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
         batch[mirror] *= flip
         thr = np.where(irrelevant, -np.inf, upper - tol)
         near, bound = engine.regions(batch, min(math.sqrt(d) * sigma, math.pi),
-                                     thr)
+                                     thr, np.max(upper, where=~irrelevant,
+                                                 initial=0.0))
         evaluated += len(batch)
         _keep_best(upper, maps, near, batch)
         polished = polished or _polish(P, Q, gains, upper, maps, 1e-2 * scale)

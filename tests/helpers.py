@@ -899,3 +899,49 @@ def minimum_stable_radius_scratch(S: pg.PeriodicSet, tol=None):
         if all(groups_equal(gh, gl) for gh, gl in zip(groups(hi), groups(lo))):
             return alpha, beta, False
     return upper, beta, True
+
+
+def full_pair_regions(self, maps, theta, thr, reach=None):
+    """_RotationProfile.regions as it was before the length window: every
+    point is evaluated against every q, and reach is ignored.  Its near
+    and bound are the full-pair values the windowed evaluation must
+    reproduce wherever they are within reach."""
+    T, m = len(maps), self.m
+    terms, sq, pq, pq2 = (self.table[:-4], self.table[-3], self.table[-2],
+                          self.table[-1])
+    near = np.full((T, self.k), np.inf)
+    bound = np.empty((T, self.k))
+    live = np.flatnonzero(thr > -np.inf)
+    stop = int(live[-1]) + 1 if len(live) else 0
+    after = np.append(np.maximum.accumulate(thr[::-1])[::-1][1:], -np.inf)
+    coef = maps.reshape(T, -1)
+    c, s = math.cos(theta), math.sin(theta)
+    chunk = max(1, self.ENTRIES // (self.POINTS * m))
+    for a in range(0, T, chunk):
+        rows = np.arange(a, min(a + chunk, T))
+        run = np.zeros(len(rows))
+        ok = np.ones(len(rows), dtype=bool)
+        for j0 in range(0, stop, self.POINTS):
+            j1 = min(j0 + self.POINTS, stop)
+            cols = slice(j0 * m, j1 * m)
+            dot = coef[rows] @ terms[:, cols]
+            shape = (len(rows), j1 - j0, m)
+            near[rows, j0:j1] = np.sqrt(np.maximum(
+                (sq[cols] - 2.0 * dot).reshape(shape).min(axis=2), 0.0))
+            # the least squared distance from the cap of half-angle theta
+            phi_ok = dot >= c * pq[cols]
+            h = s * np.sqrt(np.maximum(pq2[cols] - dot ** 2, 0.0)) + c * dot
+            h = sq[cols] - 2.0 * np.where(phi_ok, pq[cols], h)
+            b = np.sqrt(np.maximum(h.reshape(shape).min(axis=2), 0.0))
+            b[:, 0] = np.maximum(b[:, 0], run)
+            b = np.maximum.accumulate(b, axis=1)
+            bound[rows, j0:j1] = b
+            run = b[:, -1]
+            ok &= np.all(b >= thr[j0:j1], axis=1)
+            dead = ok & (run >= after[j1 - 1])
+            bound[rows[dead], j1:] = run[dead, None]
+            rows, run, ok = rows[~dead], run[~dead], ok[~dead]
+            if len(rows) == 0:
+                break
+        bound[rows, stop:] = run[:, None]
+    return near, bound

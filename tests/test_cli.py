@@ -678,6 +678,16 @@ class TestCommands:
         m = np.array(data["matrix"])
         assert m[0, 2] == pytest.approx(0.0, abs=1e-9)
         assert m[0, 1] > 1e-3 and m[1, 2] > 1e-3
+        # the CSV rows are the same matrix, each entry written with .12g
+        assert main([
+            "batch", s15, q15, refl, "--mode", "amd", "-k", "4",
+            "--format", "csv",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "file," + ",".join(data["files"])
+        for name, line, row in zip(data["files"], lines[1:], m):
+            assert line == name + "," + ",".join(f"{v:.12g}" for v in row)
+        assert len(lines) == 4
 
     def test_batch_amd_empty_and_one_file(self, tmp_path, capsys):
         path = write_1d(tmp_path / "a.txt", [0, 1, 3], 4)

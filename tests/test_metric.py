@@ -28,6 +28,7 @@ from helpers import (
     dm_prefix_loop,
     dm_scan_2d,
     dr_scan_2d,
+    full_pair_regions,
     jitter_set,
     prefix_sample_3d,
     random_orthogonal,
@@ -520,9 +521,9 @@ class TestDr3dCertificate:
         evaluated = []
         regions = metric._RotationProfile.regions
 
-        def counting(self, maps, theta, thr):
+        def counting(self, maps, theta, thr, reach):
             evaluated[-1] += len(maps)
-            return regions(self, maps, theta, thr)
+            return regions(self, maps, theta, thr, reach)
 
         monkeypatch.setattr(metric._RotationProfile, "regions", counting)
         pairs = self.corpus()
@@ -620,6 +621,124 @@ class TestDr3dCertificate:
             gains, prefix_sample_3d(P, cubic, 1000))))
 
 
+class TestRegionWindow:
+    """A batch of regions pairs each point only with the q whose length gap
+    is within the largest incumbent it can lower; the full-pair evaluation
+    in helpers is the referee."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        """(P, Q, gains, floor) of every exact search on a seeded 2D/3D
+        corpus: TestDr3dCertificate's pairs as its test runs them, d_C of
+        random 3D and 2D pairs across classes and of jittered and rotated
+        copies, and d_C of criterion 9's supercell against the classes of
+        its jittered copies and against rotated copies."""
+        calls = []
+        bnb = metric._dr_bnb
+
+        def record(P, Q, gains, floor=-np.inf):
+            calls.append((P, Q, gains, floor))
+            return bnb(P, Q, gains, floor)
+
+        monkeypatch.setattr(metric, "_dr_bnb", record)
+        for pair, (C, D, alpha) in enumerate(TestDr3dCertificate.corpus()):
+            lengths = np.linalg.norm(C, axis=1)
+            P = C[np.argsort(lengths, kind="stable")]
+            gains = alpha - np.sort(lengths)
+            if pair % 2:
+                P, gains = P[gains > 0], gains[gains > 0]
+            else:
+                gains = np.where(np.arange(len(P)) < len(P) - 1, -np.inf,
+                                 np.inf)
+            _max_min(P, D, gains, exact=True)
+        rng = np.random.default_rng(3030)
+        alpha = TestDm3d.ALPHA
+        for n in (3, 2):
+            for j in range(8):
+                C = TestDm3d._cluster(rng)[:, :n]
+                D = TestDm3d._cluster(rng)[:, :n]
+                if j % 2:
+                    eps = (1e-3, 0.01, 0.03, 0.0)[j // 2]
+                    D = (C @ random_orthogonal(rng, n).T
+                         + eps * rng.normal(size=C.shape))
+                pg.d_C(C, D, alpha)
+        S = pg.PeriodicSet(pg.UnitCell(2 * np.eye(2)),
+                           np.array([[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]]))
+        C = pg.alpha_cluster(S, 0, 4.0)
+        for eps in (0.01, 0.05):
+            for iso in pg.isoset(jitter_set(rng, S, eps)[0], 4.0).classes:
+                pg.d_C(C, iso.representative, 4.0)
+            turned = C.points @ rot2(rng.uniform(0, 2 * np.pi)).T
+            pg.d_C(C, turned + eps * rng.normal(size=turned.shape), 4.5)
+        monkeypatch.undo()
+        return calls
+
+    def test_searches_match_full_pair_referee(self, monkeypatch):
+        # the window changes no answer beyond the float floor: every
+        # search's bracket [lower, upper] of the max-min meets the full-pair
+        # search's, and most searches are bit-identical, upper, lower, maps
+        # and the regions of every batch alike.  The products over fewer
+        # columns can differ in the last bit, which can move a search's
+        # end by a batch near the 2D certificate
+        calls = self.searches(monkeypatch)
+        runs = {}
+        for name, regions in (("window", metric._RotationProfile.regions),
+                              ("full", full_pair_regions)):
+            batches = []
+
+            def counting(self, maps, theta, thr, reach, regions=regions):
+                assert np.isfinite(reach)
+                batches[-1].append(len(maps))
+                return regions(self, maps, theta, thr, reach)
+
+            monkeypatch.setattr(metric._RotationProfile, "regions", counting)
+            runs[name] = []
+            for P, Q, gains, floor in calls:
+                batches.append([])
+                runs[name].append((*_dr_bnb(P, Q, gains, floor), batches[-1]))
+        assert sum(len(run[3]) for run in runs["full"]) > 300
+        same = 0
+        for call, (ours, ref) in enumerate(zip(runs["window"], runs["full"])):
+            gains = calls[call][2]
+            for upper, lower in ((ours[0], ref[1]), (ref[0], ours[1])):
+                assert (np.max(np.minimum(gains, lower))
+                        <= np.max(np.minimum(gains, upper)) + 1e-12), call
+            same += all(np.array_equal(a, b) for a, b in zip(ours, ref))
+        assert same >= 0.75 * len(calls), (same, len(calls))
+
+    def test_window_values_and_certified_bounds(self):
+        # every region evaluates every point: values within reach are the
+        # full-pair ones to the product's float error, all others exceed
+        # reach, and no bound exceeds the full-pair bound, which would no
+        # longer be certified
+        rng = np.random.default_rng(5151)
+        for n in (2, 3):
+            for draw in range(6):
+                P = TestDm3d._cluster(rng)[:, :n]
+                Q = TestDm3d._cluster(rng)[:, :n]
+                if draw % 2:
+                    Q = P @ random_orthogonal(rng, n).T + 0.01 * rng.normal(
+                        size=P.shape)
+                engine = metric._RotationProfile(P, Q)
+                maps = np.array([random_orthogonal(rng, n) for _ in range(40)])
+                thr = np.full(len(P), np.inf)
+                gaps = engine.gaps[:, :-1]
+                for reach in (0.0, np.quantile(gaps, 0.1),
+                              np.quantile(gaps, 0.3), np.inf):
+                    for theta in (0.0, 0.05, 0.5):
+                        got = engine.regions(maps, theta, thr, reach)
+                        ref = full_pair_regions(engine, maps, theta, thr)
+                        for ours, full in zip(got, ref):
+                            within = full <= reach
+                            assert np.allclose(ours[within] ** 2,
+                                               full[within] ** 2,
+                                               rtol=0.0, atol=1e-12)
+                            assert np.all(ours[~within] ** 2
+                                          > reach ** 2 - 1e-12)
+                        assert np.all(got[1] ** 2 <= ref[1] ** 2 + 1e-12), (
+                            n, draw)
+
+
 class TestIsometricCopyExit:
     """An isometric copy ends the exact search before any region is
     evaluated, in 2D and 3D alike: the cluster isometry search, run when
@@ -631,9 +750,9 @@ class TestIsometricCopyExit:
         count = [0]
         regions = metric._RotationProfile.regions
 
-        def counting(self, maps, theta, thr):
+        def counting(self, maps, theta, thr, reach):
             count[0] += len(maps)
-            return regions(self, maps, theta, thr)
+            return regions(self, maps, theta, thr, reach)
 
         monkeypatch.setattr(metric._RotationProfile, "regions", counting)
         return count
@@ -878,9 +997,9 @@ class TestDc:
         count = [0]
         regions = metric._RotationProfile.regions
 
-        def counting(self, maps, theta, thr):
+        def counting(self, maps, theta, thr, reach):
             count[0] += 1
-            return regions(self, maps, theta, thr)
+            return regions(self, maps, theta, thr, reach)
 
         monkeypatch.setattr(metric._RotationProfile, "regions", counting)
         rng = np.random.default_rng(0)
@@ -906,9 +1025,9 @@ class TestDc:
         batches = []
         regions = metric._RotationProfile.regions
 
-        def counting(self, maps, theta, thr):
+        def counting(self, maps, theta, thr, reach):
             batches.append(len(maps))
-            return regions(self, maps, theta, thr)
+            return regions(self, maps, theta, thr, reach)
 
         monkeypatch.setattr(metric._RotationProfile, "regions", counting)
         rng = np.random.default_rng(1818)
