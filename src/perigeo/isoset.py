@@ -4,7 +4,12 @@ weighted isoset.
 
 Cluster comparison is exact up to an absolute point-match tolerance
 (default 1e-6 * alpha): an orthogonal map is accepted when it sends every
-cluster point within tolerance of a distinct point of the other cluster.
+cluster point within tolerance of a distinct point of the other cluster:
+a bijection, read off the nearest points or, where those collide, a
+bipartite matching.  The maps tried are the least-squares orthogonal fits
+(_fit) of a few anchor points onto each assignment of their images; a fit
+that is not accepted is refit, up to twice, to the points nearest its
+image, keeping its determinant.
 Degenerate clusters (affine hull of rank < n) are compared in reduced
 coordinates; their symmetry groups are continuous when the codimension is
 at least 2 and are then recorded by (rank, reduced order) instead of an
@@ -19,6 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .core import (
@@ -162,10 +168,35 @@ def _embed_map(m_reduced: np.ndarray, frame_c: np.ndarray, frame_d: np.ndarray,
     return frame_d.T @ block @ frame_c
 
 
+def _fit(P, Q, sign=None) -> np.ndarray:
+    """The orthogonal M minimizing sum_i |M P[i] - Q[i]|^2 (Schoenemann's
+    Procrustes fit, from the SVD of Q^T P), of determinant sign `sign`
+    when one is given."""
+    U, _, Vt = np.linalg.svd(Q.T @ P)
+    if sign is not None:
+        U[:, -1] *= sign * np.linalg.det(U @ Vt)
+    return U @ Vt
+
+
 def _verify_map(m: np.ndarray, pc: np.ndarray, tree_d: cKDTree, k: int,
                 tol_abs: float) -> bool:
-    dist, idx = tree_d.query(pc @ m.T)
-    return float(dist.max()) <= tol_abs and len(np.unique(idx)) == k
+    """Whether m sends each of the k points pc within tol_abs of a distinct
+    point of tree_d: the nearest ones when they are distinct, else those of
+    a bipartite matching of the pairs within tol_abs."""
+    image = pc @ m.T
+    dist, idx = tree_d.query(image)
+    if float(dist.max()) > tol_abs:
+        return False
+    if len(np.unique(idx)) == k:
+        return True
+    # imported here: scipy.sparse.csgraph adds about 18 ms to a start-up
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    close = tree_d.query_ball_point(image, tol_abs)
+    rows = np.repeat(np.arange(k), [len(c) for c in close])
+    pairs = csr_matrix((np.ones(len(rows)), (rows, np.concatenate(close))),
+                       shape=(k, tree_d.n))
+    return bool(np.all(maximum_bipartite_matching(pairs, perm_type="column") >= 0))
 
 
 def _anchor_indices(points: np.ndarray, r: int):
@@ -207,25 +238,21 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
     gram_a = A @ A.T
     cand = [np.nonzero(np.abs(lens_d - la) <= len_tol)[0] for la in lens_a]
 
-    def assemble(chosen):
-        B = pd[list(chosen)]
-        try:
-            m = np.linalg.solve(A, B).T
-        except np.linalg.LinAlgError:
-            return None
-        u, _, vt = np.linalg.svd(m)
-        return u @ vt
-
     def backtrack(level, chosen):
         if level == r:
-            m = assemble(chosen)
-            if m is None:
-                return False
-            if _verify_map(m, pc, tree_d, k, tol_abs):
-                if not any(np.abs(m - e).max() <= TOL_ORTHO for e in out):
-                    out.append(m)
-                    if first_only:
-                        return True
+            # the anchors' fit, then up to two refits to the points of pd
+            # nearest its image, each verified once
+            m = _fit(A, pd[list(chosen)])
+            for refit in range(3):
+                if _verify_map(m, pc, tree_d, k, tol_abs):
+                    break
+                if refit == 2:
+                    return False
+                m = _fit(pc, pd[tree_d.query(pc @ m.T)[1]], np.linalg.det(m))
+            if not any(np.abs(m - e).max() <= TOL_ORTHO for e in out):
+                out.append(m)
+                if first_only:
+                    return True
             return False
         for j in cand[level]:
             b = pd[j]

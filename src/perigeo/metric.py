@@ -67,7 +67,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .core import BLOCK_ENTRIES, change_cell, neighbor_cloud
-from .isoset import (Cluster, IsometryClass, Isoset, _rank_and_frame,
+from .isoset import (Cluster, IsometryClass, Isoset, _fit, _rank_and_frame,
                      _reduced_maps, match_tolerance)
 
 DEFAULT_DELTA = 0.1
@@ -341,7 +341,8 @@ def _polish(P, Q, gains, upper, maps, limit) -> bool:
     """Whether the prefix i that sets the max has upper[i] <= limit; if so
     its map is polished: the orthogonal map of the same determinant that
     best fits P, by least squares, to the points of Q nearest that map's
-    image is evaluated by coordinate differences, and replaces the
+    image (isoset._fit, the isometry search's fit) is evaluated by
+    coordinate differences, and replaces the
     incumbent of every prefix whose d_H it lowers.  For an isometric copy
     it is the exact map, which reads about 1e-15.
 
@@ -353,12 +354,11 @@ def _polish(P, Q, gains, upper, maps, limit) -> bool:
     if upper[i] > limit:
         return False
     tree = cKDTree(Q)
-    U, _, Vt = np.linalg.svd(Q[tree.query(P @ maps[i].T)[1]].T @ P)
-    U[:, -1] *= np.linalg.det(maps[i]) * np.linalg.det(U @ Vt)
-    polished = np.maximum.accumulate(_nearest(P, tree, (U @ Vt)[None])[0])
+    fit = _fit(P, Q[tree.query(P @ maps[i].T)[1]], np.linalg.det(maps[i]))
+    polished = np.maximum.accumulate(_nearest(P, tree, fit[None])[0])
     better = polished < upper
     upper[better] = polished[better]
-    maps[better] = U @ Vt
+    maps[better] = fit
     return True
 
 

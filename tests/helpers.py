@@ -945,3 +945,26 @@ def full_pair_regions(self, maps, theta, thr, reach=None):
                 break
         bound[rows, stop:] = run[:, None]
     return near, bound
+
+
+def isometry_witness(C: pg.Cluster, D: pg.Cluster, tol=None):
+    """A center-fixing orthogonal map sending cluster C onto D as a
+    bijection within the match tolerance, or None: orthogonal Procrustes
+    from the identity and from -I, each refit three times to the points of
+    D nearest its image.  It shares no code with the isometry search, and
+    finds the map only when it lies near +-I."""
+    from perigeo.isoset import match_tolerance
+
+    if C.points.shape != D.points.shape:
+        return None
+    tol_abs = match_tolerance(max(C.alpha, D.alpha), tol)
+    tree = cKDTree(D.points)
+    for start in (1.0, -1.0):
+        m = start * np.eye(C.dim)
+        for _ in range(4):
+            dist, idx = tree.query(C.points @ m.T)
+            if dist.max() <= tol_abs and len(np.unique(idx)) == len(idx):
+                return m
+            U, _, Vt = np.linalg.svd(D.points[idx].T @ C.points)
+            m = U @ Vt
+    return None

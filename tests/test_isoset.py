@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,8 @@ from perigeo.io import write_set_text
 from perigeo.isoset import (
     _StableScan,
     _distinct,
+    _fit,
+    _verify_map,
     cluster_symmetry_group,
     critical_radii,
     groups_equal,
@@ -27,6 +30,7 @@ from helpers import (
     cluster_symmetry_group_referee,
     contract_sets,
     critical_radii_loop,
+    isometry_witness,
     jitter_set,
     layered_set,
     min_interpoint_distance_loop,
@@ -187,6 +191,31 @@ class TestClustersIsometric:
         solid = flat.copy()
         solid[3, 2] = 0.5
         assert pg.clusters_isometric(pg.Cluster(0, 3.0, solid), a) is None
+
+
+class TestFit:
+    def test_exact_correspondences_and_sign(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3):
+            M = random_orthogonal(rng, n)
+            P = rng.normal(size=(7, n))
+            Q = P @ M.T
+            assert np.abs(_fit(P, Q) - M).max() <= 1e-12
+            assert np.abs(_fit(P, Q, np.linalg.det(M)) - M).max() <= 1e-12
+            # of the other determinant: still orthogonal, of that sign
+            F = _fit(P, Q, -np.linalg.det(M))
+            assert np.abs(F.T @ F - np.eye(n)).max() <= 1e-12
+            assert np.linalg.det(F) == pytest.approx(-np.linalg.det(M))
+
+
+class TestVerifyMap:
+    def test_bijection_where_nearest_points_collide(self):
+        # both points of pc are nearest to 0.45, within the tolerance: 1 is
+        # 0.58 from its partner 1.58
+        pc, ident = np.array([[0.0], [1.0]]), np.eye(1)
+        assert _verify_map(ident, pc, cKDTree([[0.45], [1.58]]), 2, 0.6)
+        assert not _verify_map(ident, pc, cKDTree([[0.45], [1.58]]), 2, 0.57)
+        assert not _verify_map(ident, pc, cKDTree([[0.45], [2.0]]), 2, 0.6)
 
 
 class TestSymmetryGroup:
@@ -518,6 +547,43 @@ class TestIsosetsEqual:
     def test_unstable_flag(self, square):
         assert pg.isoset(square, 1.0).unstable
         assert not pg.isoset(square, 1.2).unstable
+
+
+class TestNearCopies:
+    """Two-point sets against copies jittered far inside the match
+    tolerance: each set has one isoset class (a two-point set is
+    centrosymmetric), and the witness, which shares no code with the
+    isometry search, finds a map between the two sets' clusters.  On 3D
+    seeds 16, 41 and 68 and 2D seeds 72, 115, 121 and 123 the anchors'
+    least-squares fit is not accepted as it is, and its refit to the
+    nearest points is."""
+
+    @pytest.mark.parametrize("n, eps, offset, seed", [
+        *((3, 1e-6, 1000, s) for s in (0, 3, 14, 16, 41, 68)),
+        *((2, 1e-6, 5000, s) for s in (11, 43, 72, 115, 121, 123)),
+        (3, 5e-7, 5000, 165),
+    ])
+    def test_isometric(self, n, eps, offset, seed):
+        S = random_periodic_set(np.random.default_rng(seed), n, 2)
+        J, _ = jitter_set(np.random.default_rng(offset + seed), S, eps)
+        alpha = pg.common_stable_alpha(S, J)
+        assert isometry_witness(pg.alpha_cluster(S, 0, alpha),
+                                pg.alpha_cluster(J, 0, alpha)) is not None
+        assert pg.isosets_equal(S, J)
+
+    def test_either_order_under_a_wide_tolerance(self):
+        # random sets with 3-5 points, 2D on even seeds and 1D on odd ones,
+        # jittered copies and tolerances drawn from one generator per seed.
+        # In 1D on seed 3645 two cluster points of the copy have the same
+        # nearest point of the set's cluster, within the tolerance 0.012,
+        # and a bijection within it exists
+        for seed in (504, 670, 1202, 1698, 2492, 3645):
+            rng = np.random.default_rng(seed)
+            S = random_periodic_set(rng, 2 - seed % 2, int(rng.integers(3, 6)),
+                                    min_sep=0.1)
+            T, _ = jitter_set(rng, S, float(rng.choice([0.002, 0.005, 0.01])))
+            tol = float(rng.choice([0.004, 0.008, 0.012]))
+            assert pg.isosets_equal(S, T, tol) == pg.isosets_equal(T, S, tol), seed
 
 
 class TestMonotoneScan:
