@@ -11,7 +11,8 @@ Conventions used throughout the package:
 One pair list, neighbor_pairs (the motif points' cached neighbor-stack
 prefixes without each point itself), feeds the least interpoint distance,
 the bridge length (one orientation per edge, by one mask), isoset's
-critical radii and its unstable flag.
+critical radii and its unstable flag.  As their first reader, it builds
+a set's neighbor stacks by one enumeration of all its motif points.
 """
 
 from __future__ import annotations
@@ -237,53 +238,19 @@ def _lattice_offsets(cell: UnitCell, frac_lo, frac_hi, reach: float,
                      m: int) -> np.ndarray:
     """Integer cell offsets o whose shifted cells o + [0, 1)^n can hold a
     point of the window of _fractional_window: floor(a) .. floor(b) per
-    axis.
+    axis.  Rows of frac_lo/hi each get the widest row's box from their a.
 
-    Raises DataError when offsets x m would pass MAX_ENUMERATION; the
-    count is estimated in floats before anything is allocated, and a
+    Raises DataError when a window's offsets x m would pass MAX_ENUMERATION;
+    the count is estimated in floats before anything is allocated, and a
     window or count past the float range reads as infinite.
     """
     with np.errstate(over="ignore"):
         a, b = _fractional_window(cell, frac_lo, frac_hi, reach)
         lo, hi = np.floor(a), np.floor(b)
-        size = float(np.prod(hi - lo + 1)) * m
+        size = float(np.max(np.prod(hi - lo + 1, axis=-1))) * m
     check_limit(size, f"radius {reach:.6g} needs about {size:.3g} enumerated points")
-    ranges = [np.arange(a, b + 1) for a, b in zip(lo.astype(int), hi.astype(int))]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
-    """All points q of S with |q - p| <= alpha, p the motif point p_index
-    (itself included), as (vectors q - p, motif indices of q, integer
-    lattice coordinates of q's cell), sorted by (length, coordinates,
-    index).  Only the cells of the reduced cell (UnitCell._reduction) that
-    can meet the ball are visited: there motif point j sits at f_j @ U^-1
-    + folds_j, in [0, 1) up to a rounding that _fractional_window's slack
-    covers, and the window is centred on p's unfolded f_p @ U^-1.  Reduced
-    cell o is the given cell's shift (o + folds_j) @ U for point j."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if not 0 <= p_index < S.m:
-        raise IndexError("motif index out of range")
-    cell = S.cell
-    U, U_inv, reduced = cell._reduction
-    p_cart = S.motif[p_index] @ cell.basis
-    bound = alpha + REL_TOL * (alpha + cell.diameter)
-    frac = S.motif @ U_inv
-    folds = -np.floor(frac).astype(int)
-    offsets = _lattice_offsets(reduced, frac[p_index], frac[p_index], bound, S.m)
-    slots = (offsets[:, None, :] + folds[None, :, :]) @ U
-    cart_off = (slots.reshape(-1, S.dim) @ cell.basis).reshape(slots.shape)
-    vecs = (S.cartesian_motif[None, :, :] + cart_off) - p_cart
-    dist = np.linalg.norm(vecs, axis=-1)
-    cells, idx = np.nonzero(dist <= bound)
-    vecs = vecs[cells, idx]
-    shifts = slots[cells, idx]
-    dist = dist[cells, idx]
-    keys = [idx] + [vecs[:, c] for c in range(cell.dim - 1, -1, -1)] + [dist]
-    order = np.lexsort(keys)
-    return vecs[order], idx[order], shifts[order]
+    span = np.atleast_2d(hi - lo).max(axis=0).astype(int) + 1
+    return lo.astype(int)[..., None, :] + np.indices(span).reshape(len(span), -1).T
 
 
 class NeighborStack(NamedTuple):
@@ -295,10 +262,78 @@ class NeighborStack(NamedTuple):
     shifts: np.ndarray   # integer lattice coordinates of q's cell
 
 
+def _enumerate(S: PeriodicSet, points, alpha: float) -> list:
+    """The NeighborStack of each motif point in `points` at radius alpha
+    (see neighbor_arrays) by one pass, with each point's own arithmetic,
+    over their windows padded to one box, in blocks of BLOCK_ENTRIES
+    coordinates; sorted by (point, length), and by the full (length,
+    coordinates, index) key only inside exact length ties."""
+    cell, n, m = S.cell, S.dim, S.m
+    if not 0 <= min(points) <= max(points) < m:
+        raise IndexError("motif index out of range")
+    U, U_inv, reduced = cell._reduction
+    bound = alpha + REL_TOL * (alpha + cell.diameter)
+    frac = S.motif @ U_inv
+    offsets = _lattice_offsets(reduced, frac[points], frac[points], bound, m)
+    owner = np.repeat(np.arange(len(points)), offsets.shape[1])
+    # (o + folds_j) @ U, exact in integers
+    offsets, folds = offsets.reshape(-1, n) @ U, -np.floor(frac).astype(int) @ U
+    cart_motif, centres = S.motif @ cell.basis, S.motif[points] @ cell.basis
+    rows, parts = max(1, BLOCK_ENTRIES // (m * n)), []
+    for a in range(0, len(owner), rows):
+        own, slots = owner[a:a + rows], offsets[a:a + rows, None, :] + folds
+        vecs = (slots.reshape(-1, n) @ cell.basis).reshape(slots.shape) + cart_motif
+        vecs -= centres[own][:, None, :]
+        dist = np.linalg.norm(vecs, axis=-1)
+        r, j = np.nonzero(dist <= bound)
+        parts.append((own[r], vecs[r, j], dist[r, j], j, slots[r, j]))
+    del slots, vecs, dist  # the last block's, before the blocks are joined
+    own, vecs, dist, idx, shifts = (np.concatenate(c) for c in zip(*parts))
+    del parts
+    order = np.lexsort((dist, own))
+    tied = (np.diff(dist[order]) == 0) & (np.diff(own[order]) == 0)
+    at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+    sub = order[at]
+    keys = [idx[sub]] + [vecs[sub, c] for c in range(n - 1, -1, -1)]
+    order[at] = sub[np.lexsort(keys + [dist[sub], own[sub]])]
+    ends = np.cumsum(np.bincount(own, minlength=len(points))).tolist()
+    arrays = [array[order] for array in (vecs, dist, idx, shifts)]
+    return [NeighborStack(*(array[a:b] for array in arrays))
+            for a, b in zip([0] + ends, ends)]
+
+
+def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
+    """All points q of S with |q - p| <= alpha, p the motif point p_index
+    (itself included), as (vectors q - p, motif indices of q, integer
+    lattice coordinates of q's cell), sorted by (length, coordinates,
+    index).  Only the cells of the reduced cell (UnitCell._reduction) that
+    can meet the ball are visited: there motif point j sits at f_j @ U^-1
+    + folds_j, in [0, 1) up to a rounding that _fractional_window's slack
+    covers, and the window is centred on p's unfolded f_p @ U^-1.  Reduced
+    cell o is the given cell's shift (o + folds_j) @ U for point j.  This
+    is _enumerate of the one point, the pass that builds a set's stacks."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    vecs, _, idx, shifts = _enumerate(S, [p_index], alpha)[0]
+    return vecs, idx, shifts
+
+
 # relative slack of the radius a stack is enumerated at, so that the small
 # margins a later caller adds to the same radius (isoset's unstable flag
 # reads the pairs within alpha + tol) do not enumerate again
 STACK_SLACK = 1e-3
+
+
+def _build_stacks(S: PeriodicSet, points, alpha: float) -> None:
+    """Cache read-only, from one _enumerate at alpha * (1 + STACK_SLACK),
+    the stacks of the `points` not yet built up to alpha."""
+    missing = [p for p in points if p not in S._stacks or S._stacks[p][0] < alpha]
+    if missing:
+        radius = alpha * (1.0 + STACK_SLACK)
+        for p, stack in zip(missing, _enumerate(S, missing, radius)):
+            for array in stack:
+                array.flags.writeable = False
+            S._stacks[p] = (radius, stack)
 
 
 def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
@@ -311,19 +346,13 @@ def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
     lengths; that is the inclusion bound of neighbor_arrays, so the arrays
     equal neighbor_arrays(S, p_index, alpha) bit for bit.  A point is
     enumerated again, at alpha * (1 + STACK_SLACK), only when a radius
-    beyond its enumeration is asked for.  The arrays are read-only views.
+    beyond its enumeration is asked for; neighbor_pairs builds all of a
+    set's stacks by one enumeration.  The arrays are read-only views.
     """
     if not alpha >= 0:
         raise DataError("alpha must be a non-negative number")
-    built = S._stacks.get(p_index)
-    if built is None or built[0] < alpha:
-        radius = alpha * (1.0 + STACK_SLACK)
-        vecs, idx, shifts = neighbor_arrays(S, p_index, radius)
-        full = NeighborStack(vecs, np.linalg.norm(vecs, axis=1), idx, shifts)
-        for array in full:
-            array.flags.writeable = False
-        built = S._stacks[p_index] = (radius, full)
-    full = built[1]
+    _build_stacks(S, [p_index], alpha)
+    full = S._stacks[p_index][1]
     cut = alpha + REL_TOL * (alpha + S.cell.diameter)
     k = int(np.searchsorted(full.lengths, cut, side="right"))
     return NeighborStack(*(array[:k] for array in full))
@@ -364,8 +393,10 @@ def neighbor_pairs(S: PeriodicSet, radius: float):
     point i, motif point j in the cell of lattice coordinates shift: the
     neighbor stacks in motif order, each without the point itself.  A stack
     is sorted by length, and the point itself is its only length within
-    REL_TOL * d (motif points do not coincide), so it is a prefix."""
+    REL_TOL * d (motif points do not coincide), so it is a prefix.
+    The stacks not yet built up to `radius` come from one enumeration."""
     tol = REL_TOL * S.cell.diameter
+    _build_stacks(S, range(S.m), radius)
     stacks = [neighbor_stack(S, i, radius) for i in range(S.m)]
     cut = [np.searchsorted(s.lengths, tol, side="right") for s in stacks]
     i = np.repeat(np.arange(S.m), [len(s.lengths) - c for s, c in zip(stacks, cut)])

@@ -226,7 +226,7 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
         return [np.eye(0)]
     tree_d = cKDTree(pd)
     ident = np.eye(r)
-    if _verify_map(ident, pc, tree_d, k, tol_abs):
+    if pd is pc or _verify_map(ident, pc, tree_d, k, tol_abs):  # pc onto itself
         out.append(ident)
         if first_only:
             return out
@@ -270,34 +270,26 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
     return out
 
 
-def _isometry_maps(C: Cluster, D: Cluster, tol: Optional[float],
-                   first_only: bool):
-    """Full-dimensional orthogonal maps sending C onto D (center fixed)."""
+def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None
+                       ) -> Optional[OrthogonalMap]:
+    """A center-fixing orthogonal map with f(C) = D within tolerance, or
+    None: the first map of the isometry search in the clusters' frames."""
     if C.dim != D.dim:
         raise ValueError(f"clusters live in different dimensions: {C.dim} and {D.dim}")
     if C.size != D.size:
-        return []
-    n = C.dim
+        return None
     tol_abs = match_tolerance(max(C.alpha, D.alpha), tol)
     lc, ld = np.sort(C.lengths), np.sort(D.lengths)
     if not np.abs(lc - ld).max(initial=0.0) <= 2.0 * tol_abs:
-        return []
+        return None
     scale = float(lc[-1])
     rank_c, frame_c = _rank_and_frame(C.points, scale)
     rank_d, frame_d = _rank_and_frame(D.points, scale)
     if rank_c != rank_d:
-        return []
-    pc = C.points @ frame_c[:rank_c].T
-    pd = D.points @ frame_d[:rank_d].T
-    reduced = _reduced_maps(pc, pd, tol_abs, first_only)
-    return [_embed_map(m, frame_c, frame_d, n) for m in reduced]
-
-
-def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None
-                       ) -> Optional[OrthogonalMap]:
-    """A center-fixing orthogonal map with f(C) = D within tolerance, or None."""
-    maps = _isometry_maps(C, D, tol, first_only=True)
-    return OrthogonalMap(maps[0]) if maps else None
+        return None
+    maps = _reduced_maps(C.points @ frame_c[:rank_c].T, D.points @ frame_d[:rank_d].T,
+                         tol_abs, first_only=True)
+    return OrthogonalMap(_embed_map(maps[0], frame_c, frame_d, C.dim)) if maps else None
 
 
 def symmetry_group(S: PeriodicSet, p_index: int, alpha: float,
@@ -310,11 +302,14 @@ def symmetry_group(S: PeriodicSet, p_index: int, alpha: float,
 def cluster_symmetry_group(C: Cluster, tol: Optional[float] = None
                            ) -> SymmetryGroup:
     """The cluster's self-isometries from the isometry search of C onto
-    itself; in codimension 1 each map is followed by its product with the
+    itself, in the one hull frame, where the identity maps C exactly;
+    in codimension 1 each map is followed by its product with the
     reflection across the hull."""
     n = C.dim
     rank, frame = _rank_and_frame(C.points, float(C.lengths.max()))
-    maps = _isometry_maps(C, C, tol, first_only=False)
+    pc = C.points @ frame[:rank].T
+    maps = [_embed_map(m, frame, frame, n) for m in
+            _reduced_maps(pc, pc, match_tolerance(C.alpha, tol), first_only=False)]
     if n - rank >= 2:
         return SymmetryGroup(continuous=True, rank=rank, reduced_order=len(maps))
     elements = maps
@@ -343,36 +338,42 @@ def groups_equal(g1: SymmetryGroup, g2: SymmetryGroup,
 # partitions, isotree, stable radius, isoset
 
 
-def _refine(S: PeriodicSet, parent, alpha: float, tol: Optional[float]):
+def _refine(S: PeriodicSet, parent, alpha: float, tol: Optional[float],
+            witnesses: dict):
     """Split every block of `parent` by isometry class of its members'
     alpha-clusters; blocks are sorted tuples, ordered by smallest member.
 
     Only members of one parent block are compared, so `parent` must be the
     partition at some radius <= alpha (the alpha-partition at alpha'
-    refines the one at alpha <= alpha')."""
+    refines the one at alpha <= alpha').  witnesses[i] = (rep, map) holds
+    the last map a search found from i onto rep, verified before a search."""
     blocks = []
     for pblock in parent:
         if len(pblock) == 1:
             blocks.append(pblock)
             continue
-        reps, split = [], []
+        split = {}  # representative -> (its cluster, members)
         for i in pblock:
             C = alpha_cluster(S, i, alpha)
-            for rep, members in zip(reps, split):
-                if clusters_isometric(C, rep, tol) is not None:
-                    members.append(i)
-                    break
-            else:
-                reps.append(C)
-                split.append([i])
-        blocks.extend(tuple(b) for b in split)
+            j, m = witnesses.get(i, (None, None))
+            D = split[j][0] if j in split else None
+            if D is None or D.size != C.size or not _verify_map(
+                    m, C.points, cKDTree(D.points), C.size, match_tolerance(alpha, tol)):
+                j = i  # a new block, unless a representative matches
+                for rep, (D, _) in split.items():
+                    found = clusters_isometric(C, D, tol)
+                    if found is not None:
+                        j, witnesses[i] = rep, (rep, found.matrix)
+                        break
+            split.setdefault(j, (C, []))[1].append(i)
+        blocks.extend(tuple(members) for _, members in split.values())
     return tuple(sorted(blocks))
 
 
 def alpha_partition(S: PeriodicSet, alpha: float, tol: Optional[float] = None):
     """Motif indices split by isometry class of their alpha-clusters;
     blocks are sorted tuples, ordered by smallest member."""
-    return _refine(S, (tuple(range(S.m)),), alpha, tol)
+    return _refine(S, (tuple(range(S.m)),), alpha, tol, {})
 
 
 def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
@@ -467,6 +468,7 @@ class _StableScan:
     searched.  A level is settled when no critical radius lies within the
     match tolerance above it: a shell whose radii a near-tie splits is
     partly inside such a level, which breaks both facts within tolerance.
+    A point's last map onto its representative is tried before a search.
     """
 
     def __init__(self, S: PeriodicSet, tol: Optional[float]):
@@ -485,6 +487,7 @@ class _StableScan:
         self.parents = []     # sorted settled levels in `partitions`
         self.groups = {}      # (motif index, level) -> SymmetryGroup
         self.roots = {}       # motif index -> (level, root group)
+        self.witnesses = {}   # motif index -> (representative, map)
 
     def snap(self, r: float) -> int:
         return bisect.bisect_right(self.crit, r + self.snap_tol) - 1
@@ -495,7 +498,7 @@ class _StableScan:
             parent = (self.partitions[self.parents[pos - 1]] if pos
                       else (tuple(range(self.S.m)),))
             self.partitions[idx] = _refine(self.S, parent, self.crit[idx],
-                                           self.tol)
+                                           self.tol, self.witnesses)
             if self._settled(idx):
                 self.parents.insert(pos, idx)
         return self.partitions[idx]
@@ -588,7 +591,8 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
     classes = []
     for block in partition:
         members = [alpha_cluster(S, i, alpha) for i in block]
-        rep = min(members, key=lambda c: tuple(c.points.ravel()))
+        rep = members[0] if len(members) == 1 else min(
+            members, key=lambda c: tuple(c.points.ravel()))
         classes.append(
             IsometryClass(
                 representative=rep,

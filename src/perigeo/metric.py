@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -175,14 +176,7 @@ class _RotationProfile:
         self.table[n * n + 2] = np.outer(lp, lq).ravel()
         self.table[n * n + 3] = self.table[n * n + 2] ** 2
         self.terms = self.table[:n * n + 1]
-        self.pp = pp
-        # each point's q by length gap ||p| - |q||, as table columns, and
-        # those gaps, with inf after the last
-        gap = np.abs(np.subtract.outer(lp, lq))
-        order = np.argsort(gap, axis=1, kind="stable")
-        self.by_gap = order + self.m * np.arange(self.k)[:, None]
-        self.gaps = np.append(np.take_along_axis(gap, order, axis=1),
-                              np.full((self.k, 1), np.inf), axis=1)
+        self.pp, self.gap = pp, np.abs(np.subtract.outer(lp, lq))
         self.kept = (None, None)  # the last windows, by (stop, reach)
         # a bound on the float error of near_sq's squared distances, whose
         # products sum n^2 + 1 terms of size at most 3 |p||q| or |q|^2
@@ -215,6 +209,15 @@ class _RotationProfile:
         out += self.pp[:end, None]
         return out
 
+    @cached_property
+    def sorted_gaps(self):
+        """(by_gap, gaps): each point's q by length gap, as table columns,
+        and those gaps, inf after the last; sorted on the first _window."""
+        order = np.argsort(self.gap, axis=1, kind="stable")
+        return (order + self.m * np.arange(self.k)[:, None],
+                np.append(np.take_along_axis(self.gap, order, axis=1),
+                          np.full((self.k, 1), np.inf), axis=1))
+
     def _window(self, stop: int, reach: float):
         """(outside, off, pairs): the length windows of P[:stop] that
         regions evaluates, pairs[:, off[j]:off[j+1]] being the table columns
@@ -222,14 +225,14 @@ class _RotationProfile:
         search's batches mostly share their reach, so the last windows are
         kept."""
         if self.kept[0] != (stop, reach):
-            inside = self.gaps[:stop, :-1] <= math.sqrt(reach * reach
-                                                        + self.floor)
+            by_gap, gaps = self.sorted_gaps
+            inside = gaps[:stop, :-1] <= math.sqrt(reach * reach + self.floor)
             inside[:, 0] = True
             counts = inside.sum(axis=1)
             self.kept = ((stop, reach), (
-                self.gaps[np.arange(stop), counts],
+                gaps[np.arange(stop), counts],
                 np.concatenate(([0], np.cumsum(counts))),
-                self.table[:, self.by_gap[:stop][inside]]))
+                self.table[:, by_gap[:stop][inside]]))
         return self.kept[1]
 
     def regions(self, maps: np.ndarray, theta: float, thr: np.ndarray,
@@ -427,7 +430,7 @@ def _dr_bnb(P: np.ndarray, Q: np.ndarray, gains: np.ndarray,
     upper = np.full(k, np.inf)
     maps = np.zeros((k, n, n))
     # every map keeps lengths, so no point comes nearer a q than ||p| - |q||
-    lower = np.maximum.accumulate(engine.gaps[:, 0])
+    lower = np.maximum.accumulate(engine.gap.min(axis=1))
 
     def certificate():
         # clamped at 0: a gain of -inf would make 0 * -inf

@@ -632,6 +632,33 @@ def bridge_length_patch(S: pg.PeriodicSet, cells: int = 5) -> float:
     return float(values[lo])
 
 
+def neighbor_arrays_loop(S: pg.PeriodicSet, p_index: int, alpha: float):
+    """core.neighbor_arrays as one motif point's own enumeration: the
+    offsets of its window of reduced cells, every motif point in each, the
+    points within the inclusion bound, and one lexsort by (length,
+    coordinates, index).  Returns (vectors, lengths, indices, shifts), the
+    fields of core.NeighborStack."""
+    from perigeo.core import REL_TOL, _lattice_offsets
+
+    cell = S.cell
+    U, U_inv, reduced = cell._reduction
+    p_cart = S.motif[p_index] @ cell.basis
+    bound = alpha + REL_TOL * (alpha + cell.diameter)
+    frac = S.motif @ U_inv
+    folds = -np.floor(frac).astype(int)
+    offsets = _lattice_offsets(reduced, frac[p_index], frac[p_index], bound, S.m)
+    slots = (offsets[:, None, :] + folds[None, :, :]) @ U
+    cart_off = (slots.reshape(-1, S.dim) @ cell.basis).reshape(slots.shape)
+    vecs = (S.cartesian_motif[None, :, :] + cart_off) - p_cart
+    dist = np.linalg.norm(vecs, axis=-1)
+    cells, idx = np.nonzero(dist <= bound)
+    vecs, shifts, dist = vecs[cells, idx], slots[cells, idx], dist[cells, idx]
+    keys = [idx] + [vecs[:, c] for c in range(S.dim - 1, -1, -1)] + [dist]
+    order = np.lexsort(keys)
+    return (vecs[order], np.linalg.norm(vecs[order], axis=1), idx[order],
+            shifts[order])
+
+
 def critical_radii_loop(S: pg.PeriodicSet, alpha_max: float) -> list:
     """isoset.critical_radii one motif point at a time: each neighbor
     stack's lengths above REL_TOL * d, concatenated, sorted and thinned by

@@ -14,6 +14,7 @@ from helpers import (
     contract_sets,
     covering_radius_reach_2d,
     jitter_set,
+    neighbor_arrays_loop,
     random_orthogonal,
     random_periodic_set,
     random_unimodular,
@@ -346,6 +347,53 @@ class TestEnumerationCap:
         monkeypatch.setattr(core, "MAX_ENUMERATION", len(offsets) * s2.m - 1)
         with pytest.raises(pg.DataError):
             neighbor_arrays(s2, 0, 7.0)
+
+
+class TestOneEnumeration:
+    """Every stack neighbor_pairs builds, all of a set's points in one
+    enumeration, against one point's own enumeration (tests/helpers.py),
+    bit for bit: seeded 1D-3D sets with m = 1..8 on their cells, re-celled
+    by a UNIMODULAR matrix and by skew_unimodular(n, 5), and exactly
+    symmetric lattices, whose lengths tie, at the set's easy stable radius
+    (of its own cell) and at critical radii."""
+
+    @staticmethod
+    def corpus():
+        """(set, easy stable radius of the set on its own cell)."""
+        rng = np.random.default_rng(3232)
+        bcc = pg.PeriodicSet(pg.UnitCell(np.eye(3)), [[0, 0, 0], [0.5, 0.5, 0.5]])
+        hexagonal = pg.PeriodicSet(pg.UnitCell([[1, 0], [0.5, np.sqrt(3) / 2]]),
+                                   [[0, 0]])
+        sets = [random_periodic_set(rng, n, m, skew=(0.05, 0.2, 0.4)[m % 3])
+                for n in (1, 2, 3) for m in range(1, 9)] + [bcc, hexagonal]
+        for S in sets:
+            n, alpha = S.dim, pg.easy_stable_radius(S)
+            yield S, alpha
+            yield pg.change_cell(S, UNIMODULAR[n][S.m % len(UNIMODULAR[n])]), alpha
+            if n > 1:
+                yield pg.change_cell(S, skew_unimodular(n, 5)), alpha
+
+    def test_stacks_equal_the_referee(self):
+        ties = 0
+        for S, alpha in self.corpus():
+            lengths = np.unique(core.neighbor_pairs(S, alpha)[3])
+            for radius in (alpha, lengths[0], lengths[len(lengths) // 2]):
+                T = pg.PeriodicSet(S.cell, S.motif)  # nothing cached
+                core.neighbor_pairs(T, radius)
+                for p, (built, stack) in T._stacks.items():
+                    ref = neighbor_arrays_loop(T, p, built)
+                    for a, b in zip(stack, ref):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    ties += int(np.sum(np.diff(stack.lengths) == 0))
+        assert ties > 0  # the lexsort inside exact length ties ran
+
+    def test_neighbor_arrays_is_the_one_point_enumeration(self):
+        for S, alpha in itertools.islice(self.corpus(), 0, None, 5):
+            for p in range(S.m):
+                got = neighbor_arrays(S, p, alpha)
+                vecs, _, idx, shifts = neighbor_arrays_loop(S, p, alpha)
+                for a, b in zip(got, (vecs, idx, shifts)):
+                    assert np.array_equal(a, b)
 
 
 # lattice bases (rows) and the covering radius of the one-point lattice

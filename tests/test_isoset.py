@@ -658,6 +658,69 @@ class TestMonotoneScan:
         assert minimum_stable_radius_scratch(Q)[0] > exact * (1 + 1e-5)
 
 
+class TestWitnesses:
+    """The stable-radius scan tests each member's last map onto its block
+    representative before it searches (_refine's witnesses)."""
+
+    @staticmethod
+    def reduced_map_calls(S, monkeypatch):
+        """(minimum_stable_radius of a fresh copy of S, its _reduced_maps
+        calls)."""
+        calls = []
+        search = isoset_module._reduced_maps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(isoset_module, "_reduced_maps", counting)
+            res = pg.minimum_stable_radius(pg.PeriodicSet(S.cell, S.motif))
+        return (res.alpha, res.beta, res.fallback), len(calls)
+
+    @staticmethod
+    def unwitnessed(S, monkeypatch):
+        """minimum_stable_radius with no witness kept between refinements,
+        so that every member is searched at every level."""
+        refine = isoset_module._refine
+        with monkeypatch.context() as patch:
+            patch.setattr(isoset_module, "_refine",
+                          lambda S, parent, alpha, tol, _: refine(S, parent, alpha, tol, {}))
+            res = pg.minimum_stable_radius(pg.PeriodicSet(S.cell, S.motif))
+        return res.alpha, res.beta, res.fallback
+
+    def test_random_sets_match_scratch(self, monkeypatch):
+        for n in (2, 3):
+            for k, m in enumerate((2, 2, 3, 5)):
+                S = random_periodic_set(np.random.default_rng(3300 + 10 * n + k), n, m)
+                got = self.reduced_map_calls(S, monkeypatch)[0]
+                assert got == minimum_stable_radius_scratch(S)
+                assert got == self.unwitnessed(S, monkeypatch)
+                # and every partition the scan visited is the one from scratch
+                TestMonotoneScan.assert_levels_match_scratch(S)
+
+    @pytest.mark.parametrize("name, eps, seed", [
+        ("supercell", 3e-7, 502), ("bcc", 1e-7, 501), ("s2", 3e-7, 502),
+    ])
+    def test_near_symmetric_sets_keep_their_radius(self, name, eps, seed,
+                                                   monkeypatch):
+        # TestMonotoneScan's near-symmetric draws, where the scan from
+        # scratch reads a larger radius: witnesses change no answer
+        S = symmetric_sets()[name]
+        Q, _ = jitter_set(np.random.default_rng(seed), S, eps)
+        got = self.reduced_map_calls(Q, monkeypatch)[0]
+        assert got == self.unwitnessed(Q, monkeypatch)
+        assert got[0] == pytest.approx(pg.minimum_stable_radius(S).alpha, rel=1e-5)
+
+    def test_two_point_3d_scan_searches_once_per_pair(self, monkeypatch):
+        # the root groups and the first match of the two points are
+        # searched; searching every grid level again took 37-46 calls
+        for seed in range(4):
+            S = random_periodic_set(np.random.default_rng(4000 + seed), 3, 2)
+            _, calls = self.reduced_map_calls(S, monkeypatch)
+            assert calls <= 8
+
+
 class TestPairList:
     """The radii read off core.neighbor_pairs against the per-point loops
     they replaced, bit for bit: seeded 1D-3D sets with m = 1..6 (at m = 1

@@ -722,7 +722,7 @@ class TestRegionWindow:
                 engine = metric._RotationProfile(P, Q)
                 maps = np.array([random_orthogonal(rng, n) for _ in range(40)])
                 thr = np.full(len(P), np.inf)
-                gaps = engine.gaps[:, :-1]
+                gaps = engine.sorted_gaps[1][:, :-1]
                 for reach in (0.0, np.quantile(gaps, 0.1),
                               np.quantile(gaps, 0.3), np.inf):
                     for theta in (0.0, 0.05, 0.5):
