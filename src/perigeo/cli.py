@@ -26,6 +26,7 @@ from .core import DataError, bridge_length, check_limit, easy_stable_radius
 from .density import DensityFingerprint1D, _psi_rows, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
+    _easy_bound,
     alpha_cluster,
     common_stable_alpha,
     isoset,
@@ -310,8 +311,9 @@ def _cmd_dcluster(args):
 def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
     """Pairwise comparison matrix over a list of set files.
 
-    Mode emd takes every EMD at one radius, the largest max{2b, d} of the
-    sets, on one isoset per set.  Per-file parse failures are reported and
+    Mode emd takes every EMD at one radius, the largest easy bound of the
+    sets (max{2b, d} of the given or the reduced cell, the smaller), on one
+    isoset per set.  Per-file parse failures are reported and
     the run continues with the valid subset.  Returns (names, matrix,
     failures)."""
     sets, names, failures = [], [], []
@@ -335,7 +337,7 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
                 matrix[i, j] = matrix[j, i] = 1.0 if same else 0.0
     elif mode == "emd":
         # one radius stable for every set, so that all entries are one metric
-        alpha = max((easy_stable_radius(S) for S in sets), default=0.0)
+        alpha = max((_easy_bound(S) for S in sets), default=0.0)
         isosets = [isoset(S, alpha, tol) for S in sets]
         for i in range(size):
             for j in range(i + 1, size):
@@ -413,7 +415,8 @@ def build_parser() -> _Parser:
     group.add_argument("--alpha", type=float)
     group.add_argument("--stable", action="store_true",
                        help="use the larger of the two minimum stable radii "
-                       "(default: the larger of the two max{2b, d})")
+                       "(default: the larger of the two easy bounds, each "
+                       "the smaller max{2b, d} of the given and reduced cell)")
     p.add_argument("--dr", choices=("exact", "approx"), default="exact")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="cushion of the reported factor_bound only")

@@ -204,7 +204,8 @@ class RadiusReport:
 
 
 # Largest enumeration, (lattice offsets) x (motif points), that
-# neighbor_arrays and neighbor_cloud build; above it they raise DataError
+# neighbor_arrays and neighbor_cloud build, and most point pairs of the
+# d_R table of metric._RotationProfile; above it they raise DataError
 # before allocating.  In 3D one slot costs about 115 bytes at the peak of
 # neighbor_arrays (measured on the cubic lattice), so the cap keeps one
 # call near 230 MB.  Measured largest enumerations (seed 1 of each
@@ -214,8 +215,8 @@ MAX_ENUMERATION = 2_000_000
 
 
 def check_limit(size, message: str) -> None:
-    """Raise DataError, before any work, when `size` (enumerated points, or
-    numbers a density command prints) passes MAX_ENUMERATION."""
+    """Raise DataError, before any work, when `size` (enumerated points, d_R
+    pairs, or numbers a density command prints) passes MAX_ENUMERATION."""
     if size > MAX_ENUMERATION:
         raise DataError(f"{message}, more than the limit {MAX_ENUMERATION}")
 
@@ -279,17 +280,25 @@ def _enumerate(S: PeriodicSet, points, alpha: float) -> list:
     # (o + folds_j) @ U, exact in integers
     offsets, folds = offsets.reshape(-1, n) @ U, -np.floor(frac).astype(int) @ U
     cart_motif, centres = S.motif @ cell.basis, S.motif[points] @ cell.basis
-    rows, parts = max(1, BLOCK_ENTRIES // (m * n)), []
+    rows, parts = max(1, BLOCK_ENTRIES // (m * n)), ([], [], [], [], [])
     for a in range(0, len(owner), rows):
         own, slots = owner[a:a + rows], offsets[a:a + rows, None, :] + folds
         vecs = (slots.reshape(-1, n) @ cell.basis).reshape(slots.shape) + cart_motif
         vecs -= centres[own][:, None, :]
         dist = np.linalg.norm(vecs, axis=-1)
         r, j = np.nonzero(dist <= bound)
-        parts.append((own[r], vecs[r, j], dist[r, j], j, slots[r, j]))
+        for part, kept in zip(parts, (own[r], vecs[r, j], dist[r, j], j, slots[r, j])):
+            part.append(kept)
     del slots, vecs, dist  # the last block's, before the blocks are joined
-    own, vecs, dist, idx, shifts = (np.concatenate(c) for c in zip(*parts))
-    del parts
+
+    def join(field):
+        # one field's blocks joined, and released: the peak holds one
+        # field twice, not every field
+        joined = np.concatenate(parts[field])
+        parts[field].clear()
+        return joined
+
+    own, dist, idx, vecs = join(0), join(2), join(3), join(1)
     order = np.lexsort((dist, own))
     tied = (np.diff(dist[order]) == 0) & (np.diff(own[order]) == 0)
     at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
@@ -297,7 +306,12 @@ def _enumerate(S: PeriodicSet, points, alpha: float) -> list:
     keys = [idx[sub]] + [vecs[sub, c] for c in range(n - 1, -1, -1)]
     order[at] = sub[np.lexsort(keys + [dist[sub], own[sub]])]
     ends = np.cumsum(np.bincount(own, minlength=len(points))).tolist()
-    arrays = [array[order] for array in (vecs, dist, idx, shifts)]
+    del own
+    # each field sorted in turn, its unsorted array released before the next
+    vecs = vecs[order]
+    dist = dist[order]
+    idx = idx[order]
+    arrays = (vecs, dist, idx, join(4)[order])
     return [NeighborStack(*(array[a:b] for array in arrays))
             for a, b in zip([0] + ends, ends)]
 

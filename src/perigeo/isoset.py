@@ -270,10 +270,13 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
     return out
 
 
-def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None
+def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None,
+                       witness: Optional[OrthogonalMap] = None
                        ) -> Optional[OrthogonalMap]:
     """A center-fixing orthogonal map with f(C) = D within tolerance, or
-    None: the first map of the isometry search in the clusters' frames."""
+    None: `witness` when it passes the search's acceptance test
+    (_verify_map), else the first map of the isometry search in the
+    clusters' frames."""
     if C.dim != D.dim:
         raise ValueError(f"clusters live in different dimensions: {C.dim} and {D.dim}")
     if C.size != D.size:
@@ -282,6 +285,9 @@ def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None
     lc, ld = np.sort(C.lengths), np.sort(D.lengths)
     if not np.abs(lc - ld).max(initial=0.0) <= 2.0 * tol_abs:
         return None
+    if witness is not None and _verify_map(witness.matrix, C.points,
+                                           cKDTree(D.points), C.size, tol_abs):
+        return witness
     scale = float(lc[-1])
     rank_c, frame_c = _rank_and_frame(C.points, scale)
     rank_d, frame_d = _rank_and_frame(D.points, scale)
@@ -455,8 +461,19 @@ def _filter_group(root: SymmetryGroup, C: Cluster, tol: Optional[float]
                          order=len(kept))
 
 
+def _easy_bound(S: PeriodicSet) -> float:
+    """max{2b, d} of the given cell or of the reduced cell, the smaller:
+    it bounds the stable radius on every cell of the lattice, and the
+    reduced cell's is the smaller on a skewed cell, so a set and its
+    re-celled copy get the same bound (up to ties among reduced bases)."""
+    reduced = S.cell._reduction[2]
+    return min(easy_stable_radius(S),
+               max(2.0 * reduced.longest_edge, reduced.diameter))
+
+
 class _StableScan:
-    """One minimum-stable-radius scan over the critical grid `crit`.
+    """One minimum-stable-radius scan over the critical grid `crit`, up to
+    the set's _easy_bound.
 
     Partitions and groups are computed lazily per grid level and cached.
     A partition refines the nearest settled lower level already computed
@@ -473,11 +490,7 @@ class _StableScan:
 
     def __init__(self, S: PeriodicSet, tol: Optional[float]):
         self.S, self.tol = S, tol
-        # max{2b, d} bounds the stable radius on every cell of the lattice,
-        # and the reduced cell's is the smaller on a skewed cell
-        reduced = S.cell._reduction[2]
-        self.upper = min(easy_stable_radius(S),
-                         max(2.0 * reduced.longest_edge, reduced.diameter))
+        self.upper = _easy_bound(S)
         self.snap_tol = REL_TOL * S.cell.diameter
         # the largest radius first: every later cluster is a prefix of its stack
         self.crit = [0.0] + critical_radii(S, self.upper + self.snap_tol)
@@ -604,8 +617,10 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
 
 
 def common_stable_alpha(S: PeriodicSet, Q: PeriodicSet) -> float:
-    """A radius stable for both sets: the larger of the two easy bounds."""
-    return max(easy_stable_radius(S), easy_stable_radius(Q))
+    """A radius stable for both sets: the larger of the two easy bounds,
+    each max{2b, d} of the given or the reduced cell, whichever is smaller
+    (_easy_bound), so a re-celled copy does not move it."""
+    return max(_easy_bound(S), _easy_bound(Q))
 
 
 def stable_alpha(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None):
@@ -619,7 +634,10 @@ def stable_alpha(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None):
 def isosets_equal(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None,
                   alpha: Optional[float] = None) -> bool:
     """The isometry decision: weight-respecting bijection between isosets
-    at a common stable radius."""
+    at a common stable radius, common_stable_alpha by default.  Each class
+    pair tries the last map found between two classes before a search: an
+    isometry of the sets maps every class by one map, so on a moved copy
+    whose representatives correspond one search serves every class."""
     if S.dim != Q.dim:
         return False
     if alpha is None:
@@ -629,11 +647,15 @@ def isosets_equal(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None,
     # classes within one isoset are pairwise non-isometric, so each class
     # has at most one partner and greedy matching is a perfect matching
     unmatched = list(B.classes)
+    witness = None
     for a in A.classes:
         for j, b in enumerate(unmatched):
-            if a.weight == b.weight and clusters_isometric(
-                a.representative, b.representative, tol
-            ) is not None:
+            if a.weight != b.weight:
+                continue
+            found = clusters_isometric(a.representative, b.representative,
+                                       tol, witness)
+            if found is not None:
+                witness = found
                 unmatched.pop(j)
                 break
         else:

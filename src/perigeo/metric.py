@@ -67,7 +67,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .core import BLOCK_ENTRIES, change_cell, neighbor_cloud
+from .core import BLOCK_ENTRIES, change_cell, check_limit, neighbor_cloud
 from .isoset import (Cluster, IsometryClass, Isoset, _fit, _rank_and_frame,
                      _reduced_maps, match_tolerance)
 
@@ -163,6 +163,10 @@ class _RotationProfile:
 
     def __init__(self, P: np.ndarray, Q: np.ndarray):
         (self.k, n), self.m = P.shape, len(Q)
+        # the table below holds n^2 + 4 floats per pair (208 MB in 3D at
+        # the limit)
+        check_limit(self.k * self.m, f"clusters of {self.k} and {self.m} points "
+                    f"make {self.k * self.m} d_R pairs")
         # column a m + b belongs to the pair (P[a], Q[b]); row n i + j of
         # the table holds P[a, j] Q[b, i], and the last four rows |Q[b]|^2,
         # |P[a]|^2 + |Q[b]|^2, |P[a]||Q[b]| and its square; terms is all

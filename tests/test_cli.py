@@ -663,6 +663,49 @@ class TestCommands:
             parse_set_file(paths[0]), parse_set_file(paths[1]))
         assert "fallback" not in data
 
+    def test_emd_default_radius_ignores_the_cell(self, tmp_path, capsys):
+        # the easy bound of the reduced cell: J written on a cell sheared
+        # by skew_unimodular(2, 3) gets J's radius, and the exact 2D costs
+        # agree within two certificates, 1e-9 max(1, alpha) each
+        rng = np.random.default_rng(73)
+        S = random_periodic_set(rng, 2, 3)
+        J, _ = jitter_set(rng, S, 0.02)
+        outs = []
+        for Q in (J, pg.change_cell(J, skew_unimodular(2, 3))):
+            paths = []
+            for name, T in (("s.txt", S), ("q.txt", Q)):
+                path = tmp_path / name
+                path.write_text(write_set_text(T), encoding="utf-8")
+                paths.append(str(path))
+            assert main(["emd", *paths]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        plain, sheared = outs
+        assert sheared["alpha"] == plain["alpha"]
+        assert plain["cost"] > 0.0
+        assert sheared["cost"] == pytest.approx(
+            plain["cost"], rel=0.0, abs=2e-9 * max(1.0, plain["alpha"]))
+
+    def test_pair_table_past_the_limit_is_two(self, tmp_path, capsys):
+        # the two-point 3D set on a sheared cell, whose given-cell easy
+        # bound 14.46 makes clusters of 25,547 points: their d_R pair
+        # table (13 floats per pair, 63 GiB) is refused before allocation
+        paths = [tmp_path / "pair.txt", tmp_path / "pair_recelled.txt"]
+        paths[0].write_text("dim 3\n1 0.1 0\n0 1.1 0.2\n0.1 0 0.9\nmotif 2\n"
+                            "0 0 0\n0.31 0.47 0.58\n", encoding="utf-8")
+        paths[1].write_text("dim 3\n1.0 0.1 0.0\n7.0 1.8 0.2\n3.1 5.8 1.9\n"
+                            "motif 2\n0.0 0.0 0.0\n0.58 0.57 0.58\n",
+                            encoding="utf-8")
+        paths = list(map(str, paths))
+        assert main(["compare", *paths]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["isometric"] is True and data["alpha_used"] == pytest.approx(5 ** 0.5)
+        assert main(["emd", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] <= 1e-9
+        for argv in (["emd", *paths, "--alpha", "14.46"],
+                     ["dcluster", *paths, "--points", "0", "0", "--alpha", "14.46"]):
+            assert main(argv) == 2
+            assert "d_R pairs, more than the limit" in capsys.readouterr().err
+
     def test_batch_amd_matrix(self, tmp_path, capsys):
         s15 = write_1d(tmp_path / "s15.txt", s15_points(), 15)
         q15 = write_1d(tmp_path / "q15.txt", [0, 1, 3, 4, 6, 8, 9, 12, 14], 15)

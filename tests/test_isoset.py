@@ -38,6 +38,7 @@ from helpers import (
     minimum_stable_radius_scratch,
     random_orthogonal,
     random_periodic_set,
+    random_unimodular,
     rot2,
     skew_unimodular,
     unstable_flag_referee,
@@ -831,3 +832,101 @@ class TestOneSearch:
         assert not pg.isosets_equal(S, symmetric_sets()["s1"])
         assert main(["emd", *map(str, paths)]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] <= 1e-9
+
+
+class TestReducedCellRadius:
+    """common_stable_alpha reads each set's easy bound off the smaller of
+    its given and its reduced cell's max{2b, d}: a set re-celled by a
+    unimodular U gets its own radius, never above the given cells' bound,
+    and the isometry decision there is the one at the given cells' bound."""
+
+    @staticmethod
+    def corpus():
+        """(S, U, J): 72 sets in 1D-3D with m = 1..6, a unimodular U with
+        entries in -3..3 (1-3 row operations), and S jittered by 0.05 r."""
+        rng = np.random.default_rng(3434)
+        for n in (1, 2, 3):
+            for m in range(1, 7):
+                for _ in range(4):
+                    S = random_periodic_set(rng, n, m)
+                    U = np.array([[int(rng.choice([-1, 1]))]])
+                    while n > 1:
+                        U = random_unimodular(rng, n, int(rng.integers(1, 4)))
+                        if np.abs(U).max() <= 3:
+                            break
+                    J, _ = jitter_set(rng, S, 0.05 * pg.packing_covering_radii(S)[0])
+                    yield S, U, J
+
+    def test_recelled_copy_keeps_the_radius_and_the_decision(self):
+        shrunk = 0
+        for S, U, J in self.corpus():
+            T, JU = pg.change_cell(S, U), pg.change_cell(J, U)
+            alpha = pg.common_stable_alpha(S, T)
+            assert alpha == pytest.approx(pg.common_stable_alpha(S, S), rel=1e-12)
+            for Q in (T, JU):
+                given = max(pg.easy_stable_radius(S), pg.easy_stable_radius(Q))
+                assert pg.common_stable_alpha(S, Q) <= given
+                same = pg.isosets_equal(S, Q)
+                assert same == pg.isosets_equal(S, Q, alpha=given)
+                assert same is (Q is T or S.m == 1)
+            shrunk += alpha < max(pg.easy_stable_radius(S), pg.easy_stable_radius(T))
+        assert shrunk >= 40
+
+
+class TestClassWitness:
+    """isosets_equal tries the last map it found between two classes before
+    it searches the next class pair (clusters_isometric's witness)."""
+
+    @staticmethod
+    def matching_searches(S, Q, monkeypatch):
+        """(isosets_equal(S, Q), the _reduced_maps calls it makes beyond
+        those of the two isosets)."""
+        calls = []
+        search = isoset_module._reduced_maps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        alpha = pg.common_stable_alpha(S, Q)
+        with monkeypatch.context() as patch:
+            patch.setattr(isoset_module, "_reduced_maps", counting)
+            pg.isoset(S, alpha)
+            pg.isoset(Q, alpha)
+            own = len(calls)
+            same = pg.isosets_equal(S, Q)
+        return same, len(calls) - 2 * own
+
+    @staticmethod
+    def moved(rng, S):
+        n = S.dim
+        T = pg.apply_isometry(S, random_orthogonal(rng, n), rng.random(n))
+        return pg.change_cell(T, UNIMODULAR[n][1])
+
+    def test_one_search_serves_every_class(self, monkeypatch):
+        # random sets of 4-6 points, each point its own class: the first
+        # class pair is searched, and its map verifies the others
+        for seed in range(6):
+            rng = np.random.default_rng(3500 + seed)
+            S = random_periodic_set(rng, 2 + seed % 2, 4 + seed % 3)
+            assert len(pg.isoset(S, pg.common_stable_alpha(S, S)).classes) == S.m
+            assert self.matching_searches(S, self.moved(rng, S), monkeypatch) == (True, 1)
+            J, _ = jitter_set(rng, S, 0.05 * pg.packing_covering_radii(S)[0])
+            assert not pg.isosets_equal(S, J)
+            assert not pg.isosets_equal(S, self.moved(rng, J))
+
+    def test_a_failed_witness_falls_back_to_the_search(self, monkeypatch):
+        # centrosymmetric sets {p, q, -p, -q}: classes {p, -p} and {q, -q},
+        # whose representatives need not correspond under the first map
+        searches = []
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 2
+            S = random_periodic_set(rng, n, 2)
+            S = pg.PeriodicSet(S.cell, np.vstack([S.motif, pg.core.fold_fractions(-S.motif)]))
+            T = self.moved(rng, S)
+            same, calls = self.matching_searches(S, T, monkeypatch)
+            assert same
+            searches.append(calls)
+        # seed 11: the map of the first classes does not verify the second
+        assert set(searches) == {1, 2} and searches[11] == 2
