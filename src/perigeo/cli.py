@@ -26,7 +26,6 @@ from .core import DataError, bridge_length, check_limit, easy_stable_radius
 from .density import DensityFingerprint1D, _psi_rows, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
-    _easy_bound,
     alpha_cluster,
     common_stable_alpha,
     isoset,
@@ -94,13 +93,6 @@ def _emit(data, fmt: str = "json", csv_lines=None):
         for first in chunks:
             sys.stdout.write(first + "".join(islice(chunks, (1 << 16) - 1)))
         sys.stdout.write("\n")
-
-
-def _pick_alpha(S, args):
-    if getattr(args, "alpha", None) is not None:
-        return float(args.alpha), None
-    result = minimum_stable_radius(S, _tolerance_override())
-    return result.alpha, result
 
 
 def _cmd_amd(args):
@@ -186,7 +178,8 @@ def _cmd_density(args):
 def _cmd_isoset(args):
     S = parse_set_file(args.file)
     tol = _tolerance_override()
-    alpha, stable = _pick_alpha(S, args)
+    stable = minimum_stable_radius(S, tol) if args.alpha is None else None
+    alpha = stable.alpha if stable else args.alpha
     iso = isoset(S, alpha, tol)
     data = {
         "schema": SCHEMA,
@@ -311,11 +304,10 @@ def _cmd_dcluster(args):
 def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
     """Pairwise comparison matrix over a list of set files.
 
-    Mode emd takes every EMD at one radius, the largest easy bound of the
-    sets (max{2b, d} of the given or the reduced cell, the smaller), on one
-    isoset per set.  Per-file parse failures are reported and
-    the run continues with the valid subset.  Returns (names, matrix,
-    failures)."""
+    Mode emd takes every EMD at one radius, common_stable_alpha of all the
+    sets (so a re-celled copy reads 0 against its set), on one isoset per
+    set.  Per-file parse failures are reported and the run continues with
+    the valid subset.  Returns (names, matrix, failures)."""
     sets, names, failures = [], [], []
     for path in paths:
         try:
@@ -337,7 +329,7 @@ def batch_compare(paths, mode: str, k: int = 10, tol=None, dr: str = "exact"):
                 matrix[i, j] = matrix[j, i] = 1.0 if same else 0.0
     elif mode == "emd":
         # one radius stable for every set, so that all entries are one metric
-        alpha = max((_easy_bound(S) for S in sets), default=0.0)
+        alpha = common_stable_alpha(*sets)
         isosets = [isoset(S, alpha, tol) for S in sets]
         for i in range(size):
             for j in range(i + 1, size):

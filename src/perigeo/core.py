@@ -332,22 +332,18 @@ def neighbor_arrays(S: PeriodicSet, p_index: int, alpha: float):
     return vecs, idx, shifts
 
 
-# relative slack of the radius a stack is enumerated at, so that the small
-# margins a later caller adds to the same radius (isoset's unstable flag
-# reads the pairs within alpha + tol) do not enumerate again
-STACK_SLACK = 1e-3
-
-
 def _build_stacks(S: PeriodicSet, points, alpha: float) -> None:
-    """Cache read-only, from one _enumerate at alpha * (1 + STACK_SLACK),
-    the stacks of the `points` not yet built up to alpha."""
+    """Cache read-only, from one _enumerate at alpha (callers read their
+    largest radius first), the stacks of the `points` not yet built up to
+    alpha.  A negative or NaN alpha raises DataError."""
+    if not alpha >= 0:
+        raise DataError("alpha must be a non-negative number")
     missing = [p for p in points if p not in S._stacks or S._stacks[p][0] < alpha]
     if missing:
-        radius = alpha * (1.0 + STACK_SLACK)
-        for p, stack in zip(missing, _enumerate(S, missing, radius)):
+        for p, stack in zip(missing, _enumerate(S, missing, alpha)):
             for array in stack:
                 array.flags.writeable = False
-            S._stacks[p] = (radius, stack)
+            S._stacks[p] = (alpha, stack)
 
 
 def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
@@ -359,12 +355,10 @@ def neighbor_stack(S: PeriodicSet, p_index: int, alpha: float) -> NeighborStack:
     ends at alpha + REL_TOL * (alpha + d), found by searchsorted on the
     lengths; that is the inclusion bound of neighbor_arrays, so the arrays
     equal neighbor_arrays(S, p_index, alpha) bit for bit.  A point is
-    enumerated again, at alpha * (1 + STACK_SLACK), only when a radius
-    beyond its enumeration is asked for; neighbor_pairs builds all of a
-    set's stacks by one enumeration.  The arrays are read-only views.
+    enumerated again, at alpha, only when a radius beyond its enumeration
+    is asked for; neighbor_pairs builds all of a set's stacks by one
+    enumeration.  The arrays are read-only views.
     """
-    if not alpha >= 0:
-        raise DataError("alpha must be a non-negative number")
     _build_stacks(S, [p_index], alpha)
     full = S._stacks[p_index][1]
     cut = alpha + REL_TOL * (alpha + S.cell.diameter)

@@ -276,7 +276,7 @@ def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None,
     """A center-fixing orthogonal map with f(C) = D within tolerance, or
     None: `witness` when it passes the search's acceptance test
     (_verify_map), else the first map of the isometry search in the
-    clusters' frames."""
+    clusters' frames.  _refine and isosets_equal pass their last map."""
     if C.dim != D.dim:
         raise ValueError(f"clusters live in different dimensions: {C.dim} and {D.dim}")
     if C.size != D.size:
@@ -352,7 +352,8 @@ def _refine(S: PeriodicSet, parent, alpha: float, tol: Optional[float],
     Only members of one parent block are compared, so `parent` must be the
     partition at some radius <= alpha (the alpha-partition at alpha'
     refines the one at alpha <= alpha').  witnesses[i] = (rep, map) holds
-    the last map a search found from i onto rep, verified before a search."""
+    the last map found from i onto rep, which is tried first, with the map
+    as clusters_isometric's witness."""
     blocks = []
     for pblock in parent:
         if len(pblock) == 1:
@@ -361,16 +362,14 @@ def _refine(S: PeriodicSet, parent, alpha: float, tol: Optional[float],
         split = {}  # representative -> (its cluster, members)
         for i in pblock:
             C = alpha_cluster(S, i, alpha)
-            j, m = witnesses.get(i, (None, None))
-            D = split[j][0] if j in split else None
-            if D is None or D.size != C.size or not _verify_map(
-                    m, C.points, cKDTree(D.points), C.size, match_tolerance(alpha, tol)):
-                j = i  # a new block, unless a representative matches
-                for rep, (D, _) in split.items():
-                    found = clusters_isometric(C, D, tol)
-                    if found is not None:
-                        j, witnesses[i] = rep, (rep, found.matrix)
-                        break
+            last, witness = witnesses.get(i, (None, None))
+            j = i  # a new block, unless a representative matches
+            for rep in sorted(split, key=lambda r: r != last):
+                found = clusters_isometric(C, split[rep][0], tol,
+                                           witness if rep == last else None)
+                if found is not None:
+                    j, witnesses[i] = rep, (rep, found)
+                    break
             split.setdefault(j, (C, []))[1].append(i)
         blocks.extend(tuple(members) for _, members in split.values())
     return tuple(sorted(blocks))
@@ -485,14 +484,18 @@ class _StableScan:
     searched.  A level is settled when no critical radius lies within the
     match tolerance above it: a shell whose radii a near-tie splits is
     partly inside such a level, which breaks both facts within tolerance.
-    A point's last map onto its representative is tried before a search.
+    A point's last map onto its representative is clusters_isometric's
+    witness, tried before a search.
     """
 
     def __init__(self, S: PeriodicSet, tol: Optional[float]):
         self.S, self.tol = S, tol
         self.upper = _easy_bound(S)
         self.snap_tol = REL_TOL * S.cell.diameter
-        # the largest radius first: every later cluster is a prefix of its stack
+        # the largest radius first, isoset's margin at the bound included:
+        # every later cluster, and isoset's at the radius found, is a
+        # prefix of its stack
+        neighbor_pairs(S, self.upper + match_tolerance(self.upper, tol))
         self.crit = [0.0] + critical_radii(S, self.upper + self.snap_tol)
         self.beta = bridge_length(S)
         self.band = 2.0 * match_tolerance(self.crit[-1], tol)
@@ -616,11 +619,11 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
     return Isoset(alpha=alpha, classes=tuple(classes), unstable=unstable)
 
 
-def common_stable_alpha(S: PeriodicSet, Q: PeriodicSet) -> float:
-    """A radius stable for both sets: the larger of the two easy bounds,
+def common_stable_alpha(*sets: PeriodicSet) -> float:
+    """A radius stable for every set: the largest of their easy bounds,
     each max{2b, d} of the given or the reduced cell, whichever is smaller
-    (_easy_bound), so a re-celled copy does not move it."""
-    return max(_easy_bound(S), _easy_bound(Q))
+    (_easy_bound), so a re-celled copy does not move it; 0.0 for no set."""
+    return max((_easy_bound(S) for S in sets), default=0.0)
 
 
 def stable_alpha(S: PeriodicSet, Q: PeriodicSet, tol: Optional[float] = None):

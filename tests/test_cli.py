@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import perigeo as pg
 from perigeo.cli import batch_compare, build_parser, main
+from perigeo.isoset import _easy_bound
 from perigeo.io import (
     ParseError,
     parse_set_file,
@@ -290,6 +291,24 @@ class TestExitCodes:
             assert main(["density", path, "-k", "1", "--samples", "100",
                          "--grid", f"0:1:{steps}"]) == 2
             assert "limit" in capsys.readouterr().err
+
+    def test_negative_radius_is_two(self, tmp_path, capsys):
+        # refused by the stacks before their enumeration, whose empty
+        # window ended in an UnboundLocalError (exit 1) or a numpy error
+        cube = tmp_path / "cube.txt"
+        cube.write_text("dim 3\n1 0 0\n0 1 0\n0 0 1\nmotif 1\n0 0 0\n",
+                        encoding="utf-8")
+        square = tmp_path / "square.txt"
+        square.write_text("dim 2\n1 0\n0 1\nmotif 3\n0 0\n0.5 0.25\n"
+                          "0.25 0.625\n", encoding="utf-8")
+        cube, square = str(cube), str(square)
+        for argv in (["isoset", cube, "--alpha", "-0.5"],
+                     ["emd", square, square, "--alpha", "-0.5"],
+                     ["isotree", cube, "--alpha-max", "-0.5"],
+                     ["isotree", square, "--alpha-max", "-1"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == \
+                "error: alpha must be a non-negative number\n", argv
 
     def test_overflowing_radius_is_two(self, tmp_path, capsys):
         # refused by the size estimate with no numpy overflow warning,
@@ -706,6 +725,32 @@ class TestCommands:
             assert main(argv) == 2
             assert "d_R pairs, more than the limit" in capsys.readouterr().err
 
+    def test_common_radius_of_any_number_of_sets(self, tmp_path, capsys):
+        # the largest easy bound of the sets given, 0.0 of none; batch
+        # --mode emd reads it, so the two-point 3D set, its re-celled copy
+        # and a turned copy are priced at zero, as compare and emd find
+        assert pg.common_stable_alpha() == 0.0
+        sets = [random_periodic_set(np.random.default_rng(91 + i), 2 + i % 2, 2 + i)
+                for i in range(3)]
+        bounds = [_easy_bound(S) for S in sets]
+        assert [pg.common_stable_alpha(S) for S in sets] == bounds
+        assert pg.common_stable_alpha(*sets) == max(bounds)
+        assert len(set(bounds)) == 3
+        paths = [tmp_path / "pair.txt", tmp_path / "pair_recelled.txt",
+                 tmp_path / "pair_turned.txt"]
+        paths[0].write_text("dim 3\n1 0.1 0\n0 1.1 0.2\n0.1 0 0.9\nmotif 2\n"
+                            "0 0 0\n0.31 0.47 0.58\n", encoding="utf-8")
+        paths[1].write_text("dim 3\n1.0 0.1 0.0\n7.0 1.8 0.2\n3.1 5.8 1.9\n"
+                            "motif 2\n0.0 0.0 0.0\n0.58 0.57 0.58\n",
+                            encoding="utf-8")
+        turn = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+        paths[2].write_text(write_set_text(pg.apply_isometry(
+            parse_set_file(paths[0]), turn, [0.2, 0.1, 0.3])), encoding="utf-8")
+        paths = list(map(str, paths))
+        assert main(["batch", *paths, "--mode", "emd"]) == 0
+        m = np.array(json.loads(capsys.readouterr().out)["matrix"])
+        assert m.shape == (3, 3) and np.all(m <= 1e-9), m
+
     def test_batch_amd_matrix(self, tmp_path, capsys):
         s15 = write_1d(tmp_path / "s15.txt", s15_points(), 15)
         q15 = write_1d(tmp_path / "q15.txt", [0, 1, 3, 4, 6, 8, 9, 12, 14], 15)
@@ -811,3 +856,58 @@ class TestCommands:
         monkeypatch.delenv("PERIGEO_TOL")
         assert main(["compare", a, b]) == 0
         assert json.loads(capsys.readouterr().out)["isometric"] is False
+
+
+class TestOneEnumeration:
+    """Every command enumerates each set it parses once: callers read
+    their largest radius first, and the stable scan reads isoset's margin
+    at its bound, so that every later stack read is a prefix.  On the
+    one-point lattices the stable radius is the easy bound itself."""
+
+    @staticmethod
+    def enumerations(monkeypatch, run):
+        """core._enumerate calls made by run()."""
+        calls = []
+        enumerate_ = pg.core._enumerate
+
+        def counting(*args):
+            calls.append(1)
+            return enumerate_(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pg.core, "_enumerate", counting)
+            run()
+        return len(calls)
+
+    def test_one_enumeration_per_parsed_set(self, tmp_path, capsys, monkeypatch):
+        lattices = [pg.PeriodicSet(pg.UnitCell(basis), np.zeros((1, len(basis))))
+                    for basis in (np.eye(3), np.eye(2),
+                                  [[1.0, 0.0], [0.5, np.sqrt(3) / 2]])]
+        rng = np.random.default_rng(95)
+        randoms = [random_periodic_set(rng, n, m) for n in (2, 3) for m in range(2, 6)]
+        paths = []
+        for i, S in enumerate(lattices + randoms):
+            path = tmp_path / f"s{i}.txt"
+            path.write_text(write_set_text(S), encoding="utf-8")
+            paths.append(str(path))
+
+        def count(argv):
+            def run():
+                assert main(argv) == 0, argv
+                capsys.readouterr()
+            return self.enumerations(monkeypatch, run)
+
+        for path in paths:
+            assert count(["isoset", path, "--stable"]) == 1, path
+        # the lattices, and a 2D and a 3D two-point set
+        for path in paths[:4] + paths[7:8]:
+            S = parse_set_file(path)
+            alpha = repr(pg.easy_stable_radius(S))
+            assert count(["isoset", path, "--alpha", alpha]) == 1, path
+            assert count(["isotree", path, "--alpha-max", alpha]) == 1, path
+            # a file given twice is parsed twice
+            assert count(["compare", path, path]) == 2, path
+            assert count(["emd", path, path]) == 2, path
+            assert count(["emd", path, path, "--alpha", alpha]) == 2, path
+            assert self.enumerations(monkeypatch, lambda: pg.radius_report(
+                parse_set_file(path))) == 1, path

@@ -336,6 +336,14 @@ class TestEnumerationCap:
             with pytest.raises(pg.DataError):
                 pg.alpha_cluster(square, 0, alpha)
 
+    def test_negative_radius_refused(self, square):
+        # by the stacks' one check, before the cache or an empty window
+        for alpha in (-0.5, np.nan):
+            with pytest.raises(pg.DataError, match="non-negative"):
+                core.neighbor_pairs(square, alpha)
+            with pytest.raises(pg.DataError, match="non-negative"):
+                core.neighbor_stack(square, 0, alpha)
+
     def test_boundary_is_offsets_times_motif(self, s2, monkeypatch):
         vecs, _, shifts = neighbor_arrays(s2, 0, 7.0)
         size = len(np.unique(shifts, axis=0))  # cells the ball meets
