@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .amd import amd
-from .core import DataError, bridge_length, check_limit, easy_stable_radius
+from .core import DataError, bridge_length, check_limit
 from .density import DensityFingerprint1D, _psi_rows, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
@@ -154,7 +154,7 @@ def _cmd_density(args):
     else:
         samples = args.samples or 10000
         grid = _parse_grid(args.grid) if args.grid else np.linspace(
-            0.0, easy_stable_radius(S) / 2.0, 20
+            0.0, common_stable_alpha(S) / 2.0, 20
         )
         data["mode"] = "sampled"
         data["samples"] = samples
@@ -408,7 +408,7 @@ def build_parser() -> _Parser:
     group.add_argument("--stable", action="store_true",
                        help="use the larger of the two minimum stable radii "
                        "(default: the larger of the two easy bounds, each "
-                       "the smaller max{2b, d} of the given and reduced cell)")
+                       "max{2b, d} of the reduced cell)")
     p.add_argument("--dr", choices=("exact", "approx"), default="exact")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="cushion of the reported factor_bound only")

@@ -523,11 +523,15 @@ def bridge_length(S: PeriodicSet) -> float:
 
 
 def easy_stable_radius(S: PeriodicSet) -> float:
-    """Upper bound max{2b, d} for the minimum stable radius."""
+    """Upper bound max{2b, d} for the minimum stable radius, of the given
+    cell: the figure of the cell the file is written in.  Every default
+    radius reads the reduced cell's instead (isoset.common_stable_alpha)."""
     return max(2.0 * S.cell.longest_edge, S.cell.diameter)
 
 
 def radius_report(S: PeriodicSet) -> RadiusReport:
+    """Packing, covering and bridge radii, which are isometry invariants,
+    and the given cell's easy_stable_radius, which is not."""
     # the bridge length's neighbor stacks are the larger, so they go first
     beta = bridge_length(S)
     r, R = packing_covering_radii(S)

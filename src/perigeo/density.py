@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (BLOCK_ENTRIES, PeriodicSet, check_limit, fold_fractions,
-                   neighbor_cloud)
+from .core import BLOCK_ENTRIES, PeriodicSet, check_limit, neighbor_cloud
 
 CORNER_TOL = 1e-12
 
@@ -229,20 +228,20 @@ def fingerprints_equal_1d(S, Q, tol: float = 1e-9) -> bool:
 def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
     """Monte-Carlo psi_0..psi_kmax straight from the definition, any n <= 3.
 
-    Stratified jittered (Latin hypercube) sample points in the cell; for
-    each t the estimate of psi_k is the fraction of samples covered by
-    exactly k balls, with its binomial standard error.  Deterministic under
-    `seed`.  Returns one list of (t, estimate, stderr) rows per k.
+    Stratified jittered (Latin hypercube) sample points in the reduced
+    cell: psi_k is a covered fraction of any unit cell.  For each t the
+    estimate of psi_k is the fraction of samples covered by exactly k
+    balls, with its binomial standard error.  Deterministic under `seed`.
+    Returns one list of (t, estimate, stderr) rows per k.
 
     A sample is covered by exactly k balls when d_k <= t < d_{k+1}, d_j
     being its distance to the j-th nearest point, and as d_k <= d_{k+1}
     their count is #{d_k <= t} - #{d_{k+1} <= t}.  So one KD-tree query
-    for d_1..d_{kmax+1}, in sample blocks of at most BLOCK_ENTRIES
-    distances, and one searchsorted per sorted column serve every k and t.
-    The query asks for at most the cloud's size: deeper d_j are infinite.
-    Samples drawn in the given cell are folded into the reduced cell, and
-    the cloud is S.reduced's.  Rows of (kmax + 1) x len(t_grid) x 3 numbers
-    past MAX_ENUMERATION raise DataError before anything is drawn.
+    for d_1..d_{kmax+1}, on S.reduced's cloud, in sample blocks of at most
+    BLOCK_ENTRIES distances, and one searchsorted per sorted column serve
+    every k and t.  The query asks for at most the cloud's size: deeper
+    d_j are infinite.  Rows of (kmax + 1) x len(t_grid) x 3 numbers past
+    MAX_ENUMERATION raise DataError before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -251,13 +250,13 @@ def psi_sampled(S: PeriodicSet, kmax: int, t_grid, samples: int, seed: int = 0):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     size = 3 * len(t_grid) * (int(kmax) + 1)
     check_limit(size, f"k {kmax} on {len(t_grid)} radii gives {size} numbers")
+    S = S.reduced
     rng = np.random.default_rng(seed)
-    n = S.dim
-    frac = np.empty((samples, n))
-    for axis in range(n):
+    frac = np.empty((samples, S.dim))
+    for axis in range(S.dim):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    xs = fold_fractions(frac @ S.cell._reduction[1]) @ S.reduced.cell.basis
-    cloud, _ = neighbor_cloud(S.reduced, float(t_grid.max()) * (1 + 1e-9))
+    xs = frac @ S.cell.basis
+    cloud, _ = neighbor_cloud(S, float(t_grid.max()) * (1 + 1e-9))
     depth = min(kmax + 1, len(cloud))
     # covered[j] = #{d_j <= t}; every sample is covered by at least 0 balls
     covered = np.zeros((kmax + 2, len(t_grid)), dtype=np.int64)

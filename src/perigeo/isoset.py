@@ -32,7 +32,6 @@ from .core import (
     DataError,
     PeriodicSet,
     bridge_length,
-    easy_stable_radius,
     neighbor_pairs,
     neighbor_stack,
 )
@@ -461,13 +460,11 @@ def _filter_group(root: SymmetryGroup, C: Cluster, tol: Optional[float]
 
 
 def _easy_bound(S: PeriodicSet) -> float:
-    """max{2b, d} of the given cell or of the reduced cell, the smaller:
-    it bounds the stable radius on every cell of the lattice, and the
-    reduced cell's is the smaller on a skewed cell, so a set and its
-    re-celled copy get the same bound (up to ties among reduced bases)."""
+    """max{2b, d} of the reduced cell: it bounds the stable radius, and a
+    set and its re-celled copy share their reduced cell (up to ties among
+    reduced bases), so they get the same bound."""
     reduced = S.cell._reduction[2]
-    return min(easy_stable_radius(S),
-               max(2.0 * reduced.longest_edge, reduced.diameter))
+    return max(2.0 * reduced.longest_edge, reduced.diameter)
 
 
 class _StableScan:
@@ -621,8 +618,8 @@ def isoset(S: PeriodicSet, alpha: float, tol: Optional[float] = None) -> Isoset:
 
 def common_stable_alpha(*sets: PeriodicSet) -> float:
     """A radius stable for every set: the largest of their easy bounds,
-    each max{2b, d} of the given or the reduced cell, whichever is smaller
-    (_easy_bound), so a re-celled copy does not move it; 0.0 for no set."""
+    each max{2b, d} of the reduced cell (_easy_bound), so a re-celled copy
+    does not move it; 0.0 for no set."""
     return max((_easy_bound(S) for S in sets), default=0.0)
 
 

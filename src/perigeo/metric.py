@@ -335,13 +335,12 @@ def _keep_best(upper, maps, near, candidates):
     """Lower upper[i] to the least d_H of prefix i over the maps whose
     nearest distances are the rows of near, and keep the first map that
     attains it in maps[i]."""
-    if len(near):
-        prof = np.maximum.accumulate(near, axis=1)
-        t = np.argmin(prof, axis=0)
-        vals = prof[t, np.arange(prof.shape[1])]
-        better = vals < upper
-        upper[better] = vals[better]
-        maps[better] = candidates[t[better]]
+    prof = np.maximum.accumulate(near, axis=1)
+    t = np.argmin(prof, axis=0)
+    vals = prof[t, np.arange(prof.shape[1])]
+    better = vals < upper
+    upper[better] = vals[better]
+    maps[better] = candidates[t[better]]
 
 
 def _polish(P, Q, gains, upper, maps, limit) -> bool:

@@ -282,13 +282,12 @@ def psi_k_1d_per_k(F, k: int) -> np.ndarray:
 
 def lhs_samples(S: pg.PeriodicSet, samples: int, seed: int) -> np.ndarray:
     """psi_sampled's Latin-hypercube sample points, drawn the same way in
-    the given cell and folded into the reduced cell."""
+    the reduced cell."""
     rng = np.random.default_rng(seed)
     frac = np.empty((samples, S.dim))
     for axis in range(S.dim):
         frac[:, axis] = (rng.permutation(samples) + rng.random(samples)) / samples
-    _, U_inv, reduced = S.cell._reduction
-    return pg.core.fold_fractions(frac @ U_inv) @ reduced.basis
+    return frac @ S.cell._reduction[2].basis
 
 
 def sampled_cloud(S: pg.PeriodicSet, t_grid) -> np.ndarray:

@@ -24,6 +24,7 @@ from helpers import (
     psi_k_1d_per_k,
     psi_sampled_ball_counts,
     random_periodic_set,
+    random_unimodular,
     skew_unimodular,
 )
 
@@ -564,7 +565,7 @@ class TestCommands:
                          "--seed", str(trial)]) == 0
             data = json.loads(capsys.readouterr().out)
             S = parse_set_file(path)
-            grid = np.linspace(0.0, pg.easy_stable_radius(S) / 2.0, 20)
+            grid = np.linspace(0.0, pg.common_stable_alpha(S) / 2.0, 20)
             assert [p["k"] for p in data["psi"]] == list(range(5))
             for k, p in enumerate(data["psi"]):
                 oracle = psi_sampled_ball_counts(S, k, grid, 1200, seed=trial)
@@ -572,7 +573,7 @@ class TestCommands:
 
     def test_density_sampled_on_a_skewed_cell(self, tmp_path, capsys):
         # re-celled by [[1, 8, 0], [0, 1, 8], [0, 0, 1]] the cell is about 64
-        # times longer than wide, and its default grid reaches t = 8.06; the
+        # times longer than wide, and half its max{2b, d} is 8.06; the
         # cloud comes from the reduced cell, so a grid to t = 10 is answered
         # (not refused for 1.94e7 enumerated points), within 4 combined
         # standard errors of the original cell's estimates
@@ -911,3 +912,68 @@ class TestOneEnumeration:
             assert count(["emd", path, path, "--alpha", alpha]) == 2, path
             assert self.enumerations(monkeypatch, lambda: pg.radius_report(
                 parse_set_file(path))) == 1, path
+
+
+class TestReCelledCopies:
+    """A set and its copy re-celled by a unimodular U are one periodic set,
+    and every default reads the reduced cell, so every command prints the
+    same answers on both files: within 1e-12 where the answer is a float
+    of the same cloud, the stable scan's radii within 1e-9, and sampled
+    density bit for bit where the two reduced cells agree (else within 4
+    combined standard errors: a reduced basis is unique up to row signs)."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        """(m, file of S, file of S re-celled by U): 60 sets in 1D-3D with
+        m = 1..5, each U with entries in -3..3 (1-3 row operations)."""
+        rng = np.random.default_rng(3636)
+        for n in (1, 2, 3):
+            for m in range(1, 6):
+                for i in range(4):
+                    S = random_periodic_set(rng, n, m)
+                    U = np.array([[int(rng.choice([-1, 1]))]])
+                    while n > 1:
+                        U = random_unimodular(rng, n, int(rng.integers(1, 4)))
+                        if np.abs(U).max() <= 3:
+                            break
+                    paths = [tmp_path / f"{n}_{m}_{i}{tag}.txt" for tag in ("", "_u")]
+                    for path, T in zip(paths, (S, pg.change_cell(S, U))):
+                        path.write_text(write_set_text(T), encoding="utf-8")
+                    yield m, *map(str, paths)
+
+    def test_every_command_prints_the_same_answers(self, tmp_path, capsys):
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+            return json.loads(capsys.readouterr().out)
+
+        def sampled(path):
+            out = run("density", path, "-k", "3", "--samples", "600")
+            return np.array([p["estimates"] for p in out["psi"]])
+
+        differ = 0
+        for m, s, t in self.corpus(tmp_path):
+            a, b = (np.array(run("amd", p, "-k", "20")["per_point"]) for p in (s, t))
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0, err_msg=t)
+            a, b = (run("isoset", p, "--stable") for p in (s, t))
+            assert b["alpha"] == pytest.approx(a["alpha"], rel=1e-9), t
+            assert b["beta"] == pytest.approx(a["beta"], rel=1e-9), t
+            assert b["regularity"] == a["regularity"], t
+            assert (sorted((c["weight"], c["size"]) for c in b["classes"])
+                    == sorted((c["weight"], c["size"]) for c in a["classes"])), t
+            copy, own = run("compare", s, t), run("compare", s, s)
+            assert copy["isometric"] is True, t
+            assert copy["alpha_used"] == pytest.approx(own["alpha_used"], rel=1e-12), t
+            a, b = sampled(s), sampled(t)
+            np.testing.assert_allclose(b[..., 0], a[..., 0], rtol=1e-12, atol=0,
+                                       err_msg=t)
+            R, Q = (parse_set_file(p).reduced.cell.basis for p in (s, t))
+            if np.abs(R - Q).max() <= 1e-12 * np.abs(R).max():
+                assert np.array_equal(b[..., 1:], a[..., 1:]), t
+            else:
+                differ += 1
+                bound = 4 * np.hypot(a[..., 2], b[..., 2]) + 1e-12
+                assert np.all(np.abs(a[..., 1] - b[..., 1]) <= bound), t
+            if m <= 2:
+                assert 0.0 <= run("emd", s, t)["cost"] <= 1e-9, t
+        # both branches ran: some reduced cells agree, some differ in row signs
+        assert 0 < differ < 60

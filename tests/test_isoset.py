@@ -835,10 +835,12 @@ class TestOneSearch:
 
 
 class TestReducedCellRadius:
-    """common_stable_alpha reads each set's easy bound off the smaller of
-    its given and its reduced cell's max{2b, d}: a set re-celled by a
-    unimodular U gets its own radius, never above the given cells' bound,
-    and the isometry decision there is the one at the given cells' bound."""
+    """common_stable_alpha reads each set's easy bound off its reduced
+    cell's max{2b, d} alone: a set re-celled by a unimodular U gets its own
+    radius, on this corpus never above the given cells' bound, and the
+    isometry decision there is the one at the given cells' bound.  Where
+    the given cell's bound is the smaller, both cells still read the
+    reduced cell's."""
 
     @staticmethod
     def corpus():
@@ -871,6 +873,20 @@ class TestReducedCellRadius:
                 assert same is (Q is T or S.m == 1)
             shrunk += alpha < max(pg.easy_stable_radius(S), pg.easy_stable_radius(T))
         assert shrunk >= 40
+
+    def test_one_default_radius_per_lattice(self):
+        # a one-point 3D lattice whose given cell's max{2b, d}, 3.08875, is
+        # below its reduced cell's, 3.12580: the default radius is the
+        # reduced cell's on both cells, above the stable radius 3.07766
+        basis = np.array([[1.4875, 0.2576, -0.2983], [0.3225, 1.1173, 0.6265],
+                          [0.3614, -0.0415, 1.4175]])
+        S = pg.PeriodicSet(pg.UnitCell(basis), np.zeros((1, 3)))
+        assert pg.easy_stable_radius(S) == pytest.approx(3.08875, abs=1e-5)
+        assert pg.common_stable_alpha(S) == pg.common_stable_alpha(S.reduced)
+        for T in (S, S.reduced):
+            assert pg.common_stable_alpha(T) == pytest.approx(3.12580, abs=1e-5)
+            assert pg.minimum_stable_radius(T).alpha == pytest.approx(3.07766,
+                                                                      abs=1e-5)
 
 
 class TestClassWitness:
