@@ -22,7 +22,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .amd import amd
-from .core import DataError, bridge_length, check_limit
+from .core import (DataError, bridge_length, bridge_reach, check_limit,
+                   neighbor_pairs)
 from .density import DensityFingerprint1D, _psi_rows, psi_sampled
 from .io import ParseError, parse_set_file
 from .isoset import (
@@ -31,6 +32,7 @@ from .isoset import (
     isoset,
     isosets_equal,
     isotree,
+    match_tolerance,
     minimum_stable_radius,
     stable_alpha,
 )
@@ -180,6 +182,10 @@ def _cmd_isoset(args):
     tol = _tolerance_override()
     stable = minimum_stable_radius(S, tol) if args.alpha is None else None
     alpha = stable.alpha if stable else args.alpha
+    if stable is None and alpha >= 0:
+        # the larger of isoset's and bridge_length's reads first, so the
+        # other is a prefix (isoset refuses a negative alpha unenumerated)
+        neighbor_pairs(S, max(alpha + match_tolerance(alpha, tol), bridge_reach(S)))
     iso = isoset(S, alpha, tol)
     data = {
         "schema": SCHEMA,

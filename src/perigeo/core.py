@@ -24,7 +24,7 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 # determinant cutoff (relative to b^n) below which a cell is rejected
 TOL_DEGENERATE = 1e-12
@@ -423,8 +423,8 @@ def min_interpoint_distance(S: PeriodicSet) -> float:
 
 def packing_covering_radii(S: PeriodicSet) -> tuple:
     """(r, R): half the minimum interpoint distance, and the deepest-hole
-    distance computed from Voronoi vertices of a periodic patch (analytic
-    in 1D).
+    distance computed from the Voronoi vertices of a periodic patch, the
+    circumcentres of its Delaunay simplices (analytic in 1D).
 
     The patch is neighbor_cloud's reach slab at d/2, for S.reduced and d
     the diameter of its cell: the points whose fractional coordinates
@@ -440,6 +440,9 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
     inside the cell, the nearest patch point is the nearest point of S, so
     the KD-tree query returns the true distance from v to S, at most R.
     The largest query distance over the vertices in the cell is thus R.
+    qhull's triangulated output splits cospherical points into simplices
+    of one circumcentre and some of zero volume, which have none and are
+    skipped; a nearly flat one gives some point, at most R from S too.
     """
     r = 0.5 * min_interpoint_distance(S)
     n = S.dim
@@ -451,16 +454,30 @@ def packing_covering_radii(S: PeriodicSet) -> tuple:
         return r, R
     S = S.reduced
     pts, _ = neighbor_cloud(S, 0.5 * S.cell.diameter)
-    vor = Voronoi(pts)
-    frac = vor.vertices @ S.cell.inv_basis
+    corners = pts[Delaunay(pts).simplices]
+    edges = corners[:, 1:] - corners[:, :1]
+    keep = np.linalg.det(edges) != 0
+    corners, edges = corners[keep], edges[keep]
+    # the centre c is as far from each corner p_i as from p_0, so along each
+    # edge e_i = p_i - p_0: e_i . (c - p_0) = |e_i|^2 / 2
+    half_sq = 0.5 * np.einsum("sij,sij->si", edges, edges)
+    centres = corners[:, 0] + np.linalg.solve(edges, half_sq[..., None])[..., 0]
+    frac = centres @ S.cell.inv_basis
     window = np.all((frac >= -1e-9) & (frac <= 1 + 1e-9), axis=1)
-    verts = vor.vertices[window]
+    verts = centres[window]
     if verts.shape[0] == 0:
         raise RuntimeError("no Voronoi vertices found inside the cell window")
     tree = cKDTree(pts)
     dist, _ = tree.query(verts)
     R = float(dist.max())
     return r, R
+
+
+def bridge_reach(S: PeriodicSet) -> float:
+    """The radius bridge_length reads: max{b, d/2} of the reduced cell, padded."""
+    reduced = S.cell._reduction[2]
+    bound = max(reduced.longest_edge, 0.5 * reduced.diameter)
+    return bound * (1 + 1e-9) + REL_TOL * S.cell.diameter
 
 
 def bridge_length(S: PeriodicSet) -> float:
@@ -481,10 +498,8 @@ def bridge_length(S: PeriodicSet) -> float:
     is returned.
     """
     n = S.dim
-    reduced = S.cell._reduction[2]
-    bound = max(reduced.longest_edge, 0.5 * reduced.diameter)
     tol = REL_TOL * S.cell.diameter
-    i, j, shifts, lengths = neighbor_pairs(S, bound * (1 + 1e-9) + tol)
+    i, j, shifts, lengths = neighbor_pairs(S, bridge_reach(S))
     lead = shifts[np.arange(len(shifts)), np.argmax(shifts != 0, axis=1)]
     keep = np.flatnonzero((j > i) | ((j == i) & (lead > 0)))
     keep = keep[np.argsort(lengths[keep], kind="stable")]

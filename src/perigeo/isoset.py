@@ -6,10 +6,12 @@ Cluster comparison is exact up to an absolute point-match tolerance
 (default 1e-6 * alpha): an orthogonal map is accepted when it sends every
 cluster point within tolerance of a distinct point of the other cluster:
 a bijection, read off the nearest points or, where those collide, a
-bipartite matching.  The maps tried are the least-squares orthogonal fits
-(_fit) of a few anchor points onto each assignment of their images; a fit
-that is not accepted is refit, up to twice, to the points nearest its
-image, keeping its determinant.
+bipartite matching.  The maps tried are, in order, a map the caller
+holds, the identity and -I (they fix every lattice, so they relate
+translated and inverted motif points), and the least-squares orthogonal
+fits (_fit) of a few anchor points onto each assignment of their images;
+a fit that is not accepted is refit, up to twice, to the points nearest
+its image, keeping its determinant.
 Degenerate clusters (affine hull of rank < n) are compared in reduced
 coordinates; their symmetry groups are continuous when the codimension is
 at least 2 and are then recorded by (rank, reduced order) instead of an
@@ -19,7 +21,7 @@ element list.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,14 +45,18 @@ RANK_TOL = 1e-7        # singular-value cutoff (relative to cluster radius)
 
 @dataclass(frozen=True)
 class Cluster:
-    """All vectors q - p with |q - p| <= alpha around motif point p."""
+    """All vectors q - p with |q - p| <= alpha around motif point p, and
+    their lengths (alpha_cluster's are its neighbor stack's, bit for bit)."""
 
     center_index: int
     alpha: float
     points: np.ndarray  # (k, n), sorted by (length, coordinates)
+    lengths: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        if self.lengths is None:
+            object.__setattr__(self, "lengths", np.linalg.norm(self.points, axis=1))
 
     @property
     def size(self) -> int:
@@ -59,10 +65,6 @@ class Cluster:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.points, axis=1)
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,9 @@ def match_tolerance(alpha: float, tol: Optional[float]) -> float:
 def alpha_cluster(S: PeriodicSet, p_index: int, alpha: float) -> Cluster:
     """The alpha-cluster, a read-only length-prefix of the point's
     neighbor stack."""
-    vecs = neighbor_stack(S, p_index, alpha).vectors
-    return Cluster(center_index=p_index, alpha=alpha, points=vecs)
+    stack = neighbor_stack(S, p_index, alpha)
+    return Cluster(center_index=p_index, alpha=alpha, points=stack.vectors,
+                   lengths=stack.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def _verify_map(m: np.ndarray, pc: np.ndarray, tree_d: cKDTree, k: int,
     dist, idx = tree_d.query(image)
     if float(dist.max()) > tol_abs:
         return False
-    if len(np.unique(idx)) == k:
+    if np.bincount(idx).max() <= 1:
         return True
     # imported here: scipy.sparse.csgraph adds about 18 ms to a start-up
     from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -217,7 +220,9 @@ def _anchor_indices(points: np.ndarray, r: int):
 
 def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
                   first_only: bool):
-    """Orthogonal maps (r x r) sending point set pc onto pd within tol_abs."""
+    """Orthogonal maps (r x r) sending point set pc onto pd within tol_abs,
+    the identity first when it is one; for pc onto itself it is recorded
+    without a fit, so the leaf assigning each anchor to itself is skipped."""
     r = pc.shape[1]
     k = pc.shape[0]
     out = []
@@ -230,6 +235,7 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
         if first_only:
             return out
     anchors = _anchor_indices(pc, r)
+    own = tuple(anchors) if pd is pc else None
     A = pc[anchors]
     lens_a = np.linalg.norm(A, axis=1)
     lens_d = np.linalg.norm(pd, axis=1)
@@ -239,6 +245,8 @@ def _reduced_maps(pc: np.ndarray, pd: np.ndarray, tol_abs: float,
 
     def backtrack(level, chosen):
         if level == r:
+            if chosen == own:
+                return False
             # the anchors' fit, then up to two refits to the points of pd
             # nearest its image, each verified once
             m = _fit(A, pd[list(chosen)])
@@ -273,9 +281,10 @@ def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None,
                        witness: Optional[OrthogonalMap] = None
                        ) -> Optional[OrthogonalMap]:
     """A center-fixing orthogonal map with f(C) = D within tolerance, or
-    None: `witness` when it passes the search's acceptance test
-    (_verify_map), else the first map of the isometry search in the
-    clusters' frames.  _refine and isosets_equal pass their last map."""
+    None: once the sorted lengths agree, the first to pass the search's
+    acceptance test (_verify_map) of `witness` (_refine and isosets_equal
+    pass their last map), the identity, -I and the isometry search in the
+    clusters' frames."""
     if C.dim != D.dim:
         raise ValueError(f"clusters live in different dimensions: {C.dim} and {D.dim}")
     if C.size != D.size:
@@ -284,9 +293,14 @@ def clusters_isometric(C: Cluster, D: Cluster, tol: Optional[float] = None,
     lc, ld = np.sort(C.lengths), np.sort(D.lengths)
     if not np.abs(lc - ld).max(initial=0.0) <= 2.0 * tol_abs:
         return None
-    if witness is not None and _verify_map(witness.matrix, C.points,
-                                           cKDTree(D.points), C.size, tol_abs):
+    tree_d = cKDTree(D.points)
+    if witness is not None and _verify_map(witness.matrix, C.points, tree_d,
+                                           C.size, tol_abs):
         return witness
+    for sign in (1.0, -1.0):
+        m = sign * np.eye(C.dim)
+        if _verify_map(m, C.points, tree_d, C.size, tol_abs):
+            return OrthogonalMap(m)
     scale = float(lc[-1])
     rank_c, frame_c = _rank_and_frame(C.points, scale)
     rank_d, frame_d = _rank_and_frame(D.points, scale)

@@ -587,6 +587,22 @@ def covering_radius_reach_2d(S: pg.PeriodicSet) -> float:
     return float(dist.max())
 
 
+def covering_radius_voronoi(S: pg.PeriodicSet) -> float:
+    """Covering radius R from the vertices of the full Voronoi diagram of
+    the reach-d/2 patch of S.reduced that core.packing_covering_radii
+    reads: the deepest vertex inside the reduced cell, by its nearest
+    patch point."""
+    from perigeo.core import neighbor_cloud
+
+    S = S.reduced
+    pts, _ = neighbor_cloud(S, 0.5 * S.cell.diameter)
+    vertices = Voronoi(pts).vertices
+    frac = vertices @ S.cell.inv_basis
+    inside = np.all((frac >= -1e-9) & (frac <= 1 + 1e-9), axis=1)
+    dist, _ = cKDTree(pts).query(vertices[inside])
+    return float(dist.max())
+
+
 def bridge_length_patch(S: pg.PeriodicSet, cells: int = 5) -> float:
     """Bridge length from its definition on a finite patch: the points of
     S in the offsets [-cells, cells]^n of its cell, joined when at most t

@@ -905,6 +905,9 @@ class TestOneEnumeration:
             S = parse_set_file(path)
             alpha = repr(pg.easy_stable_radius(S))
             assert count(["isoset", path, "--alpha", alpha]) == 1, path
+            # below the radius bridge_length reads for the beta field
+            below = repr(0.5 * pg.bridge_length(S))
+            assert count(["isoset", path, "--alpha", below]) == 1, path
             assert count(["isotree", path, "--alpha-max", alpha]) == 1, path
             # a file given twice is parsed twice
             assert count(["compare", path, path]) == 2, path

@@ -13,6 +13,7 @@ from helpers import (
     bridge_length_patch,
     contract_sets,
     covering_radius_reach_2d,
+    covering_radius_voronoi,
     jitter_set,
     neighbor_arrays_loop,
     random_orthogonal,
@@ -481,6 +482,26 @@ class TestRadii:
         _, R = pg.packing_covering_radii(S)
         expected = closed_form if len(fractions) == 1 else covering_radius_reach_2d(S)
         assert abs(R - expected) <= 1e-12
+
+    def test_covering_equals_the_full_voronoi_diagram(self):
+        # the circumcentres of the patch's Delaunay simplices against the
+        # vertices of its Voronoi diagram: random 2D and 3D sets, and the
+        # lattices above with one and two points, whose cospherical points
+        # qhull's triangulated output splits into simplices of zero volume
+        # (4 of 192 for fcc on its cubic cell)
+        rng = np.random.default_rng(7272)
+        sets = [random_periodic_set(rng, 2 + k % 2, 1 + k % 6,
+                                    skew=(0.1, 0.25, 0.4)[k % 3]) for k in range(60)]
+        for basis, _ in SMALL_PATCH_LATTICES.values():
+            n = len(basis)
+            for fractions in ((0.0,), (0.0, 0.5)):
+                sets.append(pg.PeriodicSet(pg.UnitCell(basis),
+                                           np.array([[f] * n for f in fractions])))
+        sets.append(pg.PeriodicSet(pg.UnitCell(np.eye(3)), np.array(
+            [[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5]])))
+        for S in sets:
+            _, R = pg.packing_covering_radii(S)
+            assert abs(R - covering_radius_voronoi(S)) <= 1e-12 * R
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_covering_on_a_20_to_1_cell(self, n):

@@ -102,6 +102,20 @@ class TestAlphaCluster:
         assert np.all(np.diff(lengths) >= -1e-12)
         assert np.all(lengths <= 9.0 + 1e-8)
 
+    def test_lengths_are_the_norms_of_the_points(self):
+        # the neighbor stack's lengths, bit for bit; a cluster built by hand
+        # computes them, and neither repr nor equality reads them
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 3):
+            S = random_periodic_set(rng, n, 4)
+            for alpha in (0.5, 1.2, pg.easy_stable_radius(S)):
+                for p in range(S.m):
+                    c = pg.alpha_cluster(S, p, alpha)
+                    assert np.array_equal(c.lengths, np.linalg.norm(c.points, axis=1))
+            by_hand = pg.Cluster(0, c.alpha, np.array(c.points))
+            assert np.array_equal(by_hand.lengths, c.lengths)
+            assert "lengths" not in repr(by_hand)
+
 
 class TestNeighborStack:
     @staticmethod
@@ -217,6 +231,40 @@ class TestVerifyMap:
         assert _verify_map(ident, pc, cKDTree([[0.45], [1.58]]), 2, 0.6)
         assert not _verify_map(ident, pc, cKDTree([[0.45], [1.58]]), 2, 0.57)
         assert not _verify_map(ident, pc, cKDTree([[0.45], [2.0]]), 2, 0.6)
+
+    def test_decides_as_the_distinct_nearest_rule(self):
+        # random maps near the one that sends pc onto pd, with pd's points
+        # in close pairs so that nearest points often collide: the decision
+        # is that of the rule that counts distinct nearest points with
+        # np.unique and falls back to an assignment (linear_sum_assignment,
+        # not the matching _verify_map calls) of the pairs within tol
+        from scipy.optimize import linear_sum_assignment
+
+        def referee(m, pc, pd, tol):
+            dist = np.linalg.norm((pc @ m.T)[:, None] - pd[None], axis=2)
+            if dist.min(axis=1).max() > tol:
+                return False
+            if len(np.unique(dist.argmin(axis=1))) == len(pc):
+                return True
+            rows, cols = linear_sum_assignment(dist > tol)
+            return bool(np.all(dist[rows, cols] <= tol))
+
+        rng = np.random.default_rng(53)
+        decided, collided = set(), 0
+        for trial in range(600):
+            n = 1 + trial % 3
+            half = rng.normal(size=(3, n))
+            pd = np.vstack([half, half + 0.05 * rng.normal(size=(3, n))])
+            M = random_orthogonal(rng, n)
+            pc = (pd + 0.02 * rng.normal(size=pd.shape)) @ M
+            m = M + 0.02 * rng.normal(size=(n, n))
+            tol = float(rng.choice([0.03, 0.06, 0.1]))
+            tree = cKDTree(pd)
+            got = _verify_map(m, pc, tree, len(pc), tol)
+            assert got == referee(m, pc, pd, tol), trial
+            decided.add(got)
+            collided += len(np.unique(tree.query(pc @ m.T)[1])) < len(pc)
+        assert decided == {True, False} and collided >= 100
 
 
 class TestSymmetryGroup:
@@ -586,6 +634,18 @@ class TestNearCopies:
             tol = float(rng.choice([0.004, 0.008, 0.012]))
             assert pg.isosets_equal(S, T, tol) == pg.isosets_equal(T, S, tol), seed
 
+    def test_identity_found_under_a_wide_tolerance(self):
+        # the same recipe in 2D: the anchor search finds no map between a
+        # class pair, but the identity passes the acceptance test, so
+        # each copy is isometric in both orders
+        for seed in (78, 198, 258, 574, 760, 914):
+            rng = np.random.default_rng(seed)
+            S = random_periodic_set(rng, 2 - seed % 2, int(rng.integers(3, 6)),
+                                    min_sep=0.1)
+            T, _ = jitter_set(rng, S, float(rng.choice([0.002, 0.005, 0.01])))
+            tol = float(rng.choice([0.004, 0.008, 0.012]))
+            assert pg.isosets_equal(S, T, tol) and pg.isosets_equal(T, S, tol), seed
+
 
 class TestMonotoneScan:
     """The monotone scan against the scan that recomputes partitions and
@@ -946,3 +1006,86 @@ class TestClassWitness:
             searches.append(calls)
         # seed 11: the map of the first classes does not verify the second
         assert set(searches) == {1, 2} and searches[11] == 2
+
+
+class TestLatticeMapsFirst:
+    """clusters_isometric tries the identity and the inversion -I, the two
+    orthogonal maps that fix every lattice, before the anchor search, and
+    a symmetry group records the identity without refitting it."""
+
+    @staticmethod
+    def searches(monkeypatch, run):
+        """(run(), the _reduced_maps calls it makes)."""
+        calls = []
+        search = isoset_module._reduced_maps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(isoset_module, "_reduced_maps", counting)
+            got = run()
+        return got, len(calls)
+
+    def test_two_point_sets_and_jittered_copies_need_no_search(self, monkeypatch):
+        # a two-point set is centrosymmetric: its points' clusters are
+        # related by -I, and a copy jittered far inside the tolerance by
+        # the identity or -I
+        for seed in range(8):
+            rng = np.random.default_rng(4200 + seed)
+            S = random_periodic_set(rng, 2 + seed % 2, 2)
+            J, _ = jitter_set(rng, S, 1e-7)
+            alpha = pg.common_stable_alpha(S, J)
+            for T in (S, J):
+                assert self.searches(monkeypatch, lambda: pg.alpha_partition(
+                    T, alpha)) == (((0, 1),), 0)
+            assert self.searches(monkeypatch, lambda: pg.isosets_equal(S, J)) == (True, 0)
+
+    def test_conventional_and_primitive_cells_need_no_search(self, monkeypatch):
+        # bcc and fcc on their cubic cells, whose motif points are
+        # translates, against their one-point primitive cells
+        conventional = symmetric_sets()
+        primitive = {
+            "bcc": 0.5 * np.array([[1.0, 1, -1], [1, -1, 1], [-1, 1, 1]]),
+            "fcc": 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        }
+        for name, basis in primitive.items():
+            S = conventional[name]
+            P = pg.PeriodicSet(pg.UnitCell(basis), np.zeros((1, 3)))
+            alpha = pg.common_stable_alpha(S, P)
+            assert self.searches(monkeypatch, lambda: pg.alpha_partition(
+                S, alpha)) == ((tuple(range(S.m)),), 0), name
+            assert self.searches(monkeypatch, lambda: pg.isosets_equal(S, P)) \
+                == (True, 0), name
+            assert self.searches(monkeypatch, lambda: pg.isosets_equal(P, S)) \
+                == (True, 0), name
+
+    @pytest.mark.parametrize("name, order, radii", [
+        ("bcc", 48, (0.9, 1.0, 1.5)),
+        ("fcc", 48, (0.75, 1.0, 1.3)),
+        ("hexagonal", 12, (1.0, 1.8, 2.0)),
+        ("supercell", 8, (1.0, 1.5, 2.3)),
+    ])
+    def test_groups_never_refit_the_identity(self, name, order, radii, monkeypatch):
+        # every cluster of these sets has the lattice's point group; no fit
+        # sends the anchors onto themselves, whose fit is the identity
+        S = symmetric_sets()[name]
+        fits = []
+        fit = isoset_module._fit
+
+        def recording(P, Q, sign=None):
+            fits.append(np.array_equal(P, Q))
+            return fit(P, Q, sign)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(isoset_module, "_fit", recording)
+            for alpha in radii:
+                for p in range(S.m):
+                    g = pg.symmetry_group(S, p, alpha)
+                    assert (g.continuous, g.order) == (False, order), (alpha, p)
+                    C = pg.alpha_cluster(S, p, alpha)
+                    tree = cKDTree(C.points)
+                    assert all(_verify_map(e, C.points, tree, C.size, 1e-9)
+                               for e in g.elements)
+        assert fits and not any(fits)
